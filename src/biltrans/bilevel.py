@@ -14,11 +14,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .losses import FeatureExtractor, LossWeights, l1_loss, perceptual_loss
+from .losses import PROB_CLAMP, FeatureExtractor, LossWeights, l1_loss, perceptual_loss
 from .nets import ParameterSet, discriminator_forward, generator_forward
 from .optim import AdamState, adam_step, sgd_step_differentiable
 from .rng import stream, substream_seed
-from .tasks import SegMap, TaskEpisode, augment, render, retrieve_topk, sample_episode
+from .tasks import (
+    SegMap,
+    TaskEpisode,
+    TranslationSample,
+    augment,
+    render,
+    retrieve_topk,
+    sample_episode,
+    stack_samples,
+)
 from .tensor import Tape, TensorError, backward
 
 
@@ -77,74 +86,56 @@ class Objective:
         self.g_forward = self.g_forward or generator_forward
         self.d_forward = self.d_forward or discriminator_forward
 
-    def _triple(self, sample):
-        if isinstance(sample, tuple):
-            return sample
-        return sample.tensors()
-
     def pair_losses(self, g, d, samples, want_d=True):
-        """(mean generator total loss, mean discriminator loss or None)."""
-        n = len(samples)
-        total_g, total_d = None, None
-        for sample in samples:
-            xs, xr, y = self._triple(sample)
-            fake = self.g_forward(g, xs, xr)
-            lg_parts = l1_loss(fake, y)
-            if want_d or self.weights.adversarial != 0.0:
-                p_fake = self._prob(d, xs, fake)
-                one = T.constant(np.ones(p_fake.shape))
-                log_one_minus_fake = T.reduce_mean(T.log(T.sub(one, p_fake)))
-                if self.weights.adversarial != 0.0:
-                    adv_g = (
-                        T.scalar_mul(T.reduce_mean(T.log(p_fake)), -1.0)
-                        if self.weights.nonsaturating
-                        else log_one_minus_fake
-                    )
-                    lg_parts = T.add(lg_parts, T.scalar_mul(adv_g, self.weights.adversarial))
-            if self.weights.perceptual != 0.0:
-                lg_parts = T.add(
-                    lg_parts,
-                    T.scalar_mul(perceptual_loss(self.phi, fake, y), self.weights.perceptual),
+        """(mean generator total loss, mean discriminator loss or None).
+
+        ``samples`` is a list of samples or one stacked batch triple (see
+        ``stack_samples``); every term is one batch mean, which equals the
+        mean of the per-sample losses.
+        """
+        xs, xr, y = stack_samples(samples)
+        fake = self.g_forward(g, xs, xr)
+        loss_g = l1_loss(fake, y)
+        if want_d or self.weights.adversarial != 0.0:
+            p_fake = self._prob(d, xs, fake)
+            one = T.constant(np.ones(p_fake.shape))
+            log_one_minus_fake = T.reduce_mean(T.log(T.sub(one, p_fake)))
+            if self.weights.adversarial != 0.0:
+                adv_g = (
+                    T.scalar_mul(T.reduce_mean(T.log(p_fake)), -1.0)
+                    if self.weights.nonsaturating
+                    else log_one_minus_fake
                 )
-            total_g = lg_parts if total_g is None else T.add(total_g, lg_parts)
-            if want_d:
-                p_real = self._prob(d, xs, y)
-                ld = T.scalar_mul(
-                    T.add(T.reduce_mean(T.log(p_real)), log_one_minus_fake), -1.0
-                )
-                total_d = ld if total_d is None else T.add(total_d, ld)
-        mean_g = T.scalar_mul(total_g, 1.0 / n)
-        mean_d = T.scalar_mul(total_d, 1.0 / n) if want_d else None
-        return mean_g, mean_d
+                loss_g = T.add(loss_g, T.scalar_mul(adv_g, self.weights.adversarial))
+        if self.weights.perceptual != 0.0:
+            loss_g = T.add(
+                loss_g, T.scalar_mul(perceptual_loss(self.phi, fake, y), self.weights.perceptual)
+            )
+        if not want_d:
+            return loss_g, None
+        p_real = self._prob(d, xs, y)
+        loss_d = T.scalar_mul(T.add(T.reduce_mean(T.log(p_real)), log_one_minus_fake), -1.0)
+        return loss_g, loss_d
 
     def _prob(self, d, xs, img):
-        from .losses import PROB_CLAMP
-
         logits = self.d_forward(d, xs, img)
         return T.clamp(T.sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
     def disc_loss_detached(self, g, d, samples):
         """Discriminator loss with generated images treated as constants."""
-        fakes = []
+        xs, xr, y = stack_samples(samples)
         with T.no_tape():
-            for sample in samples:
-                xs, xr, _ = self._triple(sample)
-                fakes.append(T.constant(self.g_forward(g, xs, xr).data))
-        total = None
-        for sample, fake in zip(samples, fakes):
-            xs, _, y = self._triple(sample)
-            p_real = self._prob(d, xs, y)
-            p_fake = self._prob(d, xs, fake)
-            one = T.constant(np.ones(p_fake.shape))
-            ld = T.scalar_mul(
-                T.add(T.reduce_mean(T.log(p_real)), T.reduce_mean(T.log(T.sub(one, p_fake)))),
-                -1.0,
-            )
-            total = ld if total is None else T.add(total, ld)
-        return T.scalar_mul(total, 1.0 / len(samples))
+            fake = T.constant(self.g_forward(g, xs, xr).data)
+        p_real = self._prob(d, xs, y)
+        p_fake = self._prob(d, xs, fake)
+        one = T.constant(np.ones(p_fake.shape))
+        return T.scalar_mul(
+            T.add(T.reduce_mean(T.log(p_real)), T.reduce_mean(T.log(T.sub(one, p_fake)))), -1.0
+        )
 
-    def generate(self, g, sample) -> np.ndarray:
-        xs, xr, _ = self._triple(sample)
+    def generate(self, g, samples) -> np.ndarray:
+        """Generated images (N, 3, H, W) for a list of samples or a batch triple."""
+        xs, xr, _ = stack_samples(samples)
         return self.g_forward(g, xs, xr).data
 
 
@@ -206,27 +197,20 @@ class BiLevelState:
 # batches
 
 
-def _one_hot_tensor(labels, classes):
-    return T.constant(SegMap(labels, classes).one_hot())
-
-
 def _batch_for_iteration(samples, inner_batch, rng):
-    """A training batch of tensor triples; short sample sets are padded
-    with freshly augmented copies so the batch size stays constant."""
-    triples = [s.tensors() for s in samples]
-    if len(triples) >= inner_batch:
-        if len(triples) == inner_batch:
-            return triples
-        idx = rng.choice(len(triples), size=inner_batch, replace=False)
-        return [triples[i] for i in sorted(idx)]
-    classes = samples[0].x_struct.classes
-    out = list(triples)
+    """One stacked training batch (see ``stack_samples``); short sample sets
+    are padded with freshly augmented copies so the batch size stays constant."""
+    if len(samples) >= inner_batch:
+        if len(samples) == inner_batch:
+            return stack_samples(samples)
+        idx = rng.choice(len(samples), size=inner_batch, replace=False)
+        return stack_samples([samples[i] for i in sorted(idx)])
+    out = list(samples)
     while len(out) < inner_batch:
         base = samples[int(rng.integers(0, len(samples)))]
         img2, lab2 = augment(base.y, base.x_struct.labels, int(rng.integers(0, 2**62)))
-        ref = None if base.x_ref is None else T.constant(base.x_ref)
-        out.append((_one_hot_tensor(lab2, classes), ref, T.constant(img2)))
-    return out
+        out.append(TranslationSample(SegMap(lab2, base.x_struct.classes), base.x_ref, img2))
+    return stack_samples(out)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +458,7 @@ def test_adapt(state: BiLevelState, episode: TaskEpisode, train_tasks: list,
         state.objective, substream_seed(seed, "test-adapt", episode.scene_id),
         n_iters=state.config.inner_iters,
     )
-    images = [state.objective.generate(g_is, s) for s in episode.test]
+    images = list(state.objective.generate(g_is, episode.test))
     return g_is, d_is, images
 
 

@@ -216,7 +216,7 @@ def adapt_one_scene(cfg, scene_index, rows):
     out = {}
     for row in rows:
         if row == "baseline":
-            images = [state_pre.objective.generate(state_pre.g_gp, s) for s in episode.test]
+            images = list(state_pre.objective.generate(state_pre.g_gp, episode.test))
         elif row == "baseline_shot":
             _, _, images = test_adapt(state_pre, episode, [], k=1, use_aux=False,
                                       seed=cfg.master_seed)
@@ -279,7 +279,9 @@ def cmd_eval(cfg, aux_on=True):
             row_dir = os.path.join(p["results"], row, f"scene_{ep.scene_id:05d}")
             _require(row_dir, "biltrans adapt")
             for j, sample in enumerate(ep.test):
-                pred = read_ppm(os.path.join(row_dir, f"img_{j:03d}.ppm"))
+                img_path = os.path.join(row_dir, f"img_{j:03d}.ppm")
+                _require(img_path, "biltrans adapt")
+                pred = read_ppm(img_path)
                 report.add(ep.scene_id, j, **score_pair(phi, pred, sample.y))
         report.write_csv(os.path.join(p["results"], f"metrics_{row}.csv"))
         report.write_json(os.path.join(p["results"], f"summary_{row}.json"))

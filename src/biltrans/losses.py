@@ -101,18 +101,16 @@ def adversarial_losses(d: ParameterSet, x_struct: Tensor, y_real: Tensor, y_fake
 
 
 def _unit_normalize(feat: Tensor) -> Tensor:
-    # divide by the per-location channel L2 norm; channel reductions are
-    # expressed as 1x1 convs with constant all-ones kernels
-    c = feat.shape[0]
-    sum_sq = T.conv2d(T.square(feat), T.constant(np.ones((1, c, 1, 1))))
+    # divide by the per-location channel L2 norm
+    sum_sq = T.channel_sum(T.square(feat))
     eps = T.constant(np.full(sum_sq.shape, NORM_EPS))
     inv_norm = T.reciprocal(T.sqrt(T.add(sum_sq, eps)))
-    spread = T.conv2d(inv_norm, T.constant(np.ones((c, 1, 1, 1))))
-    return T.mul(feat, spread)
+    return T.mul(feat, T.channel_repeat(inv_norm, feat.shape[1]))
 
 
 def perceptual_loss(phi: FeatureExtractor, pred: Tensor, target: Tensor) -> Tensor:
-    """Sum over stages of mean squared distance between normalized features."""
+    """Sum over stages of mean squared distance between normalized features;
+    on a batch, the mean over samples of their distances."""
     if pred.shape != target.shape:
         raise TensorError(f"perceptual_loss: shapes {pred.shape} vs {target.shape}")
     total = None
@@ -124,9 +122,9 @@ def perceptual_loss(phi: FeatureExtractor, pred: Tensor, target: Tensor) -> Tens
 
 def total_loss(g: ParameterSet, d: ParameterSet, phi: FeatureExtractor,
                weights: LossWeights, sample):
-    """(generator total loss, discriminator loss) for one training triple.
+    """(generator total loss, discriminator loss) for one training sample.
 
-    ``sample`` provides x_struct / x_ref / y as Tensors (see tasks module).
+    ``sample`` provides x_struct / x_ref / y as batch Tensors (see tasks module).
     The generated image stays on the active tape, so backward against
     either returned scalar reaches the respective network.
     """

@@ -92,7 +92,7 @@ def ssim(pred, target) -> float:
 
 def proxy_lpips(phi: FeatureExtractor, pred, target) -> float:
     """Perceptual distance under the shared frozen extractor."""
-    return perceptual_loss(phi, T.constant(pred), T.constant(target)).item()
+    return perceptual_loss(phi, T.constant(pred[None]), T.constant(target[None])).item()
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Miniaturized residual U-net generator and fully convolutional patch
 discriminator.
 
-The generator input is a one-hot structure map, plus a 3-channel reference
-image in pg2 mode. The discriminator sees the structure map concatenated
-with a real or generated image and emits a grid of patch logits.
+Both networks take batches in (N, C, H, W) layout. The generator input is
+a one-hot structure map, plus a 3-channel reference image in pg2 mode. The
+discriminator sees the structure map concatenated with a real or generated
+image and emits a grid of patch logits.
 """
 
 import hashlib
@@ -190,9 +191,7 @@ def parameter_count(cfg: NetConfig, role: str) -> int:
 
 def _conv(ps, name, x, stride=1, pad=1):
     h = T.pad_reflect(x, pad) if pad else x
-    h = T.conv2d(h, ps[f"{name}.w"], stride=stride)
-    bias = T.channel_broadcast(ps[f"{name}.b"], h.shape[1], h.shape[2])
-    return T.add(h, bias)
+    return T.bias_add(T.conv2d(h, ps[f"{name}.w"], stride=stride), ps[f"{name}.b"])
 
 
 def _residual_block(ps, prefix, x):
@@ -202,7 +201,8 @@ def _residual_block(ps, prefix, x):
 
 
 def generator_forward(g: ParameterSet, x_struct: Tensor, x_ref: Tensor | None) -> Tensor:
-    """Translate a one-hot structure map (and reference, in pg2 mode) to an image."""
+    """Translate a batch of one-hot structure maps (N, classes, H, W), with
+    references (N, 3, H, W) in pg2 mode, to images (N, 3, H, W)."""
     if g.mode == "pg2":
         if x_ref is None:
             raise TensorError("generator_forward: pg2 mode needs a reference image")
@@ -228,8 +228,10 @@ def generator_forward(g: ParameterSet, x_struct: Tensor, x_ref: Tensor | None) -
 
 
 def discriminator_forward(d: ParameterSet, x_struct: Tensor, img: Tensor) -> Tensor:
-    """Patch logit map for (structure, image); sigmoid is applied by the losses."""
-    if img.shape[0] != 3 or img.shape[1:] != x_struct.shape[1:]:
+    """Patch logit maps (N, 1, h, w) for a batch of (structure, image) pairs;
+    sigmoid is applied by the losses."""
+    xs, im = x_struct.shape, img.shape
+    if len(im) != 4 or im[1] != 3 or (im[0], *im[2:]) != (xs[0], *xs[2:]):
         raise TensorError(f"discriminator_forward: image shape {img.shape} does not match structure {x_struct.shape}")
     h = T.concat_channels(x_struct, img)
     for i in range(_disc_depth(d)):

@@ -67,11 +67,26 @@ class TranslationSample:
     _cache: tuple = field(default=None, repr=False, compare=False)
 
     def tensors(self):
-        """(one-hot structure, reference, target) as read-only Tensors."""
+        """(one-hot structure, reference, target) as read-only batch-of-one
+        Tensors, each (1, C, H, W)."""
         if self._cache is None:
-            ref = None if self.x_ref is None else T.constant(self.x_ref)
-            self._cache = (T.constant(self.x_struct.one_hot()), ref, T.constant(self.y))
+            ref = None if self.x_ref is None else T.constant(self.x_ref[None])
+            self._cache = (T.constant(self.x_struct.one_hot()[None]), ref, T.constant(self.y[None]))
         return self._cache
+
+
+def stack_samples(samples):
+    """One (structure, reference or None, target) batch of Tensors, the
+    samples of a list stacked along the leading axis; a batch triple passes
+    through unchanged."""
+    if isinstance(samples, tuple):
+        return samples
+    xs, xr, y = zip(*(s.tensors() for s in samples))
+
+    def cat(ts):
+        return T.constant(np.concatenate([t.data for t in ts]))
+
+    return cat(xs), None if xr[0] is None else cat(xr), cat(y)
 
 
 @dataclass
@@ -309,12 +324,7 @@ def write_pgm(path: str, seg: SegMap):
 
 
 def read_pgm(path: str, classes: int) -> SegMap:
-    with open(path, "rb") as f:
-        data = f.read()
-    magic, dims, maxval, raw = _parse_pnm(data, b"P5")
-    w, h = dims
-    labels = np.frombuffer(raw, dtype=np.uint8, count=h * w).reshape(h, w).astype(np.int64)
-    return SegMap(labels, classes)
+    return SegMap(_read_pnm(path, b"P5", 1)[:, :, 0].astype(np.int64), classes)
 
 
 def write_ppm(path: str, img: np.ndarray):
@@ -326,12 +336,25 @@ def write_ppm(path: str, img: np.ndarray):
 
 
 def read_ppm(path: str) -> np.ndarray:
+    arr = _read_pnm(path, b"P6", 3)
+    return arr.astype(np.float64).transpose(2, 0, 1) / 127.5 - 1.0
+
+
+def _read_pnm(path: str, expect_magic: bytes, channels: int) -> np.ndarray:
+    """8-bit NetPBM payload as (H, W, channels); a malformed or truncated
+    file raises TensorError naming the file."""
     with open(path, "rb") as f:
         data = f.read()
-    magic, dims, maxval, raw = _parse_pnm(data, b"P6")
-    w, h = dims
-    arr = np.frombuffer(raw, dtype=np.uint8, count=h * w * 3).reshape(h, w, 3)
-    return arr.astype(np.float64).transpose(2, 0, 1) / 127.5 - 1.0
+    try:
+        magic, (w, h), _, raw = _parse_pnm(data, expect_magic)
+    except (IndexError, ValueError) as e:
+        raise TensorError(f"{path}: malformed NetPBM header") from e
+    except TensorError as e:
+        raise TensorError(f"{path}: {e}") from e
+    count = h * w * channels
+    if len(raw) < count:
+        raise TensorError(f"{path}: truncated NetPBM payload, {len(raw)} of {count} bytes")
+    return np.frombuffer(raw, dtype=np.uint8, count=count).reshape(h, w, channels)
 
 
 def _parse_pnm(data: bytes, expect_magic: bytes):
@@ -436,31 +459,39 @@ def load_manifest(data_dir: str) -> Dataset:
             else:
                 key, _, value = line.partition("=")
                 header[key.strip()] = value.strip()
-    classes = int(header["classes"])
-    height, width = int(header["height"]), int(header["width"])
-    amp = float(header["shade_amp_max"])
-    cseed = int(header["cluster_space_seed"])
-    scenes, files = [], {}
-    for row in scene_rows:
-        parts = row.split()
-        scene_id = int(parts[1])
-        kv = dict(p.split("=", 1) for p in parts[2:])
-        cluster = None if kv["cluster"] == "none" else int(kv["cluster"])
-        scenes.append(
-            synth_scene(
-                int(kv["seed"]), cluster, scene_id=scene_id, height=height, width=width,
-                classes=classes, shade_amp_max=amp, cluster_space_seed=cseed,
+    try:
+        classes = int(header["classes"])
+        height, width = int(header["height"]), int(header["width"])
+        amp = float(header["shade_amp_max"])
+        cseed = int(header["cluster_space_seed"])
+        scenes, files = [], {}
+        for row in scene_rows:
+            parts = row.split()
+            scene_id = int(parts[1])
+            kv = dict(p.split("=", 1) for p in parts[2:])
+            cluster = None if kv["cluster"] == "none" else int(kv["cluster"])
+            scenes.append(
+                synth_scene(
+                    int(kv["seed"]), cluster, scene_id=scene_id, height=height, width=width,
+                    classes=classes, shade_amp_max=amp, cluster_space_seed=cseed,
+                )
             )
-        )
-        files[scene_id] = kv.get("files", "").split(",")
+            files[scene_id] = kv.get("files", "").split(",")
+        samples_per_scene = int(header["samples_per_scene"])
+        with_reference = header["with_reference"] == "true"
+        allow_flip = header["allow_flip"] == "true"
+    except KeyError as e:
+        raise TensorError(f"{path}: missing key {e.args[0]!r}") from e
+    except (IndexError, ValueError) as e:
+        raise TensorError(f"{path}: malformed manifest ({e})") from e
     return Dataset(
         root=data_dir,
         classes=classes,
         height=height,
         width=width,
-        samples_per_scene=int(header["samples_per_scene"]),
-        with_reference=header["with_reference"] == "true",
-        allow_flip=header["allow_flip"] == "true",
+        samples_per_scene=samples_per_scene,
+        with_reference=with_reference,
+        allow_flip=allow_flip,
         shade_amp_max=amp,
         cluster_space_seed=cseed,
         scenes=scenes,

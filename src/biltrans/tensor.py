@@ -1,15 +1,20 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
-Values are 64-bit floats. Ops record onto the innermost active ``Tape``;
+Values are 64-bit floats; image ops take (N, C, H, W) batches and
+convolutions lower each batch to one im2col matmul (Chellapilla, Puri &
+Simard 2006). Ops record onto the innermost active ``Tape``;
 with no active tape they evaluate eagerly. Every op's backward rule is
 itself written in terms of registry ops, so a tape opened in
 ``Tape.DIFFERENTIABLE`` mode can differentiate through gradients
 (unrolled optimizer steps, gradient-of-gradient).
 """
 
+import functools
 import threading
+import weakref
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 class TensorError(Exception):
@@ -19,13 +24,29 @@ class TensorError(Exception):
 class Tensor:
     """An n-d float64 value, optionally bound to a node on a tape."""
 
-    __slots__ = ("data", "node", "requires_grad")
+    __slots__ = ("data", "_tape", "_node_index", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
-        self.node = None  # (tape, node_index) once recorded
+        self._tape = None
         self.requires_grad = bool(requires_grad)
+
+    @property
+    def node(self):
+        """(tape, node_index) once recorded, while that tape is alive.
+
+        The tape is held weakly: a tape owns its node tensors, so a strong
+        back-reference would make every tape a reference cycle that only
+        the cyclic garbage collector frees, with all its arrays.
+        """
+        tape = self._tape() if self._tape is not None else None
+        return None if tape is None else (tape, self._node_index)
+
+    @node.setter
+    def node(self, value):
+        tape, self._node_index = value
+        self._tape = weakref.ref(tape)
 
     @property
     def shape(self):
@@ -177,7 +198,7 @@ def _shape_err(name, *shapes):
 def _apply(name, inputs, attrs=None) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out_data = _FORWARD[name](attrs, *[t.data for t in inputs])
-    if not np.all(np.isfinite(out_data)):
+    if not np.isfinite(out_data).all():
         raise TensorError(f"{name}: non-finite value in output")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
     tape = active_tape()
@@ -225,19 +246,20 @@ def _f_transpose(attrs, a):
 
 
 def _im2col(x, kh, kw, stride):
-    # (C, H, W) -> (C*kh*kw, oh*ow) patch matrix
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    win = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    c, oh, ow = win.shape[:3]
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * kh * kw, oh * ow), oh, ow
+    # (N, C, H, W) -> (N, C*kh*kw, oh*ow) patch matrices, one per sample
+    n, c, h, w = x.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sn, sc, sh, sw = x.strides
+    win = as_strided(x, (n, c, kh, kw, oh, ow), (sn, sc, sh, sw, sh * stride, sw * stride),
+                     writeable=False)
+    return win.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
 def _conv_check(name, x, k, stride):
-    if x.ndim != 3 or k.ndim != 4 or x.shape[0] != k.shape[1]:
+    if x.ndim != 4 or k.ndim != 4 or x.shape[1] != k.shape[1]:
         raise _shape_err(name, x.shape, k.shape)
     kh, kw = k.shape[2], k.shape[3]
-    if x.shape[1] < kh or x.shape[2] < kw or stride < 1:
+    if x.shape[2] < kh or x.shape[3] < kw or stride < 1:
         raise _shape_err(name, x.shape, k.shape)
 
 
@@ -246,53 +268,54 @@ def _f_conv2d(attrs, x, k):
     _conv_check("conv2d", x, k, s)
     co, ci, kh, kw = k.shape
     cols, oh, ow = _im2col(x, kh, kw, s)
-    out = k.reshape(co, ci * kh * kw) @ cols
-    return out.reshape(co, oh, ow)
+    out = np.matmul(k.reshape(co, ci * kh * kw), cols)
+    return out.reshape(x.shape[0], co, oh, ow)
 
 
 def _f_conv2d_dx(attrs, g, k):
-    # adjoint of conv2d in its input: scatter g back through the windows
+    # adjoint of conv2d in its input: the stride-dilated, zero-padded g
+    # correlated with the flipped kernel
     s, h, w = attrs["stride"], attrs["h"], attrs["w"]
     co, ci, kh, kw = k.shape
-    if g.ndim != 3 or g.shape[0] != co:
+    if g.ndim != 4 or g.shape[1] != co:
         raise _shape_err("conv2d_dx", g.shape, k.shape)
-    oh, ow = g.shape[1], g.shape[2]
+    n, _, oh, ow = g.shape
     gd_h, gd_w = (oh - 1) * s + 1, (ow - 1) * s + 1
-    gd = np.zeros((co, gd_h + 2 * (kh - 1), gd_w + 2 * (kw - 1)))
-    gd[:, kh - 1 : kh - 1 + gd_h : s, kw - 1 : kw - 1 + gd_w : s] = g
-    k_rot = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (ci, co, kh, kw)
-    cols, rh, rw = _im2col(gd, kh, kw, 1)
-    out = k_rot.reshape(ci, co * kh * kw) @ cols
-    full = np.zeros((ci, h, w))
-    full[:, :rh, :rw] = out.reshape(ci, rh, rw)  # trailing rows/cols unseen by any window
-    return full
+    if gd_h + kh - 1 > h or gd_w + kw - 1 > w:
+        raise _shape_err("conv2d_dx", g.shape, k.shape)
+    # trailing rows/cols unseen by any window get zero gradient
+    gd = np.zeros((n, co, h + kh - 1, w + kw - 1))
+    gd[:, :, kh - 1 : kh - 1 + gd_h : s, kw - 1 : kw - 1 + gd_w : s] = g
+    k_rot = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+    cols, _, _ = _im2col(gd, kh, kw, 1)
+    return np.matmul(k_rot, cols).reshape(n, ci, h, w)
 
 
 def _f_conv2d_dk(attrs, x, g):
-    # adjoint of conv2d in its kernel
+    # adjoint of conv2d in its kernel, summed over the batch
     s, kh, kw = attrs["stride"], attrs["kh"], attrs["kw"]
-    if x.ndim != 3 or g.ndim != 3:
+    if x.ndim != 4 or g.ndim != 4 or x.shape[0] != g.shape[0]:
         raise _shape_err("conv2d_dk", x.shape, g.shape)
-    ci = x.shape[0]
-    co, oh, ow = g.shape
+    n, ci = x.shape[:2]
+    co, oh, ow = g.shape[1:]
     cols, ch, cw = _im2col(x, kh, kw, s)
     if (ch, cw) != (oh, ow):
         raise _shape_err("conv2d_dk", x.shape, g.shape)
-    out = g.reshape(co, oh * ow) @ cols.T
+    out = np.matmul(g.reshape(n, co, oh * ow), cols.transpose(0, 2, 1)).sum(axis=0)
     return out.reshape(co, ci, kh, kw)
 
 
 def _f_upsample_nearest2(attrs, x):
-    if x.ndim != 3:
+    if x.ndim != 4:
         raise _shape_err("upsample_nearest2", x.shape)
-    return x.repeat(2, axis=1).repeat(2, axis=2)
+    n, c, h, w = x.shape
+    return np.broadcast_to(x[:, :, :, None, :, None], (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w)
 
 
 def _f_avg_pool2(attrs, x):
-    if x.ndim != 3 or x.shape[1] % 2 or x.shape[2] % 2:
+    if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
         raise _shape_err("avg_pool2", x.shape)
-    c, h, w = x.shape
-    return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+    return (x[:, :, ::2, ::2] + x[:, :, 1::2, ::2] + x[:, :, ::2, 1::2] + x[:, :, 1::2, 1::2]) * 0.25
 
 
 def _f_relu(attrs, x):
@@ -349,66 +372,92 @@ def _f_broadcast_scalar(attrs, x):
     return np.full(attrs["shape"], float(x))
 
 
+def _f_bias_add(attrs, x, b):
+    # per-channel bias (C, 1, 1) broadcast over an (N, C, H, W) batch
+    if x.ndim != 4 or b.shape != (x.shape[1], 1, 1):
+        raise _shape_err("bias_add", x.shape, b.shape)
+    return x + b
+
+
 def _f_channel_broadcast(attrs, x):
     if x.ndim != 3 or x.shape[1:] != (1, 1):
         raise _shape_err("channel_broadcast", x.shape)
-    return np.broadcast_to(x, (x.shape[0], attrs["h"], attrs["w"])).copy()
+    return np.broadcast_to(x, (attrs["n"], x.shape[0], attrs["h"], attrs["w"])).copy()
 
 
 def _f_channel_reduce(attrs, x):
-    if x.ndim != 3:
+    if x.ndim != 4:
         raise _shape_err("channel_reduce", x.shape)
-    return x.sum(axis=(1, 2), keepdims=True)
+    return x.sum(axis=(0, 2, 3)).reshape(x.shape[1], 1, 1)
+
+
+def _f_channel_sum(attrs, x):
+    if x.ndim != 4:
+        raise _shape_err("channel_sum", x.shape)
+    return x.sum(axis=1, keepdims=True)
+
+
+def _f_channel_repeat(attrs, x):
+    if x.ndim != 4 or x.shape[1] != 1:
+        raise _shape_err("channel_repeat", x.shape)
+    n, _, h, w = x.shape
+    return np.broadcast_to(x, (n, attrs["c"], h, w)).copy()
 
 
 def _f_concat_channels(attrs, a, b):
-    if a.ndim != 3 or b.ndim != 3 or a.shape[1:] != b.shape[1:]:
+    if a.ndim != 4 or b.ndim != 4 or a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise _shape_err("concat_channels", a.shape, b.shape)
-    return np.concatenate([a, b], axis=0)
+    return np.concatenate([a, b], axis=1)
 
 
 def _f_slice_channels(attrs, x):
     lo, hi = attrs["start"], attrs["stop"]
-    if x.ndim != 3 or not (0 <= lo < hi <= x.shape[0]):
+    if x.ndim != 4 or not (0 <= lo < hi <= x.shape[1]):
         raise _shape_err("slice_channels", x.shape)
-    return np.ascontiguousarray(x[lo:hi])
+    return np.ascontiguousarray(x[:, lo:hi])
 
 
 def _f_pad_channels(attrs, x):
     before, after = attrs["before"], attrs["after"]
-    if x.ndim != 3:
+    if x.ndim != 4:
         raise _shape_err("pad_channels", x.shape)
-    return np.pad(x, ((before, after), (0, 0), (0, 0)))
+    n, c, h, w = x.shape
+    out = np.zeros((n, before + c + after, h, w))
+    out[:, before : before + c] = x
+    return out
 
 
-def _reflect_index(n, p):
-    # np.pad 'reflect' source indices for a padded axis of length n + 2p
-    idx = np.arange(-p, n + p)
-    idx = np.abs(idx)
-    idx = np.where(idx >= n, 2 * n - 2 - idx, idx)
-    return idx
+@functools.lru_cache(maxsize=None)
+def _reflect_gather(h, w, p):
+    # flat source index of every pixel of the reflect-padded (h + 2p, w + 2p) plane
+    def axis(n):
+        idx = np.abs(np.arange(-p, n + p))
+        return np.where(idx >= n, 2 * n - 2 - idx, idx)
+
+    return (axis(h)[:, None] * w + axis(w)[None, :]).ravel()
 
 
 def _f_pad_reflect(attrs, x):
     p = attrs["pad"]
-    if x.ndim != 3 or x.shape[1] <= p or x.shape[2] <= p:
+    if x.ndim != 4 or x.shape[2] <= p or x.shape[3] <= p:
         raise _shape_err("pad_reflect", x.shape)
-    return np.pad(x, ((0, 0), (p, p), (p, p)), mode="reflect")
+    n, c, h, w = x.shape
+    out = np.take(x.reshape(n * c, h * w), _reflect_gather(h, w, p), axis=1)
+    return out.reshape(n, c, h + 2 * p, w + 2 * p)
 
 
 def _f_pad_reflect_adjoint(attrs, g):
     p = attrs["pad"]
-    if g.ndim != 3 or g.shape[1] <= 2 * p or g.shape[2] <= 2 * p:
+    if g.ndim != 4 or g.shape[2] <= 2 * p or g.shape[3] <= 2 * p:
         raise _shape_err("pad_reflect_adjoint", g.shape)
-    c, hp, wp = g.shape
-    h, w = hp - 2 * p, wp - 2 * p
-    ih = _reflect_index(h, p)
-    iw = _reflect_index(w, p)
-    out = np.zeros((c, h, w))
-    # scatter-add along rows, then columns
-    tmp = np.zeros((c, h, wp))
-    np.add.at(tmp, (slice(None), ih, slice(None)), g)
-    np.add.at(out, (slice(None), slice(None), iw), tmp)
+    h, w = g.shape[2] - 2 * p, g.shape[3] - 2 * p
+    # fold the reflected border rows back onto their sources, then the columns
+    rows = g[:, :, p : p + h].copy()
+    rows[:, :, 1 : p + 1][:, :, ::-1] += g[:, :, :p]
+    rows[:, :, h - 1 - p : h - 1][:, :, ::-1] += g[:, :, p + h :]
+    out = rows[:, :, :, p : p + w].copy()
+    out[:, :, :, 1 : p + 1][:, :, :, ::-1] += rows[:, :, :, :p]
+    out[:, :, :, w - 1 - p : w - 1][:, :, :, ::-1] += rows[:, :, :, p + w :]
     return out
 
 
@@ -437,8 +486,11 @@ _FORWARD = {
     "reduce_mean": _f_reduce_mean,
     "reduce_sum": _f_reduce_sum,
     "broadcast_scalar": _f_broadcast_scalar,
+    "bias_add": _f_bias_add,
     "channel_broadcast": _f_channel_broadcast,
     "channel_reduce": _f_channel_reduce,
+    "channel_sum": _f_channel_sum,
+    "channel_repeat": _f_channel_repeat,
     "concat_channels": _f_concat_channels,
     "slice_channels": _f_slice_channels,
     "pad_channels": _f_pad_channels,
@@ -540,12 +592,26 @@ def broadcast_scalar(x, shape):
     return _apply("broadcast_scalar", [x], {"shape": tuple(shape)})
 
 
-def channel_broadcast(x, h, w):
-    return _apply("channel_broadcast", [x], {"h": int(h), "w": int(w)})
+def bias_add(x, b):
+    """``x`` (N, C, H, W) plus a per-channel bias ``b`` of shape (C, 1, 1)."""
+    return _apply("bias_add", [x, b])
+
+
+def channel_broadcast(x, n, h, w):
+    return _apply("channel_broadcast", [x], {"n": int(n), "h": int(h), "w": int(w)})
 
 
 def channel_reduce(x):
     return _apply("channel_reduce", [x])
+
+
+def channel_sum(x):
+    """Sum over the channel axis: (N, C, H, W) -> (N, 1, H, W)."""
+    return _apply("channel_sum", [x])
+
+
+def channel_repeat(x, c):
+    return _apply("channel_repeat", [x], {"c": int(c)})
 
 
 def concat_channels(a, b):
@@ -636,7 +702,7 @@ def _v_transpose(g, ins, out, attrs):
 def _v_conv2d(g, ins, out, attrs):
     x, k = ins
     s = attrs["stride"]
-    gx = _apply("conv2d_dx", [g, k], {"stride": s, "h": x.shape[1], "w": x.shape[2]})
+    gx = _apply("conv2d_dx", [g, k], {"stride": s, "h": x.shape[2], "w": x.shape[3]})
     gk = _apply("conv2d_dk", [x, g], {"stride": s, "kh": k.shape[2], "kw": k.shape[3]})
     return [gx, gk]
 
@@ -653,7 +719,7 @@ def _v_conv2d_dx(g, ins, out, attrs):
 def _v_conv2d_dk(g, ins, out, attrs):
     x, gin = ins
     s = attrs["stride"]
-    gx = _apply("conv2d_dx", [gin, g], {"stride": s, "h": x.shape[1], "w": x.shape[2]})
+    gx = _apply("conv2d_dx", [gin, g], {"stride": s, "h": x.shape[2], "w": x.shape[3]})
     gg = _apply("conv2d", [x, g], {"stride": s})
     return [gx, gg]
 
@@ -723,27 +789,40 @@ def _v_broadcast_scalar(g, ins, out, attrs):
     return [reduce_sum(g)]
 
 
+def _v_bias_add(g, ins, out, attrs):
+    return [g, channel_reduce(g)]
+
+
 def _v_channel_broadcast(g, ins, out, attrs):
     return [channel_reduce(g)]
 
 
 def _v_channel_reduce(g, ins, out, attrs):
-    return [channel_broadcast(g, ins[0].shape[1], ins[0].shape[2])]
+    n, _, h, w = ins[0].shape
+    return [channel_broadcast(g, n, h, w)]
+
+
+def _v_channel_sum(g, ins, out, attrs):
+    return [channel_repeat(g, ins[0].shape[1])]
+
+
+def _v_channel_repeat(g, ins, out, attrs):
+    return [channel_sum(g)]
 
 
 def _v_concat_channels(g, ins, out, attrs):
-    ca = ins[0].shape[0]
-    return [slice_channels(g, 0, ca), slice_channels(g, ca, out.shape[0])]
+    ca = ins[0].shape[1]
+    return [slice_channels(g, 0, ca), slice_channels(g, ca, out.shape[1])]
 
 
 def _v_slice_channels(g, ins, out, attrs):
-    total = ins[0].shape[0]
+    total = ins[0].shape[1]
     return [pad_channels(g, attrs["start"], total - attrs["stop"])]
 
 
 def _v_pad_channels(g, ins, out, attrs):
     b = attrs["before"]
-    return [slice_channels(g, b, b + ins[0].shape[0])]
+    return [slice_channels(g, b, b + ins[0].shape[1])]
 
 
 def _v_pad_reflect(g, ins, out, attrs):
@@ -779,8 +858,11 @@ _VJP = {
     "reduce_mean": _v_reduce_mean,
     "reduce_sum": _v_reduce_sum,
     "broadcast_scalar": _v_broadcast_scalar,
+    "bias_add": _v_bias_add,
     "channel_broadcast": _v_channel_broadcast,
     "channel_reduce": _v_channel_reduce,
+    "channel_sum": _v_channel_sum,
+    "channel_repeat": _v_channel_repeat,
     "concat_channels": _v_concat_channels,
     "slice_channels": _v_slice_channels,
     "pad_channels": _v_pad_channels,

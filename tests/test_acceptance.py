@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Criteria 4 and 5 are directional trend experiments over 5 master seeds and
-carry the `slow` marker; everything else runs in seconds to minutes.
-Deselect the slow pair with `pytest -m "not slow"`.
+Criteria 1, 2, 3, 6, 7 and 8 are implemented here and run in seconds to
+minutes. Criteria 4 and 5 (the multi-seed trend experiments: bilevel beats
+n-shot fine-tuning, auxiliary fine-tuning helps) are not implemented yet.
 """
 
 import math
@@ -63,9 +63,9 @@ def test_criterion_1_gradient_correctness():
     cfg = NetConfig(height=8, width=8, classes=2, mode="pg2", base_width=4, depth=1)
     g, d = init_params(cfg, seed=0)
     rng = np.random.default_rng(1)
-    xs = np.eye(2)[rng.integers(0, 2, (8, 8))].transpose(2, 0, 1)
-    rv = rng.uniform(-0.9, 0.9, (3, 8, 8))
-    iv = rng.uniform(-0.9, 0.9, (3, 8, 8))
+    xs = np.eye(2)[rng.integers(0, 2, (8, 8))].transpose(2, 0, 1)[None]
+    rv = rng.uniform(-0.9, 0.9, (1, 3, 8, 8))
+    iv = rng.uniform(-0.9, 0.9, (1, 3, 8, 8))
 
     from biltrans.nets import discriminator_forward, generator_forward
 

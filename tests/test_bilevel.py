@@ -428,3 +428,56 @@ def test_pair_losses_matches_total_loss_on_single_sample():
     lg_tot, ld_tot = total_loss(g, d, obj.phi, obj.weights, sample)
     assert lg_pair.item() == pytest.approx(lg_tot.item(), rel=1e-14)
     assert ld_pair.item() == pytest.approx(ld_tot.item(), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# batched objective
+
+
+def _objective_terms(obj, g, d, samples):
+    """name -> (loss value, {param name: gradient}) for each objective scalar."""
+    terms = {}
+    for name, want_d in (("pair_g", False), ("pair_gd", True)):
+        with T.Tape():
+            loss_g, loss_d = obj.pair_losses(g, d, samples, want_d=want_d)
+            losses = {name: loss_g} if not want_d else {f"{name}.g": loss_g, f"{name}.d": loss_d}
+            for key, loss in losses.items():
+                grads = T.backward(loss, g.tensors() + d.tensors())
+                terms[key] = (loss.item(), {**{f"g.{n}": grads[p].data for n, p in g.items()},
+                                            **{f"d.{n}": grads[p].data for n, p in d.items()}})
+    with T.Tape():
+        loss = obj.disc_loss_detached(g, d, samples)
+        grads = T.backward(loss, d.tensors())
+        terms["disc_detached"] = (loss.item(), {f"d.{n}": grads[p].data for n, p in d.items()})
+    return terms
+
+
+def test_batched_objective_matches_mean_of_single_sample_calls():
+    g, d = init_params(SMALL_NET, 23)
+    obj = small_objective()
+    batch = small_episode(3500, n_shot=5).train
+    batched = _objective_terms(obj, g, d, batch)
+    singles = [_objective_terms(obj, g, d, [s]) for s in batch]
+    assert set(batched) == {"pair_g", "pair_gd.g", "pair_gd.d", "disc_detached"}
+    for key, (value, grads) in batched.items():
+        mean_value = np.mean([s[key][0] for s in singles])
+        assert value == pytest.approx(mean_value, rel=1e-12), key
+        for n, grad in grads.items():
+            mean_grad = np.mean([s[key][1][n] for s in singles], axis=0)
+            np.testing.assert_allclose(grad, mean_grad, rtol=1e-12, atol=1e-12 * np.max(np.abs(mean_grad)),
+                                       err_msg=f"{key} d/d{n}")
+
+
+def test_objective_tape_size_does_not_grow_with_batch():
+    g, d = init_params(SMALL_NET, 24)
+    obj = small_objective()
+    batch = small_episode(3501, n_shot=5).train
+
+    def ops(fn, samples):
+        with T.Tape() as tape:
+            fn(samples)
+        return len(tape.ops)
+
+    for fn in (lambda s: obj.pair_losses(g, d, s), lambda s: obj.pair_losses(g, d, s, want_d=False),
+               lambda s: obj.disc_loss_detached(g, d, s)):
+        assert ops(fn, batch) == ops(fn, batch[:1])

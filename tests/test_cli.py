@@ -312,3 +312,53 @@ def test_cli_interrupt_and_resume_adapt_identical(tmp_path):
     assert list(arrays_a) == list(arrays_b)
     for name in arrays_a:
         assert np.array_equal(arrays_a[name], arrays_b[name]), name
+
+# ---------------------------------------------------------------------------
+# malformed inputs end with an exit code and a message naming the file
+
+
+@pytest.fixture(scope="module")
+def adapted_run(tmp_path_factory):
+    """A smoke run through `adapt`, shared read-only by the cases below."""
+    root = tmp_path_factory.mktemp("adapted")
+    cfg_file = root / "smoke.cfg"
+    cfg_file.write_text(SMOKE)
+    for sub in ("gen-data", "pretrain", "metatrain", "adapt"):
+        assert run_cli(sub, "--config", str(cfg_file), "--out", str(root / "run")) == 0
+    return cfg_file, root / "run"
+
+
+def _delete(path):
+    path.unlink()
+
+
+def _drop_manifest_key(path, key="classes"):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(l for l in lines if not l.startswith(f"{key} =")) + "\n")
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-10])
+
+
+BAD_INPUTS = {
+    # case: (subcommand, file under the run directory, how it is damaged, exit code)
+    "eval-missing-image": ("eval", "results/bilevel/scene_10000/img_001.ppm", _delete, 3),
+    "manifest-missing-header-key": ("pretrain", "data/train/dataset.manifest", _drop_manifest_key, 2),
+    "truncated-ppm-payload": ("eval", "results/baseline/scene_10001/img_000.ppm", _truncate, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_malformed_input_exit_codes(case, adapted_run, tmp_path, capsys):
+    import shutil
+
+    subcommand, rel, damage, code = BAD_INPUTS[case]
+    cfg_file, source = adapted_run
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    damage(out / rel)
+    capsys.readouterr()
+    assert run_cli(subcommand, "--config", str(cfg_file), "--out", str(out)) == code
+    err = capsys.readouterr().err
+    assert str(out / rel) in err and "Traceback" not in err, err

@@ -17,37 +17,37 @@ def rand(shape, seed, lo=-1.0, hi=1.0):
 
 
 def test_l1_identity_is_zero():
-    x = T.tensor(rand((3, 4, 4), 0))
+    x = T.tensor(rand((1, 3, 4, 4), 0))
     assert l1_loss(x, x).item() == 0.0
 
 
 def test_l1_constant_field():
-    a = T.tensor(np.full((3, 4, 4), 0.5))
-    b = T.tensor(np.zeros((3, 4, 4)))
+    a = T.tensor(np.full((1, 3, 4, 4), 0.5))
+    b = T.tensor(np.zeros((1, 3, 4, 4)))
     assert abs(l1_loss(a, b).item() - 0.5) < 1e-15
 
 
 def test_l1_matches_elementwise_oracle():
-    a, b = rand((3, 5, 5), 1), rand((3, 5, 5), 2)
+    a, b = rand((1, 3, 5, 5), 1), rand((1, 3, 5, 5), 2)
     expect = float(np.mean([abs(x - y) for x, y in zip(a.ravel(), b.ravel())]))
     assert l1_loss(T.tensor(a), T.tensor(b)).item() == pytest.approx(expect, abs=1e-15)
 
 
 def test_l1_shape_mismatch():
     with pytest.raises(TensorError):
-        l1_loss(T.tensor(np.zeros((3, 4, 4))), T.tensor(np.zeros((3, 4, 5))))
+        l1_loss(T.tensor(np.zeros((1, 3, 4, 4))), T.tensor(np.zeros((1, 3, 4, 5))))
 
 
 def test_adversarial_symmetric_uncertainty():
-    probs = T.tensor(np.full((1, 2, 2), 0.5))
+    probs = T.tensor(np.full((1, 1, 2, 2), 0.5))
     loss_d, loss_g = losses.adversarial_losses_from_probs(probs, probs)
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
     assert loss_g.item() == pytest.approx(-np.log(2), abs=1e-12)
 
 
 def test_adversarial_perfect_discriminator_limit():
-    p_real = T.tensor(np.full((1, 2, 2), 1 - 1e-7))
-    p_fake = T.tensor(np.full((1, 2, 2), 1e-7))
+    p_real = T.tensor(np.full((1, 1, 2, 2), 1 - 1e-7))
+    p_fake = T.tensor(np.full((1, 1, 2, 2), 1e-7))
     loss_d, _ = losses.adversarial_losses_from_probs(p_real, p_fake)
     assert abs(loss_d.item()) < 1e-6
 
@@ -57,9 +57,9 @@ def test_adversarial_constant_disc_through_network_path():
     _, d = init_params(CFG, seed=0)
     for _, p in d.items():
         p.data[...] = 0.0
-    xs = T.tensor(np.eye(2)[np.zeros((8, 8), dtype=int)].transpose(2, 0, 1))
-    y = T.tensor(rand((3, 8, 8), 0))
-    fake = T.tensor(rand((3, 8, 8), 1))
+    xs = T.tensor(np.eye(2)[np.zeros((8, 8), dtype=int)].transpose(2, 0, 1)[None])
+    y = T.tensor(rand((1, 3, 8, 8), 0))
+    fake = T.tensor(rand((1, 3, 8, 8), 1))
     loss_d, loss_g = adversarial_losses(d, xs, y, fake)  # bias 0 -> p = 0.5
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
     assert loss_g.item() == pytest.approx(-np.log(2), abs=1e-12)
@@ -67,9 +67,9 @@ def test_adversarial_constant_disc_through_network_path():
 
 def test_adversarial_generator_gradient_vs_finite_differences():
     g, d = init_params(CFG, seed=1)
-    xs = rand((2, 8, 8), 3, 0, 1)
-    yv = rand((3, 8, 8), 4)
-    rv = rand((3, 8, 8), 5)
+    xs = rand((1, 2, 8, 8), 3, 0, 1)
+    yv = rand((1, 3, 8, 8), 4)
+    rv = rand((1, 3, 8, 8), 5)
 
     def f(theta):
         ps = g.copy()
@@ -97,12 +97,12 @@ def test_adversarial_generator_gradient_vs_finite_differences():
 
 def test_perceptual_identity_zero_and_positive_otherwise():
     phi = FeatureExtractor(seed=11)
-    x = T.tensor(rand((3, 8, 8), 6))
+    x = T.tensor(rand((1, 3, 8, 8), 6))
     assert perceptual_loss(phi, x, x).item() == 0.0
     hits = 0
     for s in range(100):
-        a = T.tensor(rand((3, 8, 8), 100 + s))
-        b = T.tensor(rand((3, 8, 8), 500 + s))
+        a = T.tensor(rand((1, 3, 8, 8), 100 + s))
+        b = T.tensor(rand((1, 3, 8, 8), 500 + s))
         if perceptual_loss(phi, a, b).item() > 0:
             hits += 1
     assert hits == 100
@@ -111,7 +111,7 @@ def test_perceptual_identity_zero_and_positive_otherwise():
 def test_perceptual_matches_naive_recomputation():
     phi = FeatureExtractor(seed=12)
     a, b = rand((3, 8, 8), 7), rand((3, 8, 8), 8)
-    got = perceptual_loss(phi, T.tensor(a), T.tensor(b)).item()
+    got = perceptual_loss(phi, T.tensor(a[None]), T.tensor(b[None])).item()
 
     def stages(img):
         h = img

@@ -15,11 +15,11 @@ DEFAULT = NetConfig()
 def onehot(classes, h, w, seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=(h, w))
-    return np.eye(classes)[labels].transpose(2, 0, 1)
+    return np.eye(classes)[labels].transpose(2, 0, 1)[None]
 
 
 def rand_img(h, w, seed):
-    return np.random.default_rng(seed).uniform(-0.9, 0.9, size=(3, h, w))
+    return np.random.default_rng(seed).uniform(-0.9, 0.9, size=(1, 3, h, w))
 
 
 def test_init_deterministic_per_seed():
@@ -100,7 +100,7 @@ def test_invalid_config_rejected():
 def test_generator_output_shape_and_range():
     g, _ = init_params(DEFAULT, seed=2)
     out = generator_forward(g, T.tensor(onehot(5, 32, 32, 0)), T.tensor(rand_img(32, 32, 1)))
-    assert out.shape == (3, 32, 32)
+    assert out.shape == (1, 3, 32, 32)
     assert np.all(out.data > -1.0) and np.all(out.data < 1.0)
 
 
@@ -113,7 +113,7 @@ def test_generator_mode_input_contract():
     with pytest.raises(TensorError, match="reference"):
         generator_forward(g2, x, T.tensor(rand_img(8, 8, 1)))
     out = generator_forward(g2, x, None)
-    assert out.shape == (3, 8, 8)
+    assert out.shape == (1, 3, 8, 8)
 
 
 def test_generator_forward_deterministic():
@@ -128,7 +128,7 @@ def test_generator_forward_deterministic():
 def test_discriminator_logit_map_shape():
     _, d = init_params(DEFAULT, seed=7)
     out = discriminator_forward(d, T.tensor(onehot(5, 32, 32, 0)), T.tensor(rand_img(32, 32, 1)))
-    assert out.shape == (1, 4, 4)
+    assert out.shape == (1, 1, 4, 4)
 
 
 def test_discriminator_shape_mismatch_rejected():
@@ -143,10 +143,10 @@ def test_discriminator_receptive_field_locality():
     img = rand_img(32, 32, 3)
     base = discriminator_forward(d, x, T.tensor(img)).data
     bumped = img.copy()
-    bumped[:, :3, :3] += 0.5  # local patch in the top-left corner
+    bumped[:, :, :3, :3] += 0.5  # local patch in the top-left corner
     pert = discriminator_forward(d, x, T.tensor(bumped)).data
-    assert abs(pert[0, 0, 0] - base[0, 0, 0]) > 0  # nearby logit reacts
-    assert pert[0, 3, 3] == base[0, 3, 3]  # far logit is outside the receptive field
+    assert abs(pert[0, 0, 0, 0] - base[0, 0, 0, 0]) > 0  # nearby logit reacts
+    assert pert[0, 0, 3, 3] == base[0, 0, 3, 3]  # far logit is outside the receptive field
 
 
 def rel_err(a, b):

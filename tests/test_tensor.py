@@ -26,7 +26,7 @@ def test_add_componentwise():
 
 
 def test_conv2d_scaling_kernel():
-    x = T.tensor(rand((2, 5, 5), 0))
+    x = T.tensor(rand((1, 2, 5, 5), 0))
     k = T.tensor(2.0 * np.eye(2).reshape(2, 2, 1, 1) * np.array([[1, 0], [0, 1]]).reshape(2, 2, 1, 1))
     # identity-per-channel 1x1 kernel scaled by 2
     out = T.conv2d(x, k, stride=1)
@@ -46,29 +46,30 @@ def test_matmul_against_triple_loop():
 
 
 def test_conv2d_against_direct_loops():
-    x = rand((2, 6, 7), 3)
+    x = rand((2, 2, 6, 7), 3)
     k = rand((3, 2, 3, 3), 4)
     for stride in (1, 2):
         out = T.conv2d(T.tensor(x), T.tensor(k), stride=stride).data
         oh = (6 - 3) // stride + 1
         ow = (7 - 3) // stride + 1
-        expect = np.zeros((3, oh, ow))
-        for co in range(3):
-            for i in range(oh):
-                for j in range(ow):
-                    acc = 0.0
-                    for ci in range(2):
-                        for a in range(3):
-                            for b in range(3):
-                                acc += x[ci, i * stride + a, j * stride + b] * k[co, ci, a, b]
-                    expect[co, i, j] = acc
+        expect = np.zeros((2, 3, oh, ow))
+        for n in range(2):
+            for co in range(3):
+                for i in range(oh):
+                    for j in range(ow):
+                        acc = 0.0
+                        for ci in range(2):
+                            for a in range(3):
+                                for b in range(3):
+                                    acc += x[n, ci, i * stride + a, j * stride + b] * k[co, ci, a, b]
+                        expect[n, co, i, j] = acc
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def test_pad_reflect_matches_numpy():
-    x = rand((1, 4, 5), 5)
+    x = rand((2, 1, 4, 5), 5)
     out = T.pad_reflect(T.tensor(x), 2).data
-    np.testing.assert_array_equal(out, np.pad(x, ((0, 0), (2, 2), (2, 2)), mode="reflect"))
+    np.testing.assert_array_equal(out, np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)), mode="reflect"))
 
 
 def test_shape_mismatch_rejected_with_op_name():
@@ -152,7 +153,7 @@ def test_backward_linearity():
 
 def test_tape_replay_bit_identical():
     with Tape() as tape:
-        x = leaf(rand((3, 8, 8), 7))
+        x = leaf(rand((1, 3, 8, 8), 7))
         k = leaf(rand((2, 3, 3, 3), 8))
         y = T.tanh(T.conv2d(x, k, stride=1))
         loss = T.reduce_mean(T.square(y))
@@ -209,7 +210,7 @@ def test_parallel_tapes_share_parameters():
 # gradient vs finite differences, every registry op
 
 # input builders keyed by op name: return (inputs, attrs)
-def _unary(shape=(2, 6, 6), lo=-1.0, hi=1.0, away_from=None, margin=1e-3):
+def _unary(shape=(1, 2, 6, 6), lo=-1.0, hi=1.0, away_from=None, margin=1e-3):
     def build(seed):
         arr = rand(shape, seed, lo, hi)
         if away_from is not None:
@@ -219,7 +220,7 @@ def _unary(shape=(2, 6, 6), lo=-1.0, hi=1.0, away_from=None, margin=1e-3):
     return build
 
 
-def _binary(shape=(2, 6, 6)):
+def _binary(shape=(1, 2, 6, 6)):
     def build(seed):
         return [rand(shape, seed), rand(shape, seed + 1000)], None
 
@@ -230,34 +231,49 @@ _CASES = {
     "add": _binary(),
     "sub": _binary(),
     "mul": _binary(),
-    "scalar_mul": lambda seed: ([rand((2, 5, 5), seed)], {"c": -1.7}),
+    "scalar_mul": lambda seed: ([rand((1, 2, 5, 5), seed)], {"c": -1.7}),
     "matmul": lambda seed: ([rand((3, 4), seed), rand((4, 2), seed + 1)], None),
     "transpose": lambda seed: ([rand((3, 5), seed)], None),
-    "conv2d": lambda seed: ([rand((2, 7, 8), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 2}),
-    "conv2d_dx": lambda seed: ([rand((3, 3, 3), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 2, "h": 7, "w": 8}),
-    "conv2d_dk": lambda seed: ([rand((2, 7, 8), seed), rand((3, 3, 3), seed + 1)], {"stride": 2, "kh": 3, "kw": 3}),
-    "upsample_nearest2": _unary((2, 3, 4)),
-    "avg_pool2": _unary((2, 6, 4)),
+    "conv2d": lambda seed: ([rand((1, 2, 7, 8), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 2}),
+    "conv2d_dx": lambda seed: ([rand((1, 3, 3, 3), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 2, "h": 7, "w": 8}),
+    "conv2d_dk": lambda seed: ([rand((1, 2, 7, 8), seed), rand((1, 3, 3, 3), seed + 1)], {"stride": 2, "kh": 3, "kw": 3}),
+    "upsample_nearest2": _unary((1, 2, 3, 4)),
+    "avg_pool2": _unary((1, 2, 6, 4)),
     "relu": _unary(away_from=0.0),
     "leaky_relu": _unary(away_from=0.0),
     "tanh": _unary(),
-    "sigmoid": _unary((2, 6, 6), -3.0, 3.0),
-    "log": _unary((2, 6, 6), 0.1, 2.0),
+    "sigmoid": _unary((1, 2, 6, 6), -3.0, 3.0),
+    "log": _unary((1, 2, 6, 6), 0.1, 2.0),
     "square": _unary(),
     "abs": _unary(away_from=0.0),
-    "sqrt": _unary((2, 6, 6), 0.1, 2.0),
-    "reciprocal": _unary((2, 6, 6), 0.2, 2.0),
-    "clamp": lambda seed: ([np.where(np.abs(a := rand((2, 6, 6), seed, -2, 2)) % 0.5 < 1e-3, a + 2e-3, a)], {"lo": -0.5, "hi": 0.5}),
+    "sqrt": _unary((1, 2, 6, 6), 0.1, 2.0),
+    "reciprocal": _unary((1, 2, 6, 6), 0.2, 2.0),
+    "clamp": lambda seed: ([np.where(np.abs(a := rand((1, 2, 6, 6), seed, -2, 2)) % 0.5 < 1e-3, a + 2e-3, a)], {"lo": -0.5, "hi": 0.5}),
     "reduce_mean": _unary(),
     "reduce_sum": _unary(),
-    "broadcast_scalar": lambda seed: ([np.asarray(rand((), seed))], {"shape": (2, 3, 3)}),
-    "channel_broadcast": lambda seed: ([rand((3, 1, 1), seed)], {"h": 4, "w": 5}),
-    "channel_reduce": _unary((3, 4, 5)),
-    "concat_channels": lambda seed: ([rand((2, 5, 5), seed), rand((3, 5, 5), seed + 1)], None),
-    "slice_channels": lambda seed: ([rand((4, 5, 5), seed)], {"start": 1, "stop": 3}),
-    "pad_channels": lambda seed: ([rand((2, 5, 5), seed)], {"before": 1, "after": 2}),
-    "pad_reflect": lambda seed: ([rand((2, 5, 5), seed)], {"pad": 2}),
-    "pad_reflect_adjoint": lambda seed: ([rand((2, 9, 9), seed)], {"pad": 2}),
+    "broadcast_scalar": lambda seed: ([np.asarray(rand((), seed))], {"shape": (1, 2, 3, 3)}),
+    "bias_add": lambda seed: ([rand((1, 3, 4, 5), seed), rand((3, 1, 1), seed + 1)], None),
+    "channel_broadcast": lambda seed: ([rand((3, 1, 1), seed)], {"n": 1, "h": 4, "w": 5}),
+    "channel_reduce": _unary((1, 3, 4, 5)),
+    "channel_sum": _unary((1, 3, 4, 5)),
+    "channel_repeat": lambda seed: ([rand((1, 1, 4, 5), seed)], {"c": 3}),
+    "concat_channels": lambda seed: ([rand((1, 2, 5, 5), seed), rand((1, 3, 5, 5), seed + 1)], None),
+    "slice_channels": lambda seed: ([rand((1, 4, 5, 5), seed)], {"start": 1, "stop": 3}),
+    "pad_channels": lambda seed: ([rand((1, 2, 5, 5), seed)], {"before": 1, "after": 2}),
+    "pad_reflect": lambda seed: ([rand((1, 2, 5, 5), seed)], {"pad": 2}),
+    "pad_reflect_adjoint": lambda seed: ([rand((1, 2, 9, 9), seed)], {"pad": 2}),
+}
+
+# N = 2 batches of the image ops: (op name, input builder)
+_BATCH_CASES = {
+    "conv2d-stride1": ("conv2d", lambda seed: ([rand((2, 2, 6, 7), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 1})),
+    "conv2d-stride2": ("conv2d", lambda seed: ([rand((2, 2, 7, 8), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 2})),
+    "pad_reflect": ("pad_reflect", lambda seed: ([rand((2, 2, 5, 5), seed)], {"pad": 1})),
+    "avg_pool2": ("avg_pool2", _unary((2, 2, 6, 4))),
+    "upsample_nearest2": ("upsample_nearest2", _unary((2, 2, 3, 4))),
+    "concat_channels": ("concat_channels", lambda seed: ([rand((2, 2, 5, 5), seed), rand((2, 3, 5, 5), seed + 1)], None)),
+    "bias_add": ("bias_add", lambda seed: ([rand((2, 3, 4, 5), seed), rand((3, 1, 1), seed + 1)], None)),
+    "channel_sum": ("channel_sum", _unary((2, 3, 4, 5))),
 }
 
 
@@ -296,6 +312,13 @@ def test_every_op_gradient_matches_finite_differences(name):
     build = _CASES[name]
     worst = max(analytic_and_fd(name, build, seed) for seed in range(5))
     assert worst < 1e-6, f"{name}: rel err {worst:.3e}"
+
+
+@pytest.mark.parametrize("case", sorted(_BATCH_CASES))
+def test_batched_op_gradient_matches_finite_differences(case):
+    name, build = _BATCH_CASES[case]
+    worst = max(analytic_and_fd(name, build, seed) for seed in range(5))
+    assert worst < 1e-6, f"{case}: rel err {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +392,7 @@ def test_values_mode_gradients_are_not_nodes():
 
 def test_second_order_through_conv_net():
     # d/dtheta of ||dL/dtheta||^2 vs finite differences of the gradient norm
-    xv = rand((1, 4, 4), 55)
+    xv = rand((1, 1, 4, 4), 55)
     kv = rand((1, 1, 3, 3), 56)
 
     def grad_norm(theta):
@@ -389,3 +412,36 @@ def test_second_order_through_conv_net():
         norm = T.reduce_sum(T.square(g))
         g2 = backward(norm, [k])[k]
     assert rel_err(g2.data, fd["k"]) < 1e-5
+
+
+def test_second_order_through_batched_image_ops():
+    # every batched image op on one DIFFERENTIABLE path, N = 2: d/dtheta of
+    # ||dL/dtheta||^2 against finite differences of the gradient norm
+    xv = rand((2, 2, 6, 6), 57)
+    theta0 = {"k1": rand((3, 2, 3, 3), 58), "b1": rand((3, 1, 1), 59),
+              "k2": rand((2, 5, 3, 3), 60)}
+
+    def grad_norm_sq(leaves):
+        x = T.tensor(xv)
+        h = T.tanh(T.bias_add(T.conv2d(T.pad_reflect(x, 1), leaves["k1"], stride=2), leaves["b1"]))
+        h = T.concat_channels(T.upsample_nearest2(h), x)
+        h = T.avg_pool2(T.tanh(T.conv2d(T.pad_reflect(h, 1), leaves["k2"])))
+        norm = T.channel_repeat(T.channel_sum(T.square(h)), 2)
+        loss = T.reduce_mean(T.mul(h, T.tanh(norm)))
+        grads = backward(loss, list(leaves.values()))
+        total = None
+        for t in leaves.values():
+            term = T.reduce_sum(T.square(grads[t]))
+            total = term if total is None else T.add(total, term)
+        return total
+
+    def f(theta):
+        with Tape(Tape.DIFFERENTIABLE):
+            return grad_norm_sq({n: leaf(v) for n, v in theta.items()}).item()
+
+    fd = finite_diff_gradient(f, theta0, eps=1e-5)
+    with Tape(Tape.DIFFERENTIABLE):
+        leaves = {n: leaf(v) for n, v in theta0.items()}
+        g2 = backward(grad_norm_sq(leaves), list(leaves.values()))
+    for n, t in leaves.items():
+        assert rel_err(g2[t].data, fd[n]) < 1e-5, n

@@ -5,7 +5,6 @@ autodiff core so meta-gradients are verifiable against finite differences.
 
 from .bilevel import (
     BiLevelState,
-    EpisodeConfig,
     MetaMode,
     Objective,
     inner_adapt,
@@ -16,10 +15,10 @@ from .bilevel import (
     test_adapt,
 )
 from .config import ExperimentConfig, default_config, load_config, parse_config, serialize_config
-from .losses import FeatureExtractor, LossWeights, adversarial_losses, l1_loss, perceptual_loss, total_loss
-from .metrics import MetricReport, evaluate_suite, mse, proxy_lpips, psnr, ssim
+from .losses import FeatureExtractor, LossWeights, l1_loss, perceptual_loss
+from .metrics import MetricReport, mse, proxy_lpips, psnr, ssim
 from .nets import NetConfig, ParameterSet, discriminator_forward, generator_forward, init_params
-from .optim import AdamState, SgdConfig, adam_step, sgd_step_differentiable
+from .optim import AdamState, adam_step, sgd_step_differentiable
 from .tasks import (
     SceneSpec,
     SegMap,
@@ -32,6 +31,6 @@ from .tasks import (
     similarity,
     synth_scene,
 )
-from .tensor import Tape, Tensor, TensorError, backward, finite_diff_gradient, primitive
+from .tensor import Tape, Tensor, TensorError, backward, finite_diff_gradient
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
+from .config import ExperimentConfig, MetaMode
 from .losses import PROB_CLAMP, FeatureExtractor, LossWeights, l1_loss, perceptual_loss
 from .nets import ParameterSet, discriminator_forward, generator_forward
 from .optim import AdamState, adam_step, sgd_step_differentiable
@@ -29,44 +30,6 @@ from .tasks import (
     stack_samples,
 )
 from .tensor import Tape, TensorError, backward
-
-
-class MetaMode:
-    FIRST_ORDER = "first-order"
-    FULL_UNROLLED = "full-unrolled"
-    ALL = (FIRST_ORDER, FULL_UNROLLED)
-
-
-@dataclass(frozen=True)
-class EpisodeConfig:
-    n_shot: int = 5
-    inner_iters: int = 20  # test-time adaptation steps per new scene
-    train_inner_iters: int = 2  # adaptation steps inside meta-training
-    inner_batch: int = 5
-    meta_batch: int = 5
-    n_test: int = 5
-    pretrain_iters: int = 2000  # reference recipe: 50k
-    metatrain_iters: int = 1000  # reference recipe: 20k
-    alpha: float = 1e-4  # scene-model step size
-    beta: float = 1e-4  # general-model step size
-    beta1: float = 0.5
-    beta2: float = 0.999
-    eps: float = 1e-8
-    k_aux: int = 5
-    gp_finetune_iters: int = 50
-
-    def __post_init__(self):
-        if self.n_shot not in (1, 5):
-            raise TensorError("EpisodeConfig: n_shot must be 1 or 5")
-        for name in ("inner_batch", "meta_batch", "n_test", "k_aux"):
-            if getattr(self, name) < 1:
-                raise TensorError(f"EpisodeConfig: {name} must be positive")
-        for name in ("inner_iters", "train_inner_iters", "pretrain_iters",
-                     "metatrain_iters", "gp_finetune_iters"):
-            if getattr(self, name) < 0:
-                raise TensorError(f"EpisodeConfig: {name} must be >= 0")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise TensorError("EpisodeConfig: step sizes must be positive")
 
 
 @dataclass
@@ -139,11 +102,15 @@ class Objective:
         return self.g_forward(g, xs, xr).data
 
 
+def _adam(params, rate, config: ExperimentConfig) -> AdamState:
+    return AdamState.for_params(params, rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
+
+
 @dataclass
 class BiLevelState:
     """General-model parameters, their optimizer states, and counters."""
 
-    config: EpisodeConfig
+    config: ExperimentConfig
     objective: Objective
     g_gp: ParameterSet
     d_gp: ParameterSet
@@ -159,38 +126,17 @@ class BiLevelState:
     def __post_init__(self):
         c = self.config
         if self.adam_g is None:
-            self.adam_g = AdamState.for_params(self.g_gp, c.beta, c.beta1, c.beta2, c.eps)
+            self.adam_g = _adam(self.g_gp, c.beta, c)
         if self.adam_d is None:
-            self.adam_d = AdamState.for_params(self.d_gp, c.beta, c.beta1, c.beta2, c.eps)
+            self.adam_d = _adam(self.d_gp, c.beta, c)
         if self.adam_g_pre is None:
-            self.adam_g_pre = AdamState.for_params(self.g_gp, c.alpha, c.beta1, c.beta2, c.eps)
+            self.adam_g_pre = _adam(self.g_gp, c.alpha, c)
         if self.adam_d_pre is None:
-            self.adam_d_pre = AdamState.for_params(self.d_gp, c.alpha, c.beta1, c.beta2, c.eps)
+            self.adam_d_pre = _adam(self.d_gp, c.alpha, c)
 
     def emit(self, record: dict):
         if self.log_fn is not None:
             self.log_fn(record)
-
-    def clone_params_and_optim(self) -> "BiLevelState":
-        """Deep copy of parameters and optimizer moments; counters reset."""
-
-        def copy_adam(a):
-            out = AdamState(rate=a.rate, beta1=a.beta1, beta2=a.beta2, eps=a.eps, t=a.t)
-            out.m = {k: v.copy() for k, v in a.m.items()}
-            out.v = {k: v.copy() for k, v in a.v.items()}
-            return out
-
-        return BiLevelState(
-            config=self.config,
-            objective=self.objective,
-            g_gp=self.g_gp.copy(),
-            d_gp=self.d_gp.copy(),
-            seed=self.seed,
-            adam_g=copy_adam(self.adam_g),
-            adam_d=copy_adam(self.adam_d),
-            adam_g_pre=copy_adam(self.adam_g_pre),
-            adam_d_pre=copy_adam(self.adam_d_pre),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +163,7 @@ def _batch_for_iteration(samples, inner_batch, rng):
 # inner adaptation
 
 
-def inner_adapt(gp_pair, train_samples, config: EpisodeConfig, mode: str,
+def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
                 objective: Objective, seed: int, n_iters: int | None = None):
     """Adapt a copy of the general pair to one scene's training split.
 
@@ -235,8 +181,8 @@ def inner_adapt(gp_pair, train_samples, config: EpisodeConfig, mode: str,
 
     if mode == MetaMode.FIRST_ORDER:
         g_is, d_is = g_gp.copy(), d_gp.copy()
-        adam_g = AdamState.for_params(g_is, config.alpha, config.beta1, config.beta2, config.eps)
-        adam_d = AdamState.for_params(d_is, config.alpha, config.beta1, config.beta2, config.eps)
+        adam_g = _adam(g_is, config.alpha, config)
+        adam_d = _adam(d_is, config.alpha, config)
         for it in range(steps):
             rng = stream(seed, "inner-batch", it)
             batch = _batch_for_iteration(train_samples, config.inner_batch, rng)
@@ -420,11 +366,13 @@ def gp_finetune_on_aux(state: BiLevelState, aux_tasks: list, mode: str,
                        seed: int) -> BiLevelState:
     """Continue the alternating loop on retrieved auxiliary tasks; acts on a
     copy, the caller's state is untouched."""
-    tuned = state.clone_params_and_optim()
-    tuned.seed = seed
     k = len(aux_tasks)
     batch = min(state.config.meta_batch, k)
-    tuned.config = replace(tuned.config, meta_batch=batch)
+    tuned = BiLevelState(
+        config=replace(state.config, meta_batch=batch), objective=state.objective,
+        g_gp=state.g_gp.copy(), d_gp=state.d_gp.copy(), seed=seed,
+        adam_g=state.adam_g.copy(), adam_d=state.adam_d.copy(),
+    )
     for it in range(state.config.gp_finetune_iters):
         rng = stream(seed, "gp-finetune", it)
         picks = rng.choice(k, size=batch, replace=False)

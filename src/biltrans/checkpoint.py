@@ -11,11 +11,10 @@ import struct
 
 import numpy as np
 
-from .bilevel import BiLevelState, EpisodeConfig, Objective
+from .bilevel import BiLevelState, Objective
 from .config import ExperimentConfig, parse_config, serialize_config
 from .losses import FeatureExtractor, LossWeights
-from .nets import NetConfig, ParameterSet, init_params
-from .optim import AdamState
+from .nets import NetConfig, init_params
 from .tensor import TensorError
 
 MAGIC = b"BILCKPT\x00"
@@ -124,16 +123,7 @@ def build_state(cfg: ExperimentConfig) -> BiLevelState:
             nonsaturating=cfg.nonsaturating,
         ),
     )
-    episode_cfg = EpisodeConfig(
-        n_shot=cfg.n_shot, inner_iters=cfg.inner_iters,
-        train_inner_iters=cfg.train_inner_iters, inner_batch=cfg.inner_batch,
-        meta_batch=cfg.meta_batch, n_test=cfg.n_test,
-        pretrain_iters=cfg.pretrain_iters, metatrain_iters=cfg.metatrain_iters,
-        alpha=cfg.alpha, beta=cfg.beta, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-        eps=cfg.adam_eps, k_aux=cfg.k_aux, gp_finetune_iters=cfg.gp_finetune_iters,
-    )
-    return BiLevelState(config=episode_cfg, objective=objective, g_gp=g, d_gp=d,
-                        seed=cfg.master_seed)
+    return BiLevelState(config=cfg, objective=objective, g_gp=g, d_gp=d, seed=cfg.master_seed)
 
 
 def load_checkpoint(path: str):
@@ -142,25 +132,24 @@ def load_checkpoint(path: str):
     cfg = parse_config(config_text)
     state = build_state(cfg)
 
-    def restore(ps: ParameterSet, prefix):
-        for name, p in ps.items():
-            key = f"{prefix}/{name}"
-            if key not in arrays:
-                raise TensorError(f"checkpoint: missing array {key!r}")
-            if arrays[key].shape != p.data.shape:
-                raise TensorError(f"checkpoint: shape mismatch for {key!r}")
-            p.data[...] = arrays[key]
+    def array(key, shape=()):
+        if key not in arrays:
+            raise TensorError(f"checkpoint: missing array {key!r} in {path}")
+        if arrays[key].shape != shape:
+            raise TensorError(f"checkpoint: shape mismatch for {key!r} in {path}")
+        return arrays[key]
 
-    restore(state.g_gp, "g_gp")
-    restore(state.d_gp, "d_gp")
-    restore(state.objective.phi.params, "phi")
+    for prefix, ps in (("g_gp", state.g_gp), ("d_gp", state.d_gp),
+                       ("phi", state.objective.phi.params)):
+        for name, p in ps.items():
+            p.data[...] = array(f"{prefix}/{name}", p.data.shape)
     for tag, adam in (("adam_g", state.adam_g), ("adam_d", state.adam_d),
                       ("adam_g_pre", state.adam_g_pre), ("adam_d_pre", state.adam_d_pre)):
         for name in adam.m:
-            adam.m[name][...] = arrays[f"{tag}/m/{name}"]
-            adam.v[name][...] = arrays[f"{tag}/v/{name}"]
-        adam.t = int(arrays[f"{tag}/t"])
-    state.pretrain_iteration = int(arrays["meta/pretrain_iteration"])
-    state.meta_iteration = int(arrays["meta/meta_iteration"])
-    state.seed = int(arrays["meta/seed_lo"]) | (int(arrays["meta/seed_hi"]) << 32)
+            adam.m[name][...] = array(f"{tag}/m/{name}", adam.m[name].shape)
+            adam.v[name][...] = array(f"{tag}/v/{name}", adam.v[name].shape)
+        adam.t = int(array(f"{tag}/t"))
+    state.pretrain_iteration = int(array("meta/pretrain_iteration"))
+    state.meta_iteration = int(array("meta/meta_iteration"))
+    state.seed = int(array("meta/seed_lo")) | (int(array("meta/seed_hi")) << 32)
     return state, cfg

@@ -13,13 +13,11 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
-from .bilevel import MetaMode, inner_adapt, metatrain, pretrain, test_adapt
+from .bilevel import MetaMode, metatrain, pretrain, test_adapt
 from .checkpoint import build_state, load_checkpoint, save_checkpoint
-from .config import default_config, load_config, serialize_config
+from .config import default_config, load_config, parse_config, serialize_config
 from .metrics import MetricReport, score_pair
-from .rng import stream, substream_seed
+from .rng import substream_seed
 from .tasks import (
     export_dataset,
     load_manifest,
@@ -58,34 +56,19 @@ def _require(path, hint):
         raise MissingPrerequisite(f"missing {path}; run `{hint}` first")
 
 
-def _train_scenes(cfg):
-    scenes = []
-    for i in range(cfg.n_train_scenes):
-        cluster = i % cfg.clusters if cfg.clusters > 0 else None
-        scenes.append(
-            synth_scene(
-                substream_seed(cfg.master_seed, "data", "train", i), cluster,
-                scene_id=i, height=cfg.image_size, width=cfg.image_size,
-                classes=cfg.classes, shade_amp_max=cfg.shade_amp_max,
-                cluster_space_seed=substream_seed(cfg.master_seed, "cluster-space"),
-            )
+def _scenes(cfg, split):
+    """The "train" or "unseen" scenes of a config, synthesized from their seeds."""
+    n, first_id = (cfg.n_train_scenes, 0) if split == "train" else (cfg.n_unseen_scenes, 10_000)
+    return [
+        synth_scene(
+            substream_seed(cfg.master_seed, "data", split, i),
+            i % cfg.clusters if cfg.clusters > 0 else None,
+            scene_id=first_id + i, height=cfg.image_size, width=cfg.image_size,
+            classes=cfg.classes, shade_amp_max=cfg.shade_amp_max,
+            cluster_space_seed=substream_seed(cfg.master_seed, "cluster-space"),
         )
-    return scenes
-
-
-def _unseen_scenes(cfg):
-    scenes = []
-    for i in range(cfg.n_unseen_scenes):
-        cluster = i % cfg.clusters if cfg.clusters > 0 else None
-        scenes.append(
-            synth_scene(
-                substream_seed(cfg.master_seed, "data", "unseen", i), cluster,
-                scene_id=10_000 + i, height=cfg.image_size, width=cfg.image_size,
-                classes=cfg.classes, shade_amp_max=cfg.shade_amp_max,
-                cluster_space_seed=substream_seed(cfg.master_seed, "cluster-space"),
-            )
-        )
-    return scenes
+        for i in range(n)
+    ]
 
 
 def _with_reference(cfg):
@@ -122,12 +105,10 @@ def cmd_gen_data(cfg):
     with open(_paths(cfg)["config"], "w") as f:
         f.write(serialize_config(cfg, with_provenance=True))
     p = _paths(cfg)
-    export_dataset(p["train_data"], _train_scenes(cfg), cfg.samples_per_scene,
-                   _with_reference(cfg), cfg.allow_flip, cfg.shade_amp_max,
-                   substream_seed(cfg.master_seed, "cluster-space"))
-    export_dataset(p["unseen_data"], _unseen_scenes(cfg), cfg.samples_per_scene,
-                   _with_reference(cfg), cfg.allow_flip, cfg.shade_amp_max,
-                   substream_seed(cfg.master_seed, "cluster-space"))
+    for split in ("train", "unseen"):
+        export_dataset(p[f"{split}_data"], _scenes(cfg, split), cfg.samples_per_scene,
+                       _with_reference(cfg), cfg.allow_flip, cfg.shade_amp_max,
+                       substream_seed(cfg.master_seed, "cluster-space"))
     print(f"wrote datasets under {os.path.join(cfg.out_dir, 'data')}")
     return 0
 
@@ -204,15 +185,24 @@ def _rows_for(cfg, aux_on):
     return [r for r in ROWS if aux_on or r != "bilevel"]
 
 
-def adapt_one_scene(cfg, scene_index, rows):
-    """Generate test images for one unseen scene under every requested row.
-    Self-contained so it can run in a worker process."""
+def _adapt_inputs(cfg, rows):
+    """What every scene's adaptation reads: (pretrained state, meta-trained
+    state or None, auxiliary task pool or None). Adaptation leaves them
+    unchanged, so one copy serves every scene."""
     p = _paths(cfg)
     state_pre, _ = load_checkpoint(p["pretrain_ckpt"])
-    episode = unseen_episode(cfg, _unseen_scenes(cfg)[scene_index])
     state_meta = None
     if any(r.startswith("bilevel") for r in rows):
         state_meta, _ = load_checkpoint(p["metatrain_ckpt"])
+    pool = train_task_pool(cfg, _load_train_scenes(cfg)) if "bilevel" in rows else None
+    return state_pre, state_meta, pool
+
+
+def adapt_one_scene(cfg, scene, rows, inputs):
+    """Generate test images for one unseen scene under every requested row;
+    ``inputs`` comes from ``_adapt_inputs``."""
+    state_pre, state_meta, pool = inputs
+    episode = unseen_episode(cfg, scene)
     out = {}
     for row in rows:
         if row == "baseline":
@@ -224,7 +214,6 @@ def adapt_one_scene(cfg, scene_index, rows):
             _, _, images = test_adapt(state_meta, episode, [], k=1, use_aux=False,
                                       seed=cfg.master_seed)
         else:
-            pool = train_task_pool(cfg, _load_train_scenes(cfg))
             _, _, images = test_adapt(state_meta, episode, pool, k=cfg.k_aux,
                                       use_aux=True, seed=cfg.master_seed,
                                       finetune_mode=cfg.meta_mode)
@@ -233,11 +222,11 @@ def adapt_one_scene(cfg, scene_index, rows):
 
 
 def _adapt_job(args):
+    # runs in a worker process, which loads its own inputs
     cfg_text, scene_index, rows = args
-    from .config import parse_config
-
     cfg = parse_config(cfg_text)
-    return scene_index, adapt_one_scene(cfg, scene_index, rows)
+    scene = _scenes(cfg, "unseen")[scene_index]
+    return scene_index, adapt_one_scene(cfg, scene, rows, _adapt_inputs(cfg, rows))
 
 
 def cmd_adapt(cfg, aux_on=True):
@@ -248,13 +237,14 @@ def cmd_adapt(cfg, aux_on=True):
         _require(p["metatrain_ckpt"], "biltrans metatrain")
     os.makedirs(p["results"], exist_ok=True)
     n = cfg.n_unseen_scenes
+    scenes = _scenes(cfg, "unseen")
     if cfg.jobs > 1:
         payload = [(serialize_config(cfg), i, rows) for i in range(n)]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
             results = dict(ex.map(_adapt_job, payload))
     else:
-        results = {i: adapt_one_scene(cfg, i, rows) for i in range(n)}
-    scenes = _unseen_scenes(cfg)
+        inputs = _adapt_inputs(cfg, rows)
+        results = {i: adapt_one_scene(cfg, scenes[i], rows, inputs) for i in range(n)}
     for i in range(n):
         for row, images in results[i].items():
             row_dir = os.path.join(p["results"], row, f"scene_{scenes[i].scene_id:05d}")
@@ -270,7 +260,7 @@ def cmd_eval(cfg, aux_on=True):
     from .losses import FeatureExtractor
 
     phi = FeatureExtractor(seed=cfg.phi_seed, widths=cfg.phi_width_list())
-    episodes = unseen_episodes(cfg, _unseen_scenes(cfg))
+    episodes = unseen_episodes(cfg, _scenes(cfg, "unseen"))
     rows = _rows_for(cfg, aux_on)
     summaries = {}
     for row in rows:
@@ -320,7 +310,7 @@ def _write_comparison(results_dir, summaries):
 def cmd_retrieve(cfg, scene_index=0):
     scenes = _load_train_scenes(cfg)
     pool = train_task_pool(cfg, scenes)
-    episode = unseen_episode(cfg, _unseen_scenes(cfg)[scene_index])
+    episode = unseen_episode(cfg, _scenes(cfg, "unseen")[scene_index])
     query = episode.train[0].x_struct
     top = retrieve_topk(query, pool, cfg.k_aux)
     print(f"query: unseen scene {episode.scene_id}")

@@ -1,91 +1,61 @@
 """Flat key = value experiment configuration with provenance-tracked defaults."""
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
-from .bilevel import MetaMode
 from .tensor import TensorError
+
+
+class MetaMode:
+    FIRST_ORDER = "first-order"
+    FULL_UNROLLED = "full-unrolled"
+    ALL = (FIRST_ORDER, FULL_UNROLLED)
+
 
 # provenance: "recipe" marks values taken from the reference training recipe,
 # "repo" marks desk-scale defaults chosen here. The recipe's full-scale
 # iteration counts (50000 pretrain / 20000 metatrain) are accepted but the
 # shipped defaults are desk-scale.
-_FIELDS = {
-    # name: (type, default, provenance)
-    "mode": (str, "pg2", "repo"),
-    "meta_mode": (str, MetaMode.FIRST_ORDER, "repo"),
-    "master_seed": (int, 0, "repo"),
-    "out_dir": (str, "runs/out", "repo"),
-    "image_size": (int, 32, "repo"),
-    "classes": (int, 5, "repo"),
-    "base_width": (int, 16, "repo"),
-    "depth": (int, 3, "repo"),
-    "n_shot": (int, 5, "repo"),
-    "n_test": (int, 5, "repo"),
-    "inner_iters": (int, 20, "recipe"),
-    "train_inner_iters": (int, 2, "repo"),
-    "inner_batch": (int, 5, "recipe"),
-    "meta_batch": (int, 5, "recipe"),
-    "pretrain_iters": (int, 2000, "repo"),
-    "metatrain_iters": (int, 1000, "repo"),
-    "alpha": (float, 1e-4, "recipe"),
-    "beta": (float, 1e-4, "recipe"),
-    "adam_beta1": (float, 0.5, "recipe"),
-    "adam_beta2": (float, 0.999, "recipe"),
-    "adam_eps": (float, 1e-8, "repo"),
-    "lambda_adv": (float, 10.0, "recipe"),
-    "lambda_perc": (float, 2.0, "recipe"),
-    "nonsaturating": (bool, False, "repo"),
-    "phi_seed": (int, 1789, "repo"),
-    "phi_widths": (str, "8,16,32", "repo"),
-    "n_train_scenes": (int, 100, "repo"),
-    "n_unseen_scenes": (int, 20, "repo"),
-    "clusters": (int, 0, "repo"),
-    "samples_per_scene": (int, 4, "repo"),
-    "shade_amp_max": (float, 0.3, "repo"),
-    "allow_flip": (bool, True, "repo"),
-    "k_aux": (int, 5, "repo"),
-    "gp_finetune_iters": (int, 50, "repo"),
-    "jobs": (int, 1, "repo"),
-}
+def _field(default, provenance="repo"):
+    return field(default=default, metadata={"provenance": provenance})
 
 
 @dataclass
 class ExperimentConfig:
-    mode: str
-    meta_mode: str
-    master_seed: int
-    out_dir: str
-    image_size: int
-    classes: int
-    base_width: int
-    depth: int
-    n_shot: int
-    n_test: int
-    inner_iters: int
-    train_inner_iters: int
-    inner_batch: int
-    meta_batch: int
-    pretrain_iters: int
-    metatrain_iters: int
-    alpha: float
-    beta: float
-    adam_beta1: float
-    adam_beta2: float
-    adam_eps: float
-    lambda_adv: float
-    lambda_perc: float
-    nonsaturating: bool
-    phi_seed: int
-    phi_widths: str
-    n_train_scenes: int
-    n_unseen_scenes: int
-    clusters: int
-    samples_per_scene: int
-    shade_amp_max: float
-    allow_flip: bool
-    k_aux: int
-    gp_finetune_iters: int
-    jobs: int
+    mode: str = _field("pg2")
+    meta_mode: str = _field(MetaMode.FIRST_ORDER)
+    master_seed: int = _field(0)
+    out_dir: str = _field("runs/out")
+    image_size: int = _field(32)
+    classes: int = _field(5)
+    base_width: int = _field(16)
+    depth: int = _field(3)
+    n_shot: int = _field(5)
+    n_test: int = _field(5)
+    inner_iters: int = _field(20, "recipe")  # test-time adaptation steps per unseen scene
+    train_inner_iters: int = _field(2)  # adaptation steps inside meta-training
+    inner_batch: int = _field(5, "recipe")
+    meta_batch: int = _field(5, "recipe")
+    pretrain_iters: int = _field(2000)
+    metatrain_iters: int = _field(1000)
+    alpha: float = _field(1e-4, "recipe")  # scene-model step size
+    beta: float = _field(1e-4, "recipe")  # general-model step size
+    adam_beta1: float = _field(0.5, "recipe")
+    adam_beta2: float = _field(0.999, "recipe")
+    adam_eps: float = _field(1e-8)
+    lambda_adv: float = _field(10.0, "recipe")
+    lambda_perc: float = _field(2.0, "recipe")
+    nonsaturating: bool = _field(False)
+    phi_seed: int = _field(1789)
+    phi_widths: str = _field("8,16,32")
+    n_train_scenes: int = _field(100)
+    n_unseen_scenes: int = _field(20)
+    clusters: int = _field(0)
+    samples_per_scene: int = _field(4)
+    shade_amp_max: float = _field(0.3)
+    allow_flip: bool = _field(True)
+    k_aux: int = _field(5)
+    gp_finetune_iters: int = _field(50)
+    jobs: int = _field(1)
 
     def validate(self):
         if self.mode not in ("pg2", "pix2pix"):
@@ -99,6 +69,16 @@ class ExperimentConfig:
                      "k_aux", "jobs"):
             if getattr(self, name) < 1:
                 raise TensorError(f"config: {name} must be positive")
+        for name in ("inner_iters", "train_inner_iters", "pretrain_iters", "metatrain_iters",
+                     "gp_finetune_iters"):
+            if getattr(self, name) < 0:
+                raise TensorError(f"config: {name} must be >= 0")
+        for name in ("alpha", "beta", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise TensorError(f"config: {name} must be positive")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise TensorError(f"config: {name} must be in [0, 1)")
         if self.image_size % (2**self.depth):
             raise TensorError("config: image_size must be divisible by 2^depth")
         if not 0 <= self.shade_amp_max <= 0.3:
@@ -118,20 +98,19 @@ class ExperimentConfig:
         """Per-field origin: 'recipe', 'repo', or 'user' for overridden values."""
         out = {}
         for f in fields(self):
-            ftype, default, source = _FIELDS[f.name]
-            out[f.name] = source if getattr(self, f.name) == default else "user"
+            out[f.name] = f.metadata["provenance"] if getattr(self, f.name) == f.default else "user"
         return out
 
 
 def default_config(**overrides) -> ExperimentConfig:
-    values = {name: spec[1] for name, spec in _FIELDS.items()}
-    values.update(overrides)
-    cfg = ExperimentConfig(**values)
-    return cfg.validate()
+    return ExperimentConfig(**overrides).validate()
+
+
+_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _parse_value(name, raw, lineno):
-    ftype = _FIELDS[name][0]
+    ftype = _TYPES[name]
     raw = raw.strip()
     try:
         if ftype is bool:
@@ -150,7 +129,7 @@ def _parse_value(name, raw, lineno):
 def parse_config(text: str) -> ExperimentConfig:
     """Parse `key = value` lines with # comments; unknown keys are rejected
     with their line number, missing keys fall back to defaults."""
-    values = {name: spec[1] for name, spec in _FIELDS.items()}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -159,7 +138,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise TensorError(f"config line {lineno}: expected key = value, got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELDS:
+        if key not in _TYPES:
             raise TensorError(f"config line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw, lineno)
     cfg = ExperimentConfig(**values)

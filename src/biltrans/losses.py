@@ -1,4 +1,5 @@
-"""Training objective: L1 + weighted adversarial + weighted perceptual.
+"""Terms and weights of the training objective, which ``bilevel.Objective``
+assembles: L1 + weighted adversarial + weighted perceptual.
 
 The perceptual term compares channel-unit-normalized activations of a
 frozen, randomly initialized conv stack; random features stand in for a
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .nets import ParameterSet, discriminator_forward, generator_forward
+from .nets import ParameterSet
 from .rng import stream
 from .tensor import Tensor, TensorError
 
@@ -69,37 +70,6 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     return T.reduce_mean(T.absolute(T.sub(pred, target)))
 
 
-def _patch_prob(d, x_struct, img):
-    logits = discriminator_forward(d, x_struct, img)
-    return T.clamp(T.sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
-
-
-def adversarial_losses_from_probs(p_real: Tensor, p_fake: Tensor, nonsaturating: bool = False):
-    """(loss_D, loss_G) from already-clamped patch probabilities.
-
-    loss_D = -[mean log p_real + mean log(1 - p_fake)]. loss_G keeps the
-    minimax form mean log(1 - p_fake) unless the nonsaturating flag
-    rewrites it as -mean log p_fake.
-    """
-    one = T.constant(np.ones(p_fake.shape))
-    log_real = T.reduce_mean(T.log(p_real))
-    log_one_minus_fake = T.reduce_mean(T.log(T.sub(one, p_fake)))
-    loss_d = T.scalar_mul(T.add(log_real, log_one_minus_fake), -1.0)
-    if nonsaturating:
-        loss_g = T.scalar_mul(T.reduce_mean(T.log(p_fake)), -1.0)
-    else:
-        loss_g = log_one_minus_fake
-    return loss_d, loss_g
-
-
-def adversarial_losses(d: ParameterSet, x_struct: Tensor, y_real: Tensor, y_fake: Tensor,
-                       nonsaturating: bool = False):
-    """(loss_D, loss_G) for a conditional patch discriminator, means over patches."""
-    p_real = _patch_prob(d, x_struct, y_real)
-    p_fake = _patch_prob(d, x_struct, y_fake)
-    return adversarial_losses_from_probs(p_real, p_fake, nonsaturating)
-
-
 def _unit_normalize(feat: Tensor) -> Tensor:
     # divide by the per-location channel L2 norm
     sum_sq = T.channel_sum(T.square(feat))
@@ -118,22 +88,3 @@ def perceptual_loss(phi: FeatureExtractor, pred: Tensor, target: Tensor) -> Tens
         d = T.reduce_mean(T.square(T.sub(_unit_normalize(fp), _unit_normalize(ft))))
         total = d if total is None else T.add(total, d)
     return total
-
-
-def total_loss(g: ParameterSet, d: ParameterSet, phi: FeatureExtractor,
-               weights: LossWeights, sample):
-    """(generator total loss, discriminator loss) for one training sample.
-
-    ``sample`` provides x_struct / x_ref / y as batch Tensors (see tasks module).
-    The generated image stays on the active tape, so backward against
-    either returned scalar reaches the respective network.
-    """
-    x_struct, x_ref, y = sample.tensors()
-    fake = generator_forward(g, x_struct, x_ref)
-    loss_d, loss_g = adversarial_losses(d, x_struct, y, fake, weights.nonsaturating)
-    parts = l1_loss(fake, y)
-    if weights.adversarial != 0.0:
-        parts = T.add(parts, T.scalar_mul(loss_g, weights.adversarial))
-    if weights.perceptual != 0.0:
-        parts = T.add(parts, T.scalar_mul(perceptual_loss(phi, fake, y), weights.perceptual))
-    return parts, loss_d

@@ -9,7 +9,6 @@ definition with two call sites.
 import csv
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,17 +141,6 @@ class MetricReport:
             json.dump(self.summary(), f, indent=2, sort_keys=True)
             f.write("\n")
 
-    @classmethod
-    def read_csv(cls, path: str, phi_seed: int) -> "MetricReport":
-        report = cls(phi_seed=phi_seed)
-        with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                report.add(
-                    row["scene_id"], row["sample_idx"],
-                    **{m: float(row[m]) for m in cls.METRICS},
-                )
-        return report
-
 
 def score_pair(phi: FeatureExtractor, pred, target) -> dict:
     return {
@@ -161,13 +149,3 @@ def score_pair(phi: FeatureExtractor, pred, target) -> dict:
         "ssim": ssim(pred, target),
         "proxy_lpips": proxy_lpips(phi, pred, target),
     }
-
-
-def evaluate_suite(generate, episodes, phi: FeatureExtractor) -> MetricReport:
-    """Score ``generate(sample) -> image`` on every test sample of every episode."""
-    report = MetricReport(phi_seed=phi.seed)
-    for ep in episodes:
-        for idx, sample in enumerate(ep.test):
-            pred = generate(sample)
-            report.add(ep.scene_id, idx, **score_pair(phi, pred, sample.y))
-    return report

@@ -1,7 +1,7 @@
 """Parameter updates: Adam for outer/baseline training, SGD for the
 differentiable inner loop."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,11 @@ class AdamState:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         return state
+
+    def copy(self) -> "AdamState":
+        """Deep copy of the moments."""
+        return replace(self, m={k: a.copy() for k, a in self.m.items()},
+                       v={k: a.copy() for k, a in self.v.items()})
 
 
 def adam_step(state: AdamState, params, grads: dict):
@@ -56,15 +61,6 @@ def adam_step(state: AdamState, params, grads: dict):
         v_hat = state.v[name] / bc2
         params[name].data -= state.rate * m_hat / (np.sqrt(v_hat) + state.eps)
     return state, params
-
-
-@dataclass
-class SgdConfig:
-    rate: float
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise TensorError("SgdConfig: rate must be positive")
 
 
 def sgd_step_differentiable(params, grads: dict, rate: float):

@@ -431,7 +431,6 @@ class Dataset:
     shade_amp_max: float
     cluster_space_seed: int
     scenes: list
-    files: dict  # scene_id -> list of relative paths
 
     def sample_from_files(self, scene_id: int, index: int) -> TranslationSample:
         """Reload one exported sample from its NetPBM files (8-bit precision)."""
@@ -464,7 +463,7 @@ def load_manifest(data_dir: str) -> Dataset:
         height, width = int(header["height"]), int(header["width"])
         amp = float(header["shade_amp_max"])
         cseed = int(header["cluster_space_seed"])
-        scenes, files = [], {}
+        scenes = []
         for row in scene_rows:
             parts = row.split()
             scene_id = int(parts[1])
@@ -476,7 +475,6 @@ def load_manifest(data_dir: str) -> Dataset:
                     classes=classes, shade_amp_max=amp, cluster_space_seed=cseed,
                 )
             )
-            files[scene_id] = kv.get("files", "").split(",")
         samples_per_scene = int(header["samples_per_scene"])
         with_reference = header["with_reference"] == "true"
         allow_flip = header["allow_flip"] == "true"
@@ -495,5 +493,4 @@ def load_manifest(data_dir: str) -> Dataset:
         shade_amp_max=amp,
         cluster_space_seed=cseed,
         scenes=scenes,
-        files=files,
     )

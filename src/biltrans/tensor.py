@@ -108,7 +108,7 @@ class no_tape:
 
 
 class Tape:
-    """Ordered record of primitive ops, topological by construction.
+    """Ordered record of registry ops, topological by construction.
 
     A tape has exactly one writer thread. ``VALUES`` mode records forward
     ops only; ``DIFFERENTIABLE`` mode additionally records the ops executed
@@ -125,7 +125,6 @@ class Tape:
         self.nodes: list[Tensor] = []
         self.ops: list[_Op] = []
         self._leaf_ids: dict[int, int] = {}  # id(tensor) -> node index
-        self._producer: dict[int, int] = {}  # node index -> op index
         self._writer: int | None = None
 
     def __enter__(self):
@@ -168,26 +167,7 @@ class Tape:
         in_ids = [self.node_index(t, create=True) for t in inputs]
         out_id = self._add_node(output)
         output.node = (self, out_id)
-        self._producer[out_id] = len(self.ops)
         self.ops.append(_Op(name, in_ids, out_id, attrs))
-
-    def replay(self, leaf_values=None) -> dict[int, np.ndarray]:
-        """Re-execute every recorded op from leaf values; returns node -> value.
-
-        ``leaf_values`` may override leaves by node index. Identical leaves
-        reproduce bit-identical outputs.
-        """
-        values = {}
-        for i, t in enumerate(self.nodes):
-            if i not in self._producer:
-                values[i] = np.asarray(
-                    leaf_values.get(i, t.data) if leaf_values else t.data,
-                    dtype=np.float64,
-                )
-        for op in self.ops:
-            args = [values[i] for i in op.input_ids]
-            values[op.output_id] = _FORWARD[op.name](op.attrs, *args)
-        return values
 
 
 def _shape_err(name, *shapes):
@@ -231,18 +211,6 @@ def _f_mul(attrs, a, b):
 
 def _f_scalar_mul(attrs, a):
     return a * attrs["c"]
-
-
-def _f_matmul(attrs, a, b):
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise _shape_err("matmul", a.shape, b.shape)
-    return a @ b
-
-
-def _f_transpose(attrs, a):
-    if a.ndim != 2:
-        raise _shape_err("transpose", a.shape)
-    return np.ascontiguousarray(a.T)
 
 
 def _im2col(x, kh, kw, stride):
@@ -466,8 +434,6 @@ _FORWARD = {
     "sub": _f_sub,
     "mul": _f_mul,
     "scalar_mul": _f_scalar_mul,
-    "matmul": _f_matmul,
-    "transpose": _f_transpose,
     "conv2d": _f_conv2d,
     "conv2d_dx": _f_conv2d_dx,
     "conv2d_dk": _f_conv2d_dk,
@@ -517,14 +483,6 @@ def mul(a, b):
 
 def scalar_mul(a, c: float):
     return _apply("scalar_mul", [a], {"c": float(c)})
-
-
-def matmul(a, b):
-    return _apply("matmul", [a, b])
-
-
-def transpose(a):
-    return _apply("transpose", [a])
 
 
 def conv2d(x, k, stride=1):
@@ -630,41 +588,6 @@ def pad_reflect(x, pad=1):
     return _apply("pad_reflect", [x], {"pad": int(pad)})
 
 
-PRIMITIVE_NAMES = frozenset(
-    {
-        "add",
-        "sub",
-        "mul",
-        "scalar_mul",
-        "matmul",
-        "conv2d",
-        "upsample_nearest2",
-        "avg_pool2",
-        "relu",
-        "leaky_relu",
-        "tanh",
-        "sigmoid",
-        "log",
-        "square",
-        "abs",
-        "reduce_mean",
-        "reduce_sum",
-        "concat_channels",
-        "pad_reflect",
-    }
-)
-
-
-def primitive(name: str, inputs, attrs=None) -> Tensor:
-    """Apply a public primitive by name; names outside the set are rejected."""
-    if name not in PRIMITIVE_NAMES:
-        raise TensorError(f"unknown primitive {name!r}")
-    return _apply(name, list(inputs), attrs or _DEFAULT_ATTRS.get(name))
-
-
-_DEFAULT_ATTRS = {"conv2d": {"stride": 1}, "pad_reflect": {"pad": 1}}
-
-
 # ---------------------------------------------------------------------------
 # backward rules, each written with registry ops so they are differentiable
 
@@ -688,15 +611,6 @@ def _v_mul(g, ins, out, attrs):
 
 def _v_scalar_mul(g, ins, out, attrs):
     return [scalar_mul(g, attrs["c"])]
-
-
-def _v_matmul(g, ins, out, attrs):
-    a, b = ins
-    return [matmul(g, transpose(b)), matmul(transpose(a), g)]
-
-
-def _v_transpose(g, ins, out, attrs):
-    return [transpose(g)]
 
 
 def _v_conv2d(g, ins, out, attrs):
@@ -838,8 +752,6 @@ _VJP = {
     "sub": _v_sub,
     "mul": _v_mul,
     "scalar_mul": _v_scalar_mul,
-    "matmul": _v_matmul,
-    "transpose": _v_transpose,
     "conv2d": _v_conv2d,
     "conv2d_dx": _v_conv2d_dx,
     "conv2d_dk": _v_conv2d_dk,

@@ -16,7 +16,6 @@ import pytest
 from biltrans import tensor as T
 from biltrans.bilevel import (
     BiLevelState,
-    EpisodeConfig,
     MetaMode,
     Objective,
     inner_adapt,
@@ -26,6 +25,7 @@ from biltrans.bilevel import (
     pretrain,
     test_adapt,
 )
+from biltrans.config import default_config
 from biltrans.losses import FeatureExtractor, LossWeights
 from biltrans.metrics import mse, psnr, ssim
 from biltrans.nets import NetConfig, ParameterSet, init_params
@@ -134,8 +134,8 @@ def tiny_world(seed, inner_steps):
         g_forward=tiny_g_forward,
         d_forward=tiny_d_forward,
     )
-    cfg = EpisodeConfig(inner_batch=2, meta_batch=1, n_test=2,
-                        train_inner_iters=inner_steps, alpha=0.05, beta=0.05)
+    cfg = default_config(inner_batch=2, meta_batch=1, n_test=2,
+                         train_inner_iters=inner_steps, alpha=0.05, beta=0.05)
     state = BiLevelState(config=cfg, objective=obj, g_gp=g, d_gp=d, seed=0)
     scene = synth_scene(seed + 100, scene_id=0, height=8, width=8, classes=2)
     ep = TaskEpisode(scene=scene, train=[render(scene, 0), render(scene, 2)],
@@ -362,8 +362,8 @@ phi_widths = 4,4
 
 def test_criterion_6_alternation_contracts():
     net = NetConfig(height=16, width=16, classes=3, mode="pg2", base_width=4, depth=1)
-    cfg = EpisodeConfig(inner_batch=3, meta_batch=2, n_test=2, train_inner_iters=1,
-                        alpha=1e-3, beta=1e-3, k_aux=2, gp_finetune_iters=2)
+    cfg = default_config(inner_batch=3, meta_batch=2, n_test=2, train_inner_iters=1,
+                         alpha=1e-3, beta=1e-3, k_aux=2, gp_finetune_iters=2)
     g, d = init_params(net, 0)
     obj = Objective(phi=FeatureExtractor(seed=5, widths=(4, 4)), weights=LossWeights())
     state = BiLevelState(config=cfg, objective=obj, g_gp=g, d_gp=d, seed=0)

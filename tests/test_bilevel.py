@@ -7,7 +7,6 @@ import pytest
 from biltrans import tensor as T
 from biltrans.bilevel import (
     BiLevelState,
-    EpisodeConfig,
     MetaMode,
     Objective,
     inner_adapt,
@@ -17,6 +16,7 @@ from biltrans.bilevel import (
     pretrain,
     test_adapt,
 )
+from biltrans.config import default_config
 from biltrans.losses import FeatureExtractor, LossWeights
 from biltrans.nets import NetConfig, ParameterSet, init_params
 from biltrans.tasks import TaskEpisode, render, sample_episode, synth_scene
@@ -30,9 +30,9 @@ def small_objective(phi_seed=3):
 
 
 def small_state(seed=0, **cfg_kwargs):
-    cfg = EpisodeConfig(**{"inner_batch": 3, "meta_batch": 2, "n_test": 2,
-                           "train_inner_iters": 1, "alpha": 1e-3, "beta": 1e-3,
-                           **cfg_kwargs})
+    cfg = default_config(**{"inner_batch": 3, "meta_batch": 2, "n_test": 2,
+                            "train_inner_iters": 1, "alpha": 1e-3, "beta": 1e-3,
+                            **cfg_kwargs})
     g, d = init_params(SMALL_NET, seed)
     return BiLevelState(config=cfg, objective=small_objective(), g_gp=g, d_gp=d, seed=seed)
 
@@ -90,9 +90,9 @@ def tiny_episode(seed):
 
 
 def tiny_state(seed, **cfg_kwargs):
-    cfg = EpisodeConfig(**{"inner_batch": 2, "meta_batch": 1, "n_test": 2,
-                           "train_inner_iters": 1, "alpha": 0.05, "beta": 0.05,
-                           **cfg_kwargs})
+    cfg = default_config(**{"inner_batch": 2, "meta_batch": 1, "n_test": 2,
+                            "train_inner_iters": 1, "alpha": 0.05, "beta": 0.05,
+                            **cfg_kwargs})
     g, d = tiny_pair(seed)
     return BiLevelState(config=cfg, objective=tiny_objective(), g_gp=g, d_gp=d, seed=seed)
 
@@ -319,7 +319,7 @@ def test_pretrain_loss_trends_down():
     net = NetConfig(height=16, width=16, classes=3, mode="pg2", base_width=8, depth=2)
     drops = 0
     for seed in range(5):
-        cfg = EpisodeConfig(inner_batch=5, meta_batch=2, alpha=3e-4, beta=3e-4)
+        cfg = default_config(inner_batch=5, meta_batch=2, alpha=3e-4, beta=3e-4)
         g, d = init_params(net, seed)
         state = BiLevelState(config=cfg, objective=small_objective(), g_gp=g, d_gp=d, seed=seed)
         losses = []
@@ -416,18 +416,6 @@ def test_feature_extractor_untouched_by_training():
     pool = [small_episode(3300 + i, scene_id=i) for i in range(3)]
     test_adapt(state, unseen, pool, k=2, use_aux=True, seed=1)
     assert state.objective.phi.digest() == phi_digest
-
-
-def test_pair_losses_matches_total_loss_on_single_sample():
-    from biltrans.losses import total_loss
-
-    g, d = init_params(SMALL_NET, 19)
-    obj = small_objective()
-    sample = small_episode(3000).train[0]
-    lg_pair, ld_pair = obj.pair_losses(g, d, [sample])
-    lg_tot, ld_tot = total_loss(g, d, obj.phi, obj.weights, sample)
-    assert lg_pair.item() == pytest.approx(lg_tot.item(), rel=1e-14)
-    assert ld_pair.item() == pytest.approx(ld_tot.item(), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

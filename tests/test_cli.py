@@ -88,6 +88,51 @@ def test_provenance_labels():
     assert "# recipe" in serialize_config(cfg, with_provenance=True)
 
 
+# every checkpoint and config.resolved embeds this rendering, so any change
+# to field order, defaults, provenance or number formatting shows here
+DEFAULT_CONFIG_TEXT = """\
+mode = pg2  # repo
+meta_mode = first-order  # repo
+master_seed = 0  # repo
+out_dir = runs/out  # repo
+image_size = 32  # repo
+classes = 5  # repo
+base_width = 16  # repo
+depth = 3  # repo
+n_shot = 5  # repo
+n_test = 5  # repo
+inner_iters = 20  # recipe
+train_inner_iters = 2  # repo
+inner_batch = 5  # recipe
+meta_batch = 5  # recipe
+pretrain_iters = 2000  # repo
+metatrain_iters = 1000  # repo
+alpha = 0.0001  # recipe
+beta = 0.0001  # recipe
+adam_beta1 = 0.5  # recipe
+adam_beta2 = 0.999  # recipe
+adam_eps = 1e-08  # repo
+lambda_adv = 10.0  # recipe
+lambda_perc = 2.0  # recipe
+nonsaturating = false  # repo
+phi_seed = 1789  # repo
+phi_widths = 8,16,32  # repo
+n_train_scenes = 100  # repo
+n_unseen_scenes = 20  # repo
+clusters = 0  # repo
+samples_per_scene = 4  # repo
+shade_amp_max = 0.3  # repo
+allow_flip = true  # repo
+k_aux = 5  # repo
+gp_finetune_iters = 50  # repo
+jobs = 1  # repo
+"""
+
+
+def test_default_config_serializes_byte_for_byte():
+    assert serialize_config(default_config(), with_provenance=True) == DEFAULT_CONFIG_TEXT
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -156,9 +201,7 @@ def test_checkpoint_dimension_overflow_rejected(tmp_path):
 
 def test_resume_equals_uninterrupted_training(tmp_path):
     cfg = smoke_cfg(tmp_path)
-    from biltrans.cli import _train_scenes
-
-    scenes = _train_scenes(cfg)
+    scenes = cli._scenes(cfg, "train")
 
     straight = build_state(cfg)
     pretrain(straight, scenes, iters=4)
@@ -193,6 +236,23 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("nope = 1\n")
     assert run_cli("pretrain", "--config", str(bad)) == 2
+
+
+BAD_VALUES = [
+    ("adam_eps", "0"), ("adam_eps", "nan"), ("adam_beta1", "1.0"), ("adam_beta1", "-0.1"),
+    ("adam_beta2", "1.0"), ("alpha", "0"), ("beta", "-1"), ("pretrain_iters", "-1"),
+    ("gp_finetune_iters", "-3"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES)
+def test_cli_rejects_invalid_value_at_config_time(key, value, tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(SMOKE + f"\nout_dir = {tmp_path / 'run'}\n{key} = {value}\n")
+    assert run_cli("gen-data", "--config", str(cfg_file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err, err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_missing_prerequisite_exit_code(tmp_path):
@@ -341,11 +401,18 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:-10])
 
 
+def _cut_before_meta_arrays(path):
+    # a u64 name length precedes each array name
+    blob = path.read_bytes()
+    path.write_bytes(blob[: blob.index(b"meta/pretrain_iteration") - 8])
+
+
 BAD_INPUTS = {
     # case: (subcommand, file under the run directory, how it is damaged, exit code)
     "eval-missing-image": ("eval", "results/bilevel/scene_10000/img_001.ppm", _delete, 3),
     "manifest-missing-header-key": ("pretrain", "data/train/dataset.manifest", _drop_manifest_key, 2),
     "truncated-ppm-payload": ("eval", "results/baseline/scene_10001/img_000.ppm", _truncate, 2),
+    "checkpoint-cut-at-array-boundary": ("pretrain", "checkpoints/pretrain.ckpt", _cut_before_meta_arrays, 2),
 }
 
 

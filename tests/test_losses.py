@@ -1,15 +1,18 @@
-"""Loss components against closed forms and independent recomputations."""
+"""Loss components and the assembled objective against closed forms and
+independent recomputations."""
 
 import numpy as np
 import pytest
 
 from biltrans import losses, tensor as T
-from biltrans.losses import FeatureExtractor, LossWeights, adversarial_losses, l1_loss, perceptual_loss, total_loss
-from biltrans.nets import NetConfig, init_params, discriminator_forward
+from biltrans.bilevel import Objective
+from biltrans.losses import FeatureExtractor, LossWeights, l1_loss, perceptual_loss
+from biltrans.nets import NetConfig, init_params, discriminator_forward, generator_forward
 from biltrans.tasks import synth_scene, render
 from biltrans.tensor import Tape, TensorError, backward, finite_diff_gradient
 
 CFG = NetConfig(height=8, width=8, classes=2, mode="pg2", base_width=4, depth=1)
+ADV_ONLY = LossWeights(adversarial=1.0, perceptual=0.0)
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -38,18 +41,36 @@ def test_l1_shape_mismatch():
         l1_loss(T.tensor(np.zeros((1, 3, 4, 4))), T.tensor(np.zeros((1, 3, 4, 5))))
 
 
+def _fixed_batch(seed):
+    """(structure, reference, target) batch of one 8x8 sample, as Tensors."""
+    xs = np.eye(2)[np.random.default_rng(seed).integers(0, 2, (8, 8))].transpose(2, 0, 1)[None]
+    return T.tensor(xs), T.tensor(rand((1, 3, 8, 8), seed + 1)), T.tensor(rand((1, 3, 8, 8), seed + 2))
+
+
+def _emit(img):
+    """A generator forward that ignores its parameters and returns ``img``."""
+    return lambda g, xs, xr: T.tensor(img.data)
+
+
 def test_adversarial_symmetric_uncertainty():
-    probs = T.tensor(np.full((1, 1, 2, 2), 0.5))
-    loss_d, loss_g = losses.adversarial_losses_from_probs(probs, probs)
+    # p = 0.5 on every patch; the generator reproduces its target, so L1 is 0
+    batch = _fixed_batch(0)
+    obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY, g_forward=_emit(batch[2]),
+                    d_forward=lambda d, xs, img: T.constant(np.zeros((1, 1, 2, 2))))
+    loss_g, loss_d = obj.pair_losses(None, None, batch)
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
     assert loss_g.item() == pytest.approx(-np.log(2), abs=1e-12)
 
 
 def test_adversarial_perfect_discriminator_limit():
-    p_real = T.tensor(np.full((1, 1, 2, 2), 1 - 1e-7))
-    p_fake = T.tensor(np.full((1, 1, 2, 2), 1e-7))
-    loss_d, _ = losses.adversarial_losses_from_probs(p_real, p_fake)
+    # saturated logits: p_real and 1 - p_fake clamp to 1 - 1e-7
+    batch = _fixed_batch(1)
+    y = batch[2]
+    obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY, g_forward=_emit(batch[1]),
+                    d_forward=lambda d, xs, img: T.constant(np.full((1, 1, 2, 2), 30.0 if img is y else -30.0)))
+    _, loss_d = obj.pair_losses(None, None, batch)
     assert abs(loss_d.item()) < 1e-6
+    assert abs(obj.disc_loss_detached(None, None, batch).item()) < 1e-6
 
 
 def test_adversarial_constant_disc_through_network_path():
@@ -57,36 +78,29 @@ def test_adversarial_constant_disc_through_network_path():
     _, d = init_params(CFG, seed=0)
     for _, p in d.items():
         p.data[...] = 0.0
-    xs = T.tensor(np.eye(2)[np.zeros((8, 8), dtype=int)].transpose(2, 0, 1)[None])
-    y = T.tensor(rand((1, 3, 8, 8), 0))
+    xs, xr, y = _fixed_batch(2)
     fake = T.tensor(rand((1, 3, 8, 8), 1))
-    loss_d, loss_g = adversarial_losses(d, xs, y, fake)  # bias 0 -> p = 0.5
+    obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY, g_forward=_emit(fake))
+    loss_g, loss_d = obj.pair_losses(None, d, (xs, xr, y))  # bias 0 -> p = 0.5
+    l1 = np.mean(np.abs(fake.data - y.data))
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
-    assert loss_g.item() == pytest.approx(-np.log(2), abs=1e-12)
+    assert loss_g.item() - l1 == pytest.approx(-np.log(2), abs=1e-12)
 
 
 def test_adversarial_generator_gradient_vs_finite_differences():
     g, d = init_params(CFG, seed=1)
-    xs = rand((1, 2, 8, 8), 3, 0, 1)
-    yv = rand((1, 3, 8, 8), 4)
-    rv = rand((1, 3, 8, 8), 5)
+    batch = _fixed_batch(3)
+    obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY)
 
     def f(theta):
         ps = g.copy()
         for name in theta:
             ps[name].data[...] = theta[name]
-        from biltrans.nets import generator_forward
-
-        fake = generator_forward(ps, T.tensor(xs), T.tensor(rv))
-        _, loss_g = adversarial_losses(d, T.tensor(xs), T.tensor(yv), fake)
-        return loss_g.item()
+        return obj.pair_losses(ps, d, batch, want_d=False)[0].item()
 
     fd = finite_diff_gradient(f, {n: p.data for n, p in g.items()}, eps=1e-5)
     with Tape():
-        from biltrans.nets import generator_forward
-
-        fake = generator_forward(g, T.tensor(xs), T.tensor(rv))
-        _, loss_g = adversarial_losses(d, T.tensor(xs), T.tensor(yv), fake)
+        loss_g, _ = obj.pair_losses(g, d, batch, want_d=False)
         grads = g.grads_by_name(backward(loss_g, g.tensors()))
     worst = max(
         np.max(np.abs(grads[n] - fd[n]) / np.maximum.reduce([np.abs(grads[n]), np.abs(fd[n]), np.ones_like(fd[n])]))
@@ -154,13 +168,16 @@ def _sample(seed, with_reference=True):
     return render(scene, 0, with_reference=with_reference)
 
 
+def _gen_losses(g, d, phi, weights, sample):
+    """(generator total loss, discriminator loss) of the objective on one sample."""
+    return Objective(phi=phi, weights=weights).pair_losses(g, d, [sample])
+
+
 def test_total_loss_degenerate_weights_equal_l1():
     g, d = init_params(CFG, seed=2)
     phi = FeatureExtractor(seed=15)
     sample = _sample(21)
-    lg, _ = total_loss(g, d, phi, LossWeights(adversarial=0.0, perceptual=0.0), sample)
-    from biltrans.nets import generator_forward
-
+    lg, _ = _gen_losses(g, d, phi, LossWeights(adversarial=0.0, perceptual=0.0), sample)
     xs, xr, y = sample.tensors()
     expect = l1_loss(generator_forward(g, xs, xr), y).item()
     assert lg.item() == expect
@@ -169,18 +186,24 @@ def test_total_loss_degenerate_weights_equal_l1():
 def test_total_loss_weighted_sum_arithmetic():
     # component values (0.3, 0.7, 0.05) with recipe weights 10 and 2
     assert 0.3 + 10 * 0.7 + 2 * 0.05 == pytest.approx(7.4)
-    g, d = init_params(CFG, seed=3)
+    _, d = init_params(CFG, seed=3)
     phi = FeatureExtractor(seed=16)
-    sample = _sample(22)
-    from biltrans.nets import generator_forward
+    xs, xr, y = _sample(22).tensors()
+    fake = T.tensor(rand((1, 3, 8, 8), 9, -0.9, 0.9))
+    obj = Objective(phi=phi, weights=LossWeights(adversarial=10.0, perceptual=2.0), g_forward=_emit(fake))
+    got_g, got_d = obj.pair_losses(None, d, (xs, xr, y))
 
-    xs, xr, y = sample.tensors()
-    fake = generator_forward(g, xs, xr)
-    l1 = l1_loss(fake, y).item()
-    _, lg_adv = adversarial_losses(d, xs, y, fake)
+    # adversarial terms recomputed in numpy from the discriminator's logits
+    def prob(img):
+        logits = discriminator_forward(d, xs, img).data
+        return np.clip(1.0 / (1.0 + np.exp(-logits)), losses.PROB_CLAMP, 1.0 - losses.PROB_CLAMP)
+
+    p_real, p_fake = prob(y), prob(fake)
+    adv_g = np.mean(np.log(1.0 - p_fake))
+    l1 = np.mean(np.abs(fake.data - y.data))
     lp = perceptual_loss(phi, fake, y).item()
-    got, _ = total_loss(g, d, phi, LossWeights(adversarial=10.0, perceptual=2.0), sample)
-    assert got.item() == pytest.approx(l1 + 10 * lg_adv.item() + 2 * lp, rel=1e-14)
+    assert got_g.item() == pytest.approx(l1 + 10 * adv_g + 2 * lp, rel=1e-14)
+    assert got_d.item() == pytest.approx(-(np.mean(np.log(p_real)) + adv_g), rel=1e-14)
 
 
 def test_total_loss_linear_in_weights():
@@ -189,7 +212,7 @@ def test_total_loss_linear_in_weights():
     sample = _sample(23)
 
     def at(wa, wb):
-        lg, _ = total_loss(g, d, phi, LossWeights(adversarial=wa, perceptual=wb), sample)
+        lg, _ = _gen_losses(g, d, phi, LossWeights(adversarial=wa, perceptual=wb), sample)
         return lg.item()
 
     v00, v10, v01 = at(0, 0), at(1, 0), at(0, 1)
@@ -203,7 +226,7 @@ def test_loss_d_nonnegative_after_clamp():
         g, d = init_params(CFG, seed=s)
         phi = FeatureExtractor(seed=1)
         sample = _sample(40 + s)
-        _, ld = total_loss(g, d, phi, LossWeights(), sample)
+        _, ld = _gen_losses(g, d, phi, LossWeights(), sample)
         assert ld.item() >= 0.0
 
 
@@ -212,7 +235,7 @@ def test_total_loss_differentiable_wrt_generator():
     phi = FeatureExtractor(seed=18)
     sample = _sample(24)
     with Tape(Tape.DIFFERENTIABLE):
-        lg, _ = total_loss(g, d, phi, LossWeights(), sample)
+        lg, _ = _gen_losses(g, d, phi, LossWeights(), sample)
         grads = backward(lg, g.tensors())
     assert all(np.all(np.isfinite(grads[p].data)) for p in g.tensors())
     assert any(np.any(grads[p].data != 0) for p in g.tensors())

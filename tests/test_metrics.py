@@ -1,5 +1,6 @@
 """Metric values against closed forms and naive sliding-window recomputation."""
 
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from biltrans import metrics
 from biltrans.losses import FeatureExtractor, perceptual_loss
 from biltrans import tensor as T
-from biltrans.metrics import MetricReport, evaluate_suite, mse, proxy_lpips, psnr, ssim
+from biltrans.metrics import MetricReport, mse, proxy_lpips, psnr, ssim
 from biltrans.tasks import sample_episode, synth_scene
 from biltrans.tensor import TensorError
 
@@ -164,14 +165,18 @@ def test_report_csv_round_trip(tmp_path):
     def generate(sample):
         return np.clip(sample.y + 0.05 * rng.standard_normal(sample.y.shape), -1, 1)
 
-    report = evaluate_suite(generate, [ep], phi)
+    report = MetricReport(phi_seed=24)
+    for idx, sample in enumerate(ep.test):
+        report.add(ep.scene_id, idx, **metrics.score_pair(phi, generate(sample), sample.y))
     path = tmp_path / "per_sample.csv"
     report.write_csv(str(path))
-    back = MetricReport.read_csv(str(path), phi_seed=24)
-    assert back.count == report.count
-    for a, b in zip(report.rows, back.rows):
-        assert a == b
-    assert back.summary() == report.summary()
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == report.count
+    assert list(rows[0]) == ["scene_id", "sample_idx", *MetricReport.METRICS]
+    for a, b in zip(report.rows, rows):
+        assert a == {"scene_id": int(b["scene_id"]), "sample_idx": int(b["sample_idx"]),
+                     **{m: float(b[m]) for m in MetricReport.METRICS}}
 
 
 def test_mean_matches_hand_average():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from biltrans import tensor as T
+from biltrans.config import default_config
 from biltrans.nets import ParameterSet
-from biltrans.optim import AdamState, SgdConfig, adam_step, sgd_step_differentiable
+from biltrans.optim import AdamState, adam_step, sgd_step_differentiable
 from biltrans.tensor import Tape, TensorError, backward
 
 
@@ -98,8 +99,10 @@ def test_adam_step_magnitude_bounded_by_rate():
 
 
 def test_sgd_config_validation():
-    with pytest.raises(TensorError):
-        SgdConfig(rate=0.0)
+    # the inner SGD step size is the config's alpha, rejected unless positive
+    for alpha in (0.0, -1e-3, float("nan")):
+        with pytest.raises(TensorError, match="alpha"):
+            default_config(alpha=alpha)
 
 
 def test_sgd_zero_rate_not_allowed_but_zero_alpha_step_identity():

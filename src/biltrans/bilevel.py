@@ -234,7 +234,8 @@ def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiL
         samples = []
         for _ in range(cfg.inner_batch):
             scene = scenes[int(rng.integers(0, len(scenes)))]
-            samples.append(render(scene, int(rng.integers(0, 2**62))))
+            samples.append(render(scene, int(rng.integers(0, 2**62)), cfg.with_reference,
+                                  cfg.allow_flip))
         t0 = time.perf_counter()
         with Tape():
             loss_d = state.objective.disc_loss_detached(state.g_gp, state.d_gp, samples)
@@ -337,8 +338,7 @@ def meta_update(state: BiLevelState, episodes: list, mode: str) -> BiLevelState:
 
 
 def metatrain(state: BiLevelState, scenes: list, mode: str = MetaMode.FIRST_ORDER,
-              iters: int | None = None, with_reference: bool = True,
-              allow_flip: bool = True) -> BiLevelState:
+              iters: int | None = None) -> BiLevelState:
     """Alternating learning over episodes sampled from the training scenes."""
     if not scenes:
         raise TensorError("metatrain: empty scene pool")
@@ -353,7 +353,8 @@ def metatrain(state: BiLevelState, scenes: list, mode: str = MetaMode.FIRST_ORDE
             scene = scenes[idx]
             ep_seed = substream_seed(state.seed, "metatrain-episode", it, scene.scene_id)
             episodes.append(
-                sample_episode(scene, cfg.n_shot, cfg.n_test, ep_seed, with_reference, allow_flip)
+                sample_episode(scene, cfg.n_shot, cfg.n_test, ep_seed, cfg.with_reference,
+                               cfg.allow_flip)
             )
         t0 = time.perf_counter()
         meta_update(state, episodes, mode)

@@ -57,7 +57,8 @@ def _require(path, hint):
 
 
 def _scenes(cfg, split):
-    """The "train" or "unseen" scenes of a config, synthesized from their seeds."""
+    """The "train" or "unseen" scenes of a config, synthesized from their
+    seeds; only ``gen-data`` calls this, every later stage reads the manifest."""
     n, first_id = (cfg.n_train_scenes, 0) if split == "train" else (cfg.n_unseen_scenes, 10_000)
     return [
         synth_scene(
@@ -71,10 +72,6 @@ def _scenes(cfg, split):
     ]
 
 
-def _with_reference(cfg):
-    return cfg.mode == "pg2"
-
-
 def train_task_pool(cfg, scenes):
     """One fixed episode per training scene, used for retrieval and as
     auxiliary fine-tuning data."""
@@ -82,7 +79,7 @@ def train_task_pool(cfg, scenes):
         sample_episode(
             s, cfg.n_shot, cfg.n_test,
             substream_seed(cfg.master_seed, "train-task", s.scene_id),
-            _with_reference(cfg), cfg.allow_flip,
+            cfg.with_reference, cfg.allow_flip,
         )
         for s in scenes
     ]
@@ -92,7 +89,7 @@ def unseen_episode(cfg, scene):
     return sample_episode(
         scene, cfg.n_shot, cfg.n_test,
         substream_seed(cfg.master_seed, "unseen-episode", scene.scene_id),
-        _with_reference(cfg), cfg.allow_flip,
+        cfg.with_reference, cfg.allow_flip,
     )
 
 
@@ -106,17 +103,17 @@ def cmd_gen_data(cfg):
         f.write(serialize_config(cfg, with_provenance=True))
     p = _paths(cfg)
     for split in ("train", "unseen"):
-        export_dataset(p[f"{split}_data"], _scenes(cfg, split), cfg.samples_per_scene,
-                       _with_reference(cfg), cfg.allow_flip, cfg.shade_amp_max,
+        export_dataset(p[f"{split}_data"], _scenes(cfg, split), cfg.shade_amp_max,
                        substream_seed(cfg.master_seed, "cluster-space"))
-    print(f"wrote datasets under {os.path.join(cfg.out_dir, 'data')}")
+    print(f"wrote scene manifests under {os.path.join(cfg.out_dir, 'data')}")
     return 0
 
 
-def _load_train_scenes(cfg):
-    p = _paths(cfg)
-    _require(os.path.join(p["train_data"], "dataset.manifest"), "biltrans gen-data")
-    return load_manifest(p["train_data"]).scenes
+def _load_scenes(cfg, split):
+    """The "train" or "unseen" scenes that ``gen-data`` wrote to the split's manifest."""
+    data_dir = _paths(cfg)[f"{split}_data"]
+    _require(os.path.join(data_dir, "dataset.manifest"), "biltrans gen-data")
+    return load_manifest(data_dir)
 
 
 def _attach_logger(state, records):
@@ -135,7 +132,7 @@ def _attach_logger(state, records):
 
 def cmd_pretrain(cfg, iters=None):
     p = _paths(cfg)
-    scenes = _load_train_scenes(cfg)
+    scenes = _load_scenes(cfg, "train")
     os.makedirs(os.path.dirname(p["pretrain_ckpt"]), exist_ok=True)
     os.makedirs(p["logs"], exist_ok=True)
     if os.path.exists(p["pretrain_ckpt"]):
@@ -154,7 +151,7 @@ def cmd_pretrain(cfg, iters=None):
 
 def cmd_metatrain(cfg, iters=None):
     p = _paths(cfg)
-    scenes = _load_train_scenes(cfg)
+    scenes = _load_scenes(cfg, "train")
     if os.path.exists(p["metatrain_ckpt"]):
         state, _ = load_checkpoint(p["metatrain_ckpt"])  # resume
     else:
@@ -163,8 +160,7 @@ def cmd_metatrain(cfg, iters=None):
     os.makedirs(p["logs"], exist_ok=True)
     records = []
     _attach_logger(state, records)
-    metatrain(state, scenes, cfg.meta_mode, iters=iters,
-              with_reference=_with_reference(cfg), allow_flip=cfg.allow_flip)
+    metatrain(state, scenes, cfg.meta_mode, iters=iters)
     save_checkpoint(state, cfg, p["metatrain_ckpt"])
     _append_loss_log(os.path.join(p["logs"], "metatrain_losses.csv"), records)
     print(f"meta-trained to iteration {state.meta_iteration}")
@@ -194,7 +190,7 @@ def _adapt_inputs(cfg, rows):
     state_meta = None
     if any(r.startswith("bilevel") for r in rows):
         state_meta, _ = load_checkpoint(p["metatrain_ckpt"])
-    pool = train_task_pool(cfg, _load_train_scenes(cfg)) if "bilevel" in rows else None
+    pool = train_task_pool(cfg, _load_scenes(cfg, "train")) if "bilevel" in rows else None
     return state_pre, state_meta, pool
 
 
@@ -225,7 +221,7 @@ def _adapt_job(args):
     # runs in a worker process, which loads its own inputs
     cfg_text, scene_index, rows = args
     cfg = parse_config(cfg_text)
-    scene = _scenes(cfg, "unseen")[scene_index]
+    scene = _load_scenes(cfg, "unseen")[scene_index]
     return scene_index, adapt_one_scene(cfg, scene, rows, _adapt_inputs(cfg, rows))
 
 
@@ -235,9 +231,9 @@ def cmd_adapt(cfg, aux_on=True):
     rows = _rows_for(cfg, aux_on)
     if any(r.startswith("bilevel") for r in rows):
         _require(p["metatrain_ckpt"], "biltrans metatrain")
+    scenes = _load_scenes(cfg, "unseen")
+    n = len(scenes)
     os.makedirs(p["results"], exist_ok=True)
-    n = cfg.n_unseen_scenes
-    scenes = _scenes(cfg, "unseen")
     if cfg.jobs > 1:
         payload = [(serialize_config(cfg), i, rows) for i in range(n)]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
@@ -260,7 +256,7 @@ def cmd_eval(cfg, aux_on=True):
     from .losses import FeatureExtractor
 
     phi = FeatureExtractor(seed=cfg.phi_seed, widths=cfg.phi_width_list())
-    episodes = unseen_episodes(cfg, _scenes(cfg, "unseen"))
+    episodes = unseen_episodes(cfg, _load_scenes(cfg, "unseen"))
     rows = _rows_for(cfg, aux_on)
     summaries = {}
     for row in rows:
@@ -308,9 +304,9 @@ def _write_comparison(results_dir, summaries):
 
 
 def cmd_retrieve(cfg, scene_index=0):
-    scenes = _load_train_scenes(cfg)
+    scenes = _load_scenes(cfg, "train")
     pool = train_task_pool(cfg, scenes)
-    episode = unseen_episode(cfg, _scenes(cfg, "unseen")[scene_index])
+    episode = unseen_episode(cfg, _load_scenes(cfg, "unseen")[scene_index])
     query = episode.train[0].x_struct
     top = retrieve_topk(query, pool, cfg.k_aux)
     print(f"query: unseen scene {episode.scene_id}")

@@ -50,7 +50,7 @@ class ExperimentConfig:
     n_train_scenes: int = _field(100)
     n_unseen_scenes: int = _field(20)
     clusters: int = _field(0)
-    samples_per_scene: int = _field(4)
+    samples_per_scene: int = _field(4)  # accepted and validated; no stage reads it
     shade_amp_max: float = _field(0.3)
     allow_flip: bool = _field(True)
     k_aux: int = _field(5)
@@ -87,6 +87,11 @@ class ExperimentConfig:
             raise TensorError("config: k_aux cannot exceed n_train_scenes")
         tuple(self.phi_width_list())  # parse check
         return self
+
+    @property
+    def with_reference(self) -> bool:
+        """pg2 translates with a reference image; pix2pix from structure alone."""
+        return self.mode == "pg2"
 
     def phi_width_list(self):
         try:

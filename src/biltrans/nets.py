@@ -180,15 +180,6 @@ def init_params(cfg: NetConfig, seed: int):
     return g, d
 
 
-def parameter_count(cfg: NetConfig, role: str) -> int:
-    layers = _gen_layers(cfg) if role == "generator" else _disc_layers(cfg)
-    total = 0
-    for _, cin, cout, kind in layers:
-        k = _KERNEL_HW[kind]
-        total += cout * cin * k * k + cout
-    return total
-
-
 def _conv(ps, name, x, stride=1, pad=1):
     h = T.pad_reflect(x, pad) if pad else x
     return T.bias_add(T.conv2d(h, ps[f"{name}.w"], stride=stride), ps[f"{name}.b"])

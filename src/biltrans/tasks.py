@@ -314,17 +314,7 @@ def retrieve_topk(x_uns: SegMap, train_tasks: list, k: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# NetPBM export / import
-
-
-def write_pgm(path: str, seg: SegMap):
-    with open(path, "wb") as f:
-        f.write(f"P5\n{seg.shape[1]} {seg.shape[0]}\n255\n".encode())
-        f.write(seg.labels.astype(np.uint8).tobytes())
-
-
-def read_pgm(path: str, classes: int) -> SegMap:
-    return SegMap(_read_pnm(path, b"P5", 1)[:, :, 0].astype(np.int64), classes)
+# result images (8-bit P6) and the dataset manifest
 
 
 def write_ppm(path: str, img: np.ndarray):
@@ -379,70 +369,30 @@ def _parse_pnm(data: bytes, expect_magic: bytes):
     return magic, (w, h), maxval, data[pos:]
 
 
-def export_dataset(out_dir: str, scenes: list, samples_per_scene: int,
-                   with_reference: bool = True, allow_flip: bool = True,
-                   shade_amp_max: float = 0.3, cluster_space_seed: int = 0) -> str:
-    """Write every scene's sample pool as NetPBM plus one manifest file."""
+def export_dataset(out_dir: str, scenes: list, shade_amp_max: float = 0.3,
+                   cluster_space_seed: int = 0) -> str:
+    """Write the manifest that defines a split: the shared scene knobs, then
+    one row per scene with the seed and cluster it is synthesized from."""
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["# scene translation dataset, format v1"]
+    lines = ["# scene translation dataset, format v2"]
     first = scenes[0]
     lines.append(f"classes = {first.classes}")
     lines.append(f"height = {first.height}")
     lines.append(f"width = {first.width}")
-    lines.append(f"samples_per_scene = {samples_per_scene}")
-    lines.append(f"with_reference = {'true' if with_reference else 'false'}")
-    lines.append(f"allow_flip = {'true' if allow_flip else 'false'}")
     lines.append(f"shade_amp_max = {shade_amp_max!r}")
     lines.append(f"cluster_space_seed = {cluster_space_seed}")
     for scene in scenes:
-        sub = f"scene_{scene.scene_id:05d}"
-        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-        files = []
-        for i in range(samples_per_scene):
-            sample = render(scene, i, with_reference, allow_flip)
-            seg_path = f"{sub}/s{i:03d}.seg.pgm"
-            tgt_path = f"{sub}/s{i:03d}.tgt.ppm"
-            write_pgm(os.path.join(out_dir, seg_path), sample.x_struct)
-            write_ppm(os.path.join(out_dir, tgt_path), sample.y)
-            files += [seg_path, tgt_path]
-            if sample.x_ref is not None:
-                ref_path = f"{sub}/s{i:03d}.ref.ppm"
-                write_ppm(os.path.join(out_dir, ref_path), sample.x_ref)
-                files.append(ref_path)
         cluster = "none" if scene.cluster is None else str(scene.cluster)
-        lines.append(f"scene {scene.scene_id} seed={scene.seed} cluster={cluster} files={','.join(files)}")
+        lines.append(f"scene {scene.scene_id} seed={scene.seed} cluster={cluster}")
     manifest = os.path.join(out_dir, "dataset.manifest")
     with open(manifest, "w") as f:
         f.write("\n".join(lines) + "\n")
     return manifest
 
 
-@dataclass
-class Dataset:
-    """Loaded dataset handle: header knobs plus re-synthesized scene specs."""
-
-    root: str
-    classes: int
-    height: int
-    width: int
-    samples_per_scene: int
-    with_reference: bool
-    allow_flip: bool
-    shade_amp_max: float
-    cluster_space_seed: int
-    scenes: list
-
-    def sample_from_files(self, scene_id: int, index: int) -> TranslationSample:
-        """Reload one exported sample from its NetPBM files (8-bit precision)."""
-        sub = f"scene_{scene_id:05d}/s{index:03d}"
-        seg = read_pgm(os.path.join(self.root, f"{sub}.seg.pgm"), self.classes)
-        y = read_ppm(os.path.join(self.root, f"{sub}.tgt.ppm"))
-        ref_path = os.path.join(self.root, f"{sub}.ref.ppm")
-        ref = read_ppm(ref_path) if os.path.exists(ref_path) else None
-        return TranslationSample(x_struct=seg, x_ref=ref, y=y)
-
-
-def load_manifest(data_dir: str) -> Dataset:
+def load_manifest(data_dir: str) -> list:
+    """The scenes of a split, re-synthesized from its manifest; unknown keys
+    are ignored, a missing or malformed one raises TensorError naming the file."""
     path = os.path.join(data_dir, "dataset.manifest")
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -475,22 +425,8 @@ def load_manifest(data_dir: str) -> Dataset:
                     classes=classes, shade_amp_max=amp, cluster_space_seed=cseed,
                 )
             )
-        samples_per_scene = int(header["samples_per_scene"])
-        with_reference = header["with_reference"] == "true"
-        allow_flip = header["allow_flip"] == "true"
     except KeyError as e:
         raise TensorError(f"{path}: missing key {e.args[0]!r}") from e
     except (IndexError, ValueError) as e:
         raise TensorError(f"{path}: malformed manifest ({e})") from e
-    return Dataset(
-        root=data_dir,
-        classes=classes,
-        height=height,
-        width=width,
-        samples_per_scene=samples_per_scene,
-        with_reference=with_reference,
-        allow_flip=allow_flip,
-        shade_amp_max=amp,
-        cluster_space_seed=cseed,
-        scenes=scenes,
-    )
+    return scenes

@@ -262,11 +262,12 @@ def test_cli_missing_prerequisite_exit_code(tmp_path):
     assert run_cli("adapt", "--config", str(cfg_file)) == 3
 
 
-def test_cli_full_run_smoke_emits_all_rows(tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["pg2", "pix2pix"])
+def test_cli_full_run_smoke_emits_all_rows(mode, tmp_path, capsys):
     cfg_file = tmp_path / "smoke.cfg"
     out = tmp_path / "run"
     cfg_file.write_text(SMOKE + f"\nout_dir = {out}\n")
-    assert run_cli("full-run", "--config", str(cfg_file)) == 0
+    assert run_cli("full-run", "--config", str(cfg_file), "--mode", mode) == 0
     results = out / "results"
     for row in ("baseline", "baseline_shot", "bilevel_noaux", "bilevel"):
         assert (results / f"metrics_{row}.csv").exists()
@@ -278,6 +279,16 @@ def test_cli_full_run_smoke_emits_all_rows(tmp_path, capsys):
     # generated images exist for every unseen scene and test sample
     ppms = list((results / "bilevel").rglob("img_*.ppm"))
     assert len(ppms) == 2 * 2
+
+
+def test_cli_gen_data_writes_only_the_scene_manifests(tmp_path):
+    out = tmp_path / "run"
+    cfg_file = tmp_path / "smoke.cfg"
+    cfg_file.write_text(SMOKE + f"\nout_dir = {out}\n")
+    assert run_cli("gen-data", "--config", str(cfg_file)) == 0
+    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
+    assert written == ["config.resolved", "data/train/dataset.manifest",
+                       "data/unseen/dataset.manifest"]
 
 
 def test_cli_retrieve_ranks_duplicate_first(tmp_path, capsys):
@@ -411,6 +422,7 @@ BAD_INPUTS = {
     # case: (subcommand, file under the run directory, how it is damaged, exit code)
     "eval-missing-image": ("eval", "results/bilevel/scene_10000/img_001.ppm", _delete, 3),
     "manifest-missing-header-key": ("pretrain", "data/train/dataset.manifest", _drop_manifest_key, 2),
+    "unseen-manifest-missing": ("adapt", "data/unseen/dataset.manifest", _delete, 3),
     "truncated-ppm-payload": ("eval", "results/baseline/scene_10001/img_000.ppm", _truncate, 2),
     "checkpoint-cut-at-array-boundary": ("pretrain", "checkpoints/pretrain.ckpt", _cut_before_meta_arrays, 2),
 }

@@ -183,14 +183,16 @@ def test_total_loss_degenerate_weights_equal_l1():
     assert lg.item() == expect
 
 
-def test_total_loss_weighted_sum_arithmetic():
+@pytest.mark.parametrize("nonsaturating", [False, True])
+def test_total_loss_weighted_sum_arithmetic(nonsaturating):
     # component values (0.3, 0.7, 0.05) with recipe weights 10 and 2
     assert 0.3 + 10 * 0.7 + 2 * 0.05 == pytest.approx(7.4)
     _, d = init_params(CFG, seed=3)
     phi = FeatureExtractor(seed=16)
     xs, xr, y = _sample(22).tensors()
     fake = T.tensor(rand((1, 3, 8, 8), 9, -0.9, 0.9))
-    obj = Objective(phi=phi, weights=LossWeights(adversarial=10.0, perceptual=2.0), g_forward=_emit(fake))
+    weights = LossWeights(adversarial=10.0, perceptual=2.0, nonsaturating=nonsaturating)
+    obj = Objective(phi=phi, weights=weights, g_forward=_emit(fake))
     got_g, got_d = obj.pair_losses(None, d, (xs, xr, y))
 
     # adversarial terms recomputed in numpy from the discriminator's logits
@@ -199,11 +201,13 @@ def test_total_loss_weighted_sum_arithmetic():
         return np.clip(1.0 / (1.0 + np.exp(-logits)), losses.PROB_CLAMP, 1.0 - losses.PROB_CLAMP)
 
     p_real, p_fake = prob(y), prob(fake)
-    adv_g = np.mean(np.log(1.0 - p_fake))
+    log_one_minus_fake = np.mean(np.log(1.0 - p_fake))
+    adv_g = -np.mean(np.log(p_fake)) if nonsaturating else log_one_minus_fake
     l1 = np.mean(np.abs(fake.data - y.data))
     lp = perceptual_loss(phi, fake, y).item()
     assert got_g.item() == pytest.approx(l1 + 10 * adv_g + 2 * lp, rel=1e-14)
-    assert got_d.item() == pytest.approx(-(np.mean(np.log(p_real)) + adv_g), rel=1e-14)
+    # the discriminator keeps the minimax log(1 - p_fake) term in both cases
+    assert got_d.item() == pytest.approx(-(np.mean(np.log(p_real)) + log_one_minus_fake), rel=1e-14)
 
 
 def test_total_loss_linear_in_weights():

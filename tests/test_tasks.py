@@ -1,4 +1,7 @@
-"""Scene synthesis, rendering, augmentation, episodes, retrieval, NetPBM."""
+"""Scene synthesis, rendering, augmentation, episodes, retrieval, result
+images and the dataset manifest."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -240,13 +243,9 @@ def test_retrieve_invalid_k_rejected():
 def test_netpbm_round_trip(tmp_path):
     scene = synth_scene(14, scene_id=0, height=16, width=16)
     sample = render(scene, 0)
-    seg_path = tmp_path / "m.pgm"
     img_path = tmp_path / "m.ppm"
-    tasks.write_pgm(str(seg_path), sample.x_struct)
     tasks.write_ppm(str(img_path), sample.y)
-    seg_back = tasks.read_pgm(str(seg_path), scene.classes)
     img_back = tasks.read_ppm(str(img_path))
-    assert np.array_equal(seg_back.labels, sample.x_struct.labels)
     assert np.max(np.abs(img_back - sample.y)) <= 1.0 / 255.0 + 1e-12
     # a second export of the loaded image is byte-identical
     img_path2 = tmp_path / "m2.ppm"
@@ -254,15 +253,36 @@ def test_netpbm_round_trip(tmp_path):
     assert img_path.read_bytes() == img_path2.read_bytes()
 
 
+def _assert_same_scenes(expect, got):
+    assert len(got) == len(expect)
+    for a, b in zip(expect, got):
+        for f in dataclasses.fields(a):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(va, np.ndarray):
+                assert np.array_equal(va, vb), f.name
+            else:
+                assert va == vb, f.name
+
+
 def test_dataset_export_and_manifest_reload(tmp_path):
-    scenes = [synth_scene(500 + i, scene_id=i, height=16, width=16) for i in range(3)]
-    tasks.export_dataset(str(tmp_path), scenes, samples_per_scene=2)
-    ds = tasks.load_manifest(str(tmp_path))
-    assert len(ds.scenes) == 3
-    for orig, loaded in zip(scenes, ds.scenes):
-        assert np.array_equal(orig.colors, loaded.colors)
-        assert orig.shade_phase == loaded.shade_phase
-    sample = ds.sample_from_files(1, 0)
-    direct = render(ds.scenes[1], 0)
-    assert np.array_equal(sample.x_struct.labels, direct.x_struct.labels)
-    assert np.max(np.abs(sample.y - direct.y)) <= 1.0 / 255.0 + 1e-12
+    kw = dict(height=16, width=24, classes=4, shade_amp_max=0.2, cluster_space_seed=77)
+    scenes = [synth_scene(500, None, scene_id=3, **kw), synth_scene(501, 2, scene_id=10_004, **kw)]
+    assert scenes[0].anchors is None and scenes[1].anchors is not None
+    tasks.export_dataset(str(tmp_path / "new"), scenes, shade_amp_max=0.2, cluster_space_seed=77)
+    _assert_same_scenes(scenes, tasks.load_manifest(str(tmp_path / "new")))
+
+    # a manifest in the earlier format, which listed exported sample files
+    # and three more header keys, loads to the same scenes
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "dataset.manifest").write_text(
+        "# scene translation dataset, format v1\n"
+        "classes = 4\nheight = 16\nwidth = 24\nsamples_per_scene = 1\n"
+        "with_reference = true\nallow_flip = true\nshade_amp_max = 0.2\n"
+        "cluster_space_seed = 77\n"
+        "scene 3 seed=500 cluster=none files=scene_00003/s000.seg.pgm,"
+        "scene_00003/s000.tgt.ppm,scene_00003/s000.ref.ppm\n"
+        "scene 10004 seed=501 cluster=2 files=scene_10004/s000.seg.pgm,"
+        "scene_10004/s000.tgt.ppm,scene_10004/s000.ref.ppm\n"
+    )
+    _assert_same_scenes(scenes, tasks.load_manifest(str(old)))

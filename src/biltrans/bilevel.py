@@ -2,8 +2,9 @@
 initializes a scene model adapted from a handful of samples, and the
 post-adaptation test loss drives the general model's update.
 
-Meta modes: FIRST_ORDER evaluates episode-test gradients at the adapted
-parameters and applies them to the general parameters (Adam inner loop);
+Every training loop runs one ``alternating_step`` and differs only in the
+update rule. Meta modes: FIRST_ORDER adapts with Adam and applies the
+episode-test gradients at the adapted parameters to the general ones;
 FULL_UNROLLED records the inner SGD steps on a differentiable tape and
 backpropagates the episode-test loss through the whole adaptation.
 """
@@ -49,8 +50,8 @@ class Objective:
         self.g_forward = self.g_forward or generator_forward
         self.d_forward = self.d_forward or discriminator_forward
 
-    def pair_losses(self, g, d, samples, want_d=True):
-        """(mean generator total loss, mean discriminator loss or None).
+    def pair_losses(self, g, d, samples):
+        """Mean generator total loss: L1 + weighted adversarial + weighted perceptual.
 
         ``samples`` is a list of samples or one stacked batch triple (see
         ``stack_samples``); every term is one batch mean, which equals the
@@ -59,42 +60,40 @@ class Objective:
         xs, xr, y = stack_samples(samples)
         fake = self.g_forward(g, xs, xr)
         loss_g = l1_loss(fake, y)
-        if want_d or self.weights.adversarial != 0.0:
+        if self.weights.adversarial != 0.0:
             p_fake = self._prob(d, xs, fake)
-            one = T.constant(np.ones(p_fake.shape))
-            log_one_minus_fake = T.reduce_mean(T.log(T.sub(one, p_fake)))
-            if self.weights.adversarial != 0.0:
-                adv_g = (
-                    T.scalar_mul(T.reduce_mean(T.log(p_fake)), -1.0)
-                    if self.weights.nonsaturating
-                    else log_one_minus_fake
-                )
-                loss_g = T.add(loss_g, T.scalar_mul(adv_g, self.weights.adversarial))
+            adv_g = (
+                T.scalar_mul(T.reduce_mean(T.log(p_fake)), -1.0)
+                if self.weights.nonsaturating
+                else T.reduce_mean(T.log(T.sub(T.constant(np.ones(p_fake.shape)), p_fake)))
+            )
+            loss_g = T.add(loss_g, T.scalar_mul(adv_g, self.weights.adversarial))
         if self.weights.perceptual != 0.0:
             loss_g = T.add(
                 loss_g, T.scalar_mul(perceptual_loss(self.phi, fake, y), self.weights.perceptual)
             )
-        if not want_d:
-            return loss_g, None
-        p_real = self._prob(d, xs, y)
-        loss_d = T.scalar_mul(T.add(T.reduce_mean(T.log(p_real)), log_one_minus_fake), -1.0)
-        return loss_g, loss_d
+        return loss_g
 
     def _prob(self, d, xs, img):
         logits = self.d_forward(d, xs, img)
         return T.clamp(T.sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
     def disc_loss_detached(self, g, d, samples):
-        """Discriminator loss with generated images treated as constants."""
+        """Mean discriminator loss -(log p_real + log(1 - p_fake)), with the
+        generated images detached unless the active tape is DIFFERENTIABLE
+        (detaching only skips the generator's VJPs; an unrolled outer
+        gradient needs the discriminator's dependence on the generator)."""
         xs, xr, y = stack_samples(samples)
-        with T.no_tape():
-            fake = T.constant(self.g_forward(g, xs, xr).data)
-        p_real = self._prob(d, xs, y)
+        tape = T.active_tape()
+        if tape is not None and tape.mode == Tape.DIFFERENTIABLE:
+            fake = self.g_forward(g, xs, xr)
+        else:
+            with T.no_tape():
+                fake = T.constant(self.g_forward(g, xs, xr).data)
         p_fake = self._prob(d, xs, fake)
-        one = T.constant(np.ones(p_fake.shape))
-        return T.scalar_mul(
-            T.add(T.reduce_mean(T.log(p_real)), T.reduce_mean(T.log(T.sub(one, p_fake)))), -1.0
-        )
+        log_one_minus_fake = T.reduce_mean(T.log(T.sub(T.constant(np.ones(p_fake.shape)), p_fake)))
+        p_real = self._prob(d, xs, y)
+        return T.scalar_mul(T.add(T.reduce_mean(T.log(p_real)), log_one_minus_fake), -1.0)
 
     def generate(self, g, samples) -> np.ndarray:
         """Generated images (N, 3, H, W) for a list of samples or a batch triple."""
@@ -143,32 +142,64 @@ class BiLevelState:
 # batches
 
 
-def _batch_for_iteration(samples, inner_batch, rng):
+def _batch_for_iteration(samples, config: ExperimentConfig, rng):
     """One stacked training batch (see ``stack_samples``); short sample sets
     are padded with freshly augmented copies so the batch size stays constant."""
-    if len(samples) >= inner_batch:
-        if len(samples) == inner_batch:
+    if len(samples) >= config.inner_batch:
+        if len(samples) == config.inner_batch:
             return stack_samples(samples)
-        idx = rng.choice(len(samples), size=inner_batch, replace=False)
+        idx = rng.choice(len(samples), size=config.inner_batch, replace=False)
         return stack_samples([samples[i] for i in sorted(idx)])
     out = list(samples)
-    while len(out) < inner_batch:
+    while len(out) < config.inner_batch:
         base = samples[int(rng.integers(0, len(samples)))]
-        img2, lab2 = augment(base.y, base.x_struct.labels, int(rng.integers(0, 2**62)))
+        img2, lab2 = augment(base.y, base.x_struct.labels, int(rng.integers(0, 2**62)),
+                             flip=config.allow_flip)
         out.append(TranslationSample(SegMap(lab2, base.x_struct.classes), base.x_ref, img2))
     return stack_samples(out)
 
 
 # ---------------------------------------------------------------------------
-# inner adaptation
+# the training step and inner adaptation
+
+
+def alternating_step(objective: Objective, g, d, batch, step_g, step_d, tape=None):
+    """One GAN training step: a discriminator step on ``batch``, then a
+    generator step against the updated discriminator.
+
+    ``step_d(d, grads)``/``step_g(g, grads)`` apply the update rule to a
+    parameter set and its ``backward`` result and return the updated set.
+    Without ``tape`` each loss is recorded on a fresh VALUES tape; with a
+    DIFFERENTIABLE ``tape`` both steps are recorded on it.
+    Returns (g, d, loss_g, loss_d).
+    """
+    with tape or Tape():
+        loss_d = objective.disc_loss_detached(g, d, batch)
+        d = step_d(d, backward(loss_d, d.tensors()))
+    with tape or Tape():
+        loss_g = objective.pair_losses(g, d, batch)
+        g = step_g(g, backward(loss_g, g.tensors()))
+    return g, d, loss_g, loss_d
+
+
+def _adam_rule(opt: AdamState):
+    """Update rule: an Adam step in place on the parameter values."""
+    return lambda params, grads: adam_step(opt, params, params.grads_by_name(grads))[1]
+
+
+def _sgd_rule(rate: float):
+    """Update rule: an SGD step that stays connected on the active tape."""
+    return lambda params, grads: params.with_tensors(
+        sgd_step_differentiable(params, {n: grads[p] for n, p in params.items()}, rate))
 
 
 def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
                 objective: Objective, seed: int, n_iters: int | None = None):
-    """Adapt a copy of the general pair to one scene's training split.
+    """Adapt a copy of the general pair to one scene's training split with
+    ``alternating_step``.
 
     Returns (g_is, d_is, tape). The general parameters are never touched.
-    FIRST_ORDER runs Adam steps eagerly and returns tape=None;
+    FIRST_ORDER runs Adam steps eagerly on copies and returns tape=None;
     FULL_UNROLLED runs SGD steps on a differentiable tape and returns it,
     with g_is/d_is holding tape-connected tensors.
     """
@@ -176,46 +207,18 @@ def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
         raise TensorError("inner_adapt: empty training split")
     if mode not in MetaMode.ALL:
         raise TensorError(f"inner_adapt: unknown mode {mode!r}")
-    g_gp, d_gp = gp_pair
-    steps = config.inner_iters if n_iters is None else n_iters
-
+    g, d = gp_pair
     if mode == MetaMode.FIRST_ORDER:
-        g_is, d_is = g_gp.copy(), d_gp.copy()
-        adam_g = _adam(g_is, config.alpha, config)
-        adam_d = _adam(d_is, config.alpha, config)
-        for it in range(steps):
-            rng = stream(seed, "inner-batch", it)
-            batch = _batch_for_iteration(train_samples, config.inner_batch, rng)
-            with Tape():
-                loss_d = objective.disc_loss_detached(g_is, d_is, batch)
-                gd = backward(loss_d, d_is.tensors())
-            adam_step(adam_d, d_is, d_is.grads_by_name(gd))
-            with Tape():
-                loss_g, _ = objective.pair_losses(g_is, d_is, batch, want_d=False)
-                gg = backward(loss_g, g_is.tensors())
-            adam_step(adam_g, g_is, g_is.grads_by_name(gg))
-        return g_is, d_is, None
-
-    tape = Tape(Tape.DIFFERENTIABLE)
-    g_cur = dict(g_gp.items())
-    d_cur = dict(d_gp.items())
-    with tape:
-        for it in range(steps):
-            rng = stream(seed, "inner-batch", it)
-            batch = _batch_for_iteration(train_samples, config.inner_batch, rng)
-            # discriminator step first, computed against the current generator
-            _, loss_d = objective.pair_losses(
-                g_gp.with_tensors(g_cur), d_gp.with_tensors(d_cur), batch
-            )
-            gd = backward(loss_d, list(d_cur.values()))
-            d_cur = sgd_step_differentiable(d_cur, {n: gd[p] for n, p in d_cur.items()}, config.alpha)
-            # generator step against the updated discriminator
-            loss_g, _ = objective.pair_losses(
-                g_gp.with_tensors(g_cur), d_gp.with_tensors(d_cur), batch, want_d=False
-            )
-            gg = backward(loss_g, list(g_cur.values()))
-            g_cur = sgd_step_differentiable(g_cur, {n: gg[p] for n, p in g_cur.items()}, config.alpha)
-    return g_gp.with_tensors(g_cur), d_gp.with_tensors(d_cur), tape
+        g, d, tape = g.copy(), d.copy(), None
+        step_g = _adam_rule(_adam(g, config.alpha, config))
+        step_d = _adam_rule(_adam(d, config.alpha, config))
+    else:
+        tape = Tape(Tape.DIFFERENTIABLE)
+        step_g = step_d = _sgd_rule(config.alpha)
+    for it in range(config.inner_iters if n_iters is None else n_iters):
+        batch = _batch_for_iteration(train_samples, config, stream(seed, "inner-batch", it))
+        g, d, _, _ = alternating_step(objective, g, d, batch, step_g, step_d, tape)
+    return g, d, tape
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +226,13 @@ def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
 
 
 def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiLevelState:
-    """Conventional alternating GAN training on samples pooled across scenes."""
+    """Conventional GAN training on samples pooled across scenes: one
+    ``alternating_step`` per iteration with the pretraining Adam states."""
     if not scenes:
         raise TensorError("pretrain: empty scene pool")
     total = state.config.pretrain_iters if iters is None else iters
     cfg = state.config
+    step_g, step_d = _adam_rule(state.adam_g_pre), _adam_rule(state.adam_d_pre)
     while state.pretrain_iteration < total:
         it = state.pretrain_iteration
         rng = stream(state.seed, "pretrain", it)
@@ -237,15 +242,8 @@ def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiL
             samples.append(render(scene, int(rng.integers(0, 2**62)), cfg.with_reference,
                                   cfg.allow_flip))
         t0 = time.perf_counter()
-        with Tape():
-            loss_d = state.objective.disc_loss_detached(state.g_gp, state.d_gp, samples)
-            gd = backward(loss_d, state.d_gp.tensors())
-        # discriminator first, then the generator against the updated critic
-        adam_step(state.adam_d_pre, state.d_gp, state.d_gp.grads_by_name(gd))
-        with Tape():
-            loss_g, _ = state.objective.pair_losses(state.g_gp, state.d_gp, samples, want_d=False)
-            gg = backward(loss_g, state.g_gp.tensors())
-        adam_step(state.adam_g_pre, state.g_gp, state.g_gp.grads_by_name(gg))
+        _, _, loss_g, loss_d = alternating_step(state.objective, state.g_gp, state.d_gp, samples,
+                                                step_g, step_d)
         state.pretrain_iteration += 1
         state.emit(
             {
@@ -262,7 +260,8 @@ def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiL
 def meta_gradients(state: BiLevelState, episodes: list, mode: str):
     """Episode-averaged general-model gradients after per-episode adaptation.
 
-    FIRST_ORDER takes the test-loss gradients at the adapted parameters;
+    Both modes take the episode-test losses of the adapted pair on one
+    tape; FIRST_ORDER differentiates them at the adapted parameters,
     FULL_UNROLLED backpropagates them through the recorded inner steps.
     Returns (g grads, d grads, mean generator loss, mean discriminator loss).
     """
@@ -281,20 +280,13 @@ def meta_gradients(state: BiLevelState, episodes: list, mode: str):
             (state.g_gp, state.d_gp), ep.train, cfg, mode, state.objective,
             ep_seed, n_iters=cfg.train_inner_iters,
         )
-        if mode == MetaMode.FIRST_ORDER:
-            with Tape():
-                loss_g, loss_d = state.objective.pair_losses(g_is, d_is, ep.test)
-                gg = backward(loss_g, g_is.tensors())
-                gd = backward(loss_d, d_is.tensors())
-            g_by_name = g_is.grads_by_name(gg)
-            d_by_name = d_is.grads_by_name(gd)
-        else:
-            with tape:
-                loss_g, loss_d = state.objective.pair_losses(g_is, d_is, ep.test)
-                gg = backward(loss_g, state.g_gp.tensors())
-                gd = backward(loss_d, state.d_gp.tensors())
-            g_by_name = state.g_gp.grads_by_name(gg)
-            d_by_name = state.d_gp.grads_by_name(gd)
+        # first-order: at the adapted pair; unrolled: through the recorded steps
+        g_wrt, d_wrt = (g_is, d_is) if tape is None else (state.g_gp, state.d_gp)
+        with tape or Tape():
+            loss_g = state.objective.pair_losses(g_is, d_is, ep.test)
+            loss_d = state.objective.disc_loss_detached(g_is, d_is, ep.test)
+            g_by_name = g_wrt.grads_by_name(backward(loss_g, g_wrt.tensors()))
+            d_by_name = d_wrt.grads_by_name(backward(loss_d, d_wrt.tensors()))
         for n in sum_g:
             sum_g[n] += g_by_name[n]
         for n in sum_d:

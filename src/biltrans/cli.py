@@ -110,10 +110,17 @@ def cmd_gen_data(cfg):
 
 
 def _load_scenes(cfg, split):
-    """The "train" or "unseen" scenes that ``gen-data`` wrote to the split's manifest."""
+    """The "train" or "unseen" scenes that ``gen-data`` wrote to the split's
+    manifest; scenes of another shape than the config's are a config error."""
     data_dir = _paths(cfg)[f"{split}_data"]
-    _require(os.path.join(data_dir, "dataset.manifest"), "biltrans gen-data")
-    return load_manifest(data_dir)
+    path = os.path.join(data_dir, "dataset.manifest")
+    _require(path, "biltrans gen-data")
+    scenes = load_manifest(data_dir)
+    want = (cfg.classes, cfg.image_size, cfg.image_size)
+    for got in {(s.classes, s.height, s.width) for s in scenes} - {want}:
+        raise TensorError(f"{path}: scenes are (classes, height, width) = {got}, "
+                          f"the config says {want}")
+    return scenes
 
 
 def _attach_logger(state, records):
@@ -276,7 +283,8 @@ def cmd_eval(cfg, aux_on=True):
     if len(seeds) != 1:
         raise TensorError(f"eval: mixed feature-extractor seeds in one comparison: {seeds}")
     _write_comparison(p["results"], summaries)
-    print(open(os.path.join(p["results"], "comparison.txt")).read())
+    with open(os.path.join(p["results"], "comparison.txt")) as f:
+        print(f.read())
     return 0
 
 

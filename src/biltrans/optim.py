@@ -1,5 +1,5 @@
-"""Parameter updates: Adam for outer/baseline training, SGD for the
-differentiable inner loop."""
+"""Parameter updates: Adam for pretraining, the first-order inner loop and
+the meta update; SGD for the differentiable (unrolled) inner loop."""
 
 from dataclasses import dataclass, field, replace
 

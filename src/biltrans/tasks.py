@@ -326,28 +326,11 @@ def write_ppm(path: str, img: np.ndarray):
 
 
 def read_ppm(path: str) -> np.ndarray:
-    arr = _read_pnm(path, b"P6", 3)
-    return arr.astype(np.float64).transpose(2, 0, 1) / 127.5 - 1.0
-
-
-def _read_pnm(path: str, expect_magic: bytes, channels: int) -> np.ndarray:
-    """8-bit NetPBM payload as (H, W, channels); a malformed or truncated
-    file raises TensorError naming the file."""
+    """8-bit P6 file as a channels-first image in [-1, 1]; a malformed
+    header, another magic or a truncated payload raises TensorError naming
+    the file."""
     with open(path, "rb") as f:
         data = f.read()
-    try:
-        magic, (w, h), _, raw = _parse_pnm(data, expect_magic)
-    except (IndexError, ValueError) as e:
-        raise TensorError(f"{path}: malformed NetPBM header") from e
-    except TensorError as e:
-        raise TensorError(f"{path}: {e}") from e
-    count = h * w * channels
-    if len(raw) < count:
-        raise TensorError(f"{path}: truncated NetPBM payload, {len(raw)} of {count} bytes")
-    return np.frombuffer(raw, dtype=np.uint8, count=count).reshape(h, w, channels)
-
-
-def _parse_pnm(data: bytes, expect_magic: bytes):
     fields = []
     pos = 0
     while len(fields) < 4:
@@ -362,11 +345,20 @@ def _parse_pnm(data: bytes, expect_magic: bytes):
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
-    if magic != expect_magic:
-        raise TensorError(f"NetPBM: expected {expect_magic!r}, found {magic!r}")
-    return magic, (w, h), maxval, data[pos:]
+    if fields[0] != b"P6":
+        raise TensorError(f"{path}: expected NetPBM magic b'P6', found {fields[0]!r}")
+    try:
+        w, h, maxval = (int(f) for f in fields[1:])
+        if min(w, h) < 1 or maxval != 255:
+            raise ValueError(f"size {w}x{h}, maxval {maxval}")
+    except ValueError as e:
+        raise TensorError(f"{path}: malformed NetPBM header ({e})") from e
+    raw = data[pos + 1 :]  # one whitespace byte after maxval
+    count = h * w * 3
+    if len(raw) < count:
+        raise TensorError(f"{path}: truncated NetPBM payload, {len(raw)} of {count} bytes")
+    arr = np.frombuffer(raw, dtype=np.uint8, count=count).reshape(h, w, 3)
+    return arr.astype(np.float64).transpose(2, 0, 1) / 127.5 - 1.0
 
 
 def export_dataset(out_dir: str, scenes: list, shade_amp_max: float = 0.3,

@@ -4,11 +4,12 @@ against end-to-end finite differences, isolation contracts."""
 import numpy as np
 import pytest
 
-from biltrans import tensor as T
+from biltrans import bilevel, tensor as T
 from biltrans.bilevel import (
     BiLevelState,
     MetaMode,
     Objective,
+    alternating_step,
     inner_adapt,
     meta_gradients,
     meta_update,
@@ -19,7 +20,7 @@ from biltrans.bilevel import (
 from biltrans.config import default_config
 from biltrans.losses import FeatureExtractor, LossWeights
 from biltrans.nets import NetConfig, ParameterSet, init_params
-from biltrans.tasks import TaskEpisode, render, sample_episode, synth_scene
+from biltrans.tasks import TaskEpisode, augment, render, sample_episode, synth_scene
 from biltrans.tensor import TensorError, finite_diff_gradient
 
 SMALL_NET = NetConfig(height=16, width=16, classes=3, mode="pg2", base_width=4, depth=1)
@@ -196,6 +197,52 @@ def test_one_shot_batches_filled_with_augmented_copies():
     assert g_is.digest() != state.g_gp.digest()
 
 
+def test_padded_batches_respect_allow_flip(monkeypatch):
+    state = small_state(4, n_shot=1, inner_batch=5, allow_flip=False)
+    ep = sample_episode(small_scene(12), 1, 2, 12, allow_flip=False)
+    flips = []
+
+    def spy(img, labels, seed, **kwargs):
+        flips.append(kwargs.get("flip", True))
+        return augment(img, labels, seed, **kwargs)
+
+    monkeypatch.setattr(bilevel, "augment", spy)
+    inner_adapt((state.g_gp, state.d_gp), ep.train, state.config,
+                MetaMode.FIRST_ORDER, state.objective, seed=2, n_iters=2)
+    assert flips and not any(flips), flips
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_alternating_step_tape_changes_connectivity_not_values(k):
+    # k SGD steps run eagerly and on a DIFFERENTIABLE tape; each taped update
+    # is cut from the tape, so every step differentiates the same function
+    state = tiny_state(21)
+    ep = tiny_episode(501)
+    obj, rate = state.objective, state.config.alpha
+    taped = bilevel._sgd_rule(rate)
+
+    def run(tape, rule):
+        g, d = state.g_gp, state.d_gp
+        for _ in range(k):
+            g, d, _, _ = alternating_step(obj, g, d, ep.train, rule, rule, tape)
+        return g, d
+
+    def eager(params, grads):
+        return params.with_tensors({n: T.tensor(p.data - rate * grads[p].data, requires_grad=True)
+                                    for n, p in params.items()})
+
+    def taped_then_cut(params, grads):
+        assert all(grads[p].node[0] is tape for p in params.values())  # gradients are tape nodes
+        return params.with_tensors({n: T.tensor(t.data, requires_grad=True)
+                                    for n, t in taped(params, grads).items()})
+
+    tape = T.Tape(T.Tape.DIFFERENTIABLE)
+    g_tape, d_tape = run(tape, taped_then_cut)
+    g_eager, d_eager = run(None, eager)
+    assert g_tape.digest() == g_eager.digest()
+    assert d_tape.digest() == d_eager.digest()
+
+
 # ---------------------------------------------------------------------------
 # meta update contracts
 
@@ -259,7 +306,7 @@ def test_unrolled_meta_gradient_matches_end_to_end_finite_differences(inner_step
         g_is, d_is, tape = inner_adapt((g, d), ep.train, cfg, MetaMode.FULL_UNROLLED,
                                        obj, seed=77, n_iters=inner_steps)
         with tape:
-            loss_g, loss_d = obj.pair_losses(g_is, d_is, ep.test)
+            loss_g, loss_d = obj.pair_losses(g_is, d_is, ep.test), obj.disc_loss_detached(g_is, d_is, ep.test)
         return loss_g.item() if want == "g" else loss_d.item()
 
     g0 = {n: p.data.copy() for n, p in state.g_gp.items()}
@@ -273,7 +320,7 @@ def test_unrolled_meta_gradient_matches_end_to_end_finite_differences(inner_step
     from biltrans.tensor import backward
 
     with tape:
-        loss_g, loss_d = obj.pair_losses(g_is, d_is, ep.test)
+        loss_g, loss_d = obj.pair_losses(g_is, d_is, ep.test), obj.disc_loss_detached(g_is, d_is, ep.test)
         gg = state.g_gp.grads_by_name(backward(loss_g, state.g_gp.tensors()))
         gd = state.d_gp.grads_by_name(backward(loss_d, state.d_gp.tensors()))
 
@@ -425,14 +472,14 @@ def test_feature_extractor_untouched_by_training():
 def _objective_terms(obj, g, d, samples):
     """name -> (loss value, {param name: gradient}) for each objective scalar."""
     terms = {}
-    for name, want_d in (("pair_g", False), ("pair_gd", True)):
-        with T.Tape():
-            loss_g, loss_d = obj.pair_losses(g, d, samples, want_d=want_d)
-            losses = {name: loss_g} if not want_d else {f"{name}.g": loss_g, f"{name}.d": loss_d}
-            for key, loss in losses.items():
-                grads = T.backward(loss, g.tensors() + d.tensors())
-                terms[key] = (loss.item(), {**{f"g.{n}": grads[p].data for n, p in g.items()},
-                                            **{f"d.{n}": grads[p].data for n, p in d.items()}})
+    # the discriminator loss keeps its generator path only on a DIFFERENTIABLE tape
+    for key, fn, mode in (("pair_g", obj.pair_losses, T.Tape.VALUES),
+                          ("disc_connected", obj.disc_loss_detached, T.Tape.DIFFERENTIABLE)):
+        with T.Tape(mode):
+            loss = fn(g, d, samples)
+            grads = T.backward(loss, g.tensors() + d.tensors())
+            terms[key] = (loss.item(), {**{f"g.{n}": grads[p].data for n, p in g.items()},
+                                        **{f"d.{n}": grads[p].data for n, p in d.items()}})
     with T.Tape():
         loss = obj.disc_loss_detached(g, d, samples)
         grads = T.backward(loss, d.tensors())
@@ -446,7 +493,7 @@ def test_batched_objective_matches_mean_of_single_sample_calls():
     batch = small_episode(3500, n_shot=5).train
     batched = _objective_terms(obj, g, d, batch)
     singles = [_objective_terms(obj, g, d, [s]) for s in batch]
-    assert set(batched) == {"pair_g", "pair_gd.g", "pair_gd.d", "disc_detached"}
+    assert set(batched) == {"pair_g", "disc_connected", "disc_detached"}
     for key, (value, grads) in batched.items():
         mean_value = np.mean([s[key][0] for s in singles])
         assert value == pytest.approx(mean_value, rel=1e-12), key
@@ -466,6 +513,5 @@ def test_objective_tape_size_does_not_grow_with_batch():
             fn(samples)
         return len(tape.ops)
 
-    for fn in (lambda s: obj.pair_losses(g, d, s), lambda s: obj.pair_losses(g, d, s, want_d=False),
-               lambda s: obj.disc_loss_detached(g, d, s)):
+    for fn in (lambda s: obj.pair_losses(g, d, s), lambda s: obj.disc_loss_detached(g, d, s)):
         assert ops(fn, batch) == ops(fn, batch[:1])

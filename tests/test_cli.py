@@ -157,7 +157,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     # save -> load -> save produces byte-identical files
     path2 = str(tmp_path / "b.ckpt")
     save_checkpoint(loaded, cfg2, path2)
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
 def test_checkpoint_corrupted_magic_rejected(tmp_path):
@@ -165,9 +165,9 @@ def test_checkpoint_corrupted_magic_rejected(tmp_path):
     state = build_state(cfg)
     path = str(tmp_path / "c.ckpt")
     save_checkpoint(state, cfg, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray((tmp_path / "c.ckpt").read_bytes())
     blob[:8] = b"NOTCKPT\x00"
-    open(path, "wb").write(bytes(blob))
+    (tmp_path / "c.ckpt").write_bytes(bytes(blob))
     with pytest.raises(TensorError, match="magic"):
         read_checkpoint_arrays(path)
 
@@ -177,8 +177,8 @@ def test_checkpoint_truncation_rejected(tmp_path):
     state = build_state(cfg)
     path = str(tmp_path / "d.ckpt")
     save_checkpoint(state, cfg, path)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) - 17])
+    blob = (tmp_path / "d.ckpt").read_bytes()
+    (tmp_path / "d.ckpt").write_bytes(blob[: len(blob) - 17])
     with pytest.raises(TensorError, match="truncated"):
         read_checkpoint_arrays(path)
 
@@ -412,6 +412,27 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[:-10])
 
 
+def _resize_manifest_scenes(path):
+    text = path.read_text().replace("height = 16", "height = 32").replace("width = 16", "width = 32")
+    path.write_text(text)
+
+
+def _ppm_magic_p5(path):
+    path.write_bytes(b"P5" + path.read_bytes()[2:])
+
+
+def _ppm_maxval_16_bit(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"\n255\n", b"\n65535\n", 1))
+
+
+def _ppm_width(width):
+    def damage(path):
+        magic, dims, rest = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join([magic, width + dims[dims.index(b" "):], rest]))
+    return damage
+
+
 def _cut_before_meta_arrays(path):
     # a u64 name length precedes each array name
     blob = path.read_bytes()
@@ -425,6 +446,11 @@ BAD_INPUTS = {
     "unseen-manifest-missing": ("adapt", "data/unseen/dataset.manifest", _delete, 3),
     "truncated-ppm-payload": ("eval", "results/baseline/scene_10001/img_000.ppm", _truncate, 2),
     "checkpoint-cut-at-array-boundary": ("pretrain", "checkpoints/pretrain.ckpt", _cut_before_meta_arrays, 2),
+    "manifest-shape-mismatch": ("pretrain", "data/train/dataset.manifest", _resize_manifest_scenes, 2),
+    "ppm-wrong-magic": ("eval", "results/baseline/scene_10001/img_001.ppm", _ppm_magic_p5, 2),
+    "ppm-malformed-header": ("eval", "results/bilevel/scene_10000/img_000.ppm", _ppm_width(b"w"), 2),
+    "ppm-negative-width": ("eval", "results/bilevel/scene_10001/img_000.ppm", _ppm_width(b"-16"), 2),
+    "ppm-16-bit-maxval": ("eval", "results/baseline_shot/scene_10000/img_001.ppm", _ppm_maxval_16_bit, 2),
 }
 
 

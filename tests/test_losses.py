@@ -57,7 +57,7 @@ def test_adversarial_symmetric_uncertainty():
     batch = _fixed_batch(0)
     obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY, g_forward=_emit(batch[2]),
                     d_forward=lambda d, xs, img: T.constant(np.zeros((1, 1, 2, 2))))
-    loss_g, loss_d = obj.pair_losses(None, None, batch)
+    loss_g, loss_d = obj.pair_losses(None, None, batch), obj.disc_loss_detached(None, None, batch)
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
     assert loss_g.item() == pytest.approx(-np.log(2), abs=1e-12)
 
@@ -68,7 +68,8 @@ def test_adversarial_perfect_discriminator_limit():
     y = batch[2]
     obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY, g_forward=_emit(batch[1]),
                     d_forward=lambda d, xs, img: T.constant(np.full((1, 1, 2, 2), 30.0 if img is y else -30.0)))
-    _, loss_d = obj.pair_losses(None, None, batch)
+    with Tape(Tape.DIFFERENTIABLE):  # generated images stay connected
+        loss_d = obj.disc_loss_detached(None, None, batch)
     assert abs(loss_d.item()) < 1e-6
     assert abs(obj.disc_loss_detached(None, None, batch).item()) < 1e-6
 
@@ -81,7 +82,8 @@ def test_adversarial_constant_disc_through_network_path():
     xs, xr, y = _fixed_batch(2)
     fake = T.tensor(rand((1, 3, 8, 8), 1))
     obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY, g_forward=_emit(fake))
-    loss_g, loss_d = obj.pair_losses(None, d, (xs, xr, y))  # bias 0 -> p = 0.5
+    loss_g = obj.pair_losses(None, d, (xs, xr, y))
+    loss_d = obj.disc_loss_detached(None, d, (xs, xr, y))  # bias 0 -> p = 0.5
     l1 = np.mean(np.abs(fake.data - y.data))
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
     assert loss_g.item() - l1 == pytest.approx(-np.log(2), abs=1e-12)
@@ -96,11 +98,11 @@ def test_adversarial_generator_gradient_vs_finite_differences():
         ps = g.copy()
         for name in theta:
             ps[name].data[...] = theta[name]
-        return obj.pair_losses(ps, d, batch, want_d=False)[0].item()
+        return obj.pair_losses(ps, d, batch).item()
 
     fd = finite_diff_gradient(f, {n: p.data for n, p in g.items()}, eps=1e-5)
     with Tape():
-        loss_g, _ = obj.pair_losses(g, d, batch, want_d=False)
+        loss_g = obj.pair_losses(g, d, batch)
         grads = g.grads_by_name(backward(loss_g, g.tensors()))
     worst = max(
         np.max(np.abs(grads[n] - fd[n]) / np.maximum.reduce([np.abs(grads[n]), np.abs(fd[n]), np.ones_like(fd[n])]))
@@ -170,7 +172,8 @@ def _sample(seed, with_reference=True):
 
 def _gen_losses(g, d, phi, weights, sample):
     """(generator total loss, discriminator loss) of the objective on one sample."""
-    return Objective(phi=phi, weights=weights).pair_losses(g, d, [sample])
+    obj = Objective(phi=phi, weights=weights)
+    return obj.pair_losses(g, d, [sample]), obj.disc_loss_detached(g, d, [sample])
 
 
 def test_total_loss_degenerate_weights_equal_l1():
@@ -193,7 +196,7 @@ def test_total_loss_weighted_sum_arithmetic(nonsaturating):
     fake = T.tensor(rand((1, 3, 8, 8), 9, -0.9, 0.9))
     weights = LossWeights(adversarial=10.0, perceptual=2.0, nonsaturating=nonsaturating)
     obj = Objective(phi=phi, weights=weights, g_forward=_emit(fake))
-    got_g, got_d = obj.pair_losses(None, d, (xs, xr, y))
+    got_g, got_d = obj.pair_losses(None, d, (xs, xr, y)), obj.disc_loss_detached(None, d, (xs, xr, y))
 
     # adversarial terms recomputed in numpy from the discriminator's logits
     def prob(img):

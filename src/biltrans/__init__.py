@@ -15,9 +15,9 @@ from .bilevel import (
     test_adapt,
 )
 from .config import ExperimentConfig, default_config, load_config, parse_config, serialize_config
-from .losses import FeatureExtractor, LossWeights, l1_loss, perceptual_loss
+from .losses import FeatureExtractor, l1_loss, perceptual_loss
 from .metrics import MetricReport, mse, proxy_lpips, psnr, ssim
-from .nets import NetConfig, ParameterSet, discriminator_forward, generator_forward, init_params
+from .nets import ParameterSet, discriminator_forward, generator_forward, init_params
 from .optim import AdamState, adam_step, sgd_step_differentiable
 from .tasks import (
     SceneSpec,

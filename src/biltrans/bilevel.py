@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ExperimentConfig, MetaMode
-from .losses import PROB_CLAMP, FeatureExtractor, LossWeights, l1_loss, perceptual_loss
+from .losses import PROB_CLAMP, FeatureExtractor, l1_loss, perceptual_loss
 from .nets import ParameterSet, discriminator_forward, generator_forward
 from .optim import AdamState, adam_step, sgd_step_differentiable
 from .rng import stream, substream_seed
@@ -35,18 +35,20 @@ from .tensor import Tape, TensorError, backward
 
 @dataclass
 class Objective:
-    """Training losses for a (generator, discriminator) pair over a batch.
+    """Training losses for a (generator, discriminator) pair over a batch,
+    weighted and with the feature extractor that ``config`` names.
 
     Forward functions are injectable so gradient oracles can run on tiny
     hand-built networks.
     """
 
-    phi: FeatureExtractor
-    weights: LossWeights = field(default_factory=LossWeights)
+    config: ExperimentConfig
     g_forward: callable = None
     d_forward: callable = None
+    phi: FeatureExtractor = field(init=False)
 
     def __post_init__(self):
+        self.phi = FeatureExtractor(seed=self.config.phi_seed, widths=self.config.phi_width_list())
         self.g_forward = self.g_forward or generator_forward
         self.d_forward = self.d_forward or discriminator_forward
 
@@ -60,18 +62,17 @@ class Objective:
         xs, xr, y = stack_samples(samples)
         fake = self.g_forward(g, xs, xr)
         loss_g = l1_loss(fake, y)
-        if self.weights.adversarial != 0.0:
+        cfg = self.config
+        if cfg.lambda_adv != 0.0:
             p_fake = self._prob(d, xs, fake)
             adv_g = (
                 T.scalar_mul(T.reduce_mean(T.log(p_fake)), -1.0)
-                if self.weights.nonsaturating
+                if cfg.nonsaturating
                 else T.reduce_mean(T.log(T.sub(T.constant(np.ones(p_fake.shape)), p_fake)))
             )
-            loss_g = T.add(loss_g, T.scalar_mul(adv_g, self.weights.adversarial))
-        if self.weights.perceptual != 0.0:
-            loss_g = T.add(
-                loss_g, T.scalar_mul(perceptual_loss(self.phi, fake, y), self.weights.perceptual)
-            )
+            loss_g = T.add(loss_g, T.scalar_mul(adv_g, cfg.lambda_adv))
+        if cfg.lambda_perc != 0.0:
+            loss_g = T.add(loss_g, T.scalar_mul(perceptual_loss(self.phi, fake, y), cfg.lambda_perc))
         return loss_g
 
     def _prob(self, d, xs, img):
@@ -375,19 +376,16 @@ def gp_finetune_on_aux(state: BiLevelState, aux_tasks: list, mode: str,
 
 
 def test_adapt(state: BiLevelState, episode: TaskEpisode, train_tasks: list,
-               k: int, use_aux: bool, seed: int = 0,
-               finetune_mode: str = MetaMode.FIRST_ORDER):
+               k: int = 0, seed: int = 0, finetune_mode: str = MetaMode.FIRST_ORDER):
     """Adapt to an unseen scene and generate its test images.
 
-    With use_aux, the top-K most similar training tasks first fine-tune a
-    copy of the general pair; the caller's state is bitwise unchanged
-    either way. Returns (g_is, d_is, images).
+    With k >= 1, the k most similar training tasks first fine-tune a copy
+    of the general pair; k = 0 adapts straight from the general pair. The
+    caller's state is bitwise unchanged either way. Returns (g_is, d_is, images).
     """
     if not episode.train:
         raise TensorError("test_adapt: unseen episode has no training split")
-    if use_aux:
-        if k > len(train_tasks):
-            raise TensorError(f"test_adapt: k={k} exceeds {len(train_tasks)} train tasks")
+    if k:  # retrieve_topk rejects a k outside 1..len(train_tasks)
         aux = retrieve_topk(episode.train[0].x_struct, train_tasks, k)
         tuned = gp_finetune_on_aux(state, aux, finetune_mode,
                                    substream_seed(seed, "aux", episode.scene_id))

@@ -13,8 +13,7 @@ import numpy as np
 
 from .bilevel import BiLevelState, Objective
 from .config import ExperimentConfig, parse_config, serialize_config
-from .losses import FeatureExtractor, LossWeights
-from .nets import NetConfig, init_params
+from .nets import init_params
 from .tensor import TensorError
 
 MAGIC = b"BILCKPT\x00"
@@ -111,19 +110,8 @@ def read_checkpoint_arrays(path: str):
 
 def build_state(cfg: ExperimentConfig) -> BiLevelState:
     """Fresh training state from an experiment config."""
-    net = NetConfig(
-        height=cfg.image_size, width=cfg.image_size, classes=cfg.classes,
-        mode=cfg.mode, base_width=cfg.base_width, depth=cfg.depth,
-    )
-    g, d = init_params(net, cfg.master_seed)
-    objective = Objective(
-        phi=FeatureExtractor(seed=cfg.phi_seed, widths=cfg.phi_width_list()),
-        weights=LossWeights(
-            adversarial=cfg.lambda_adv, perceptual=cfg.lambda_perc,
-            nonsaturating=cfg.nonsaturating,
-        ),
-    )
-    return BiLevelState(config=cfg, objective=objective, g_gp=g, d_gp=d, seed=cfg.master_seed)
+    g, d = init_params(cfg, cfg.master_seed)
+    return BiLevelState(config=cfg, objective=Objective(cfg), g_gp=g, d_gp=d, seed=cfg.master_seed)
 
 
 def load_checkpoint(path: str):

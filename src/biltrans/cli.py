@@ -211,15 +211,12 @@ def adapt_one_scene(cfg, scene, rows, inputs):
         if row == "baseline":
             images = list(state_pre.objective.generate(state_pre.g_gp, episode.test))
         elif row == "baseline_shot":
-            _, _, images = test_adapt(state_pre, episode, [], k=1, use_aux=False,
-                                      seed=cfg.master_seed)
+            _, _, images = test_adapt(state_pre, episode, [], seed=cfg.master_seed)
         elif row == "bilevel_noaux":
-            _, _, images = test_adapt(state_meta, episode, [], k=1, use_aux=False,
-                                      seed=cfg.master_seed)
+            _, _, images = test_adapt(state_meta, episode, [], seed=cfg.master_seed)
         else:
             _, _, images = test_adapt(state_meta, episode, pool, k=cfg.k_aux,
-                                      use_aux=True, seed=cfg.master_seed,
-                                      finetune_mode=cfg.meta_mode)
+                                      seed=cfg.master_seed, finetune_mode=cfg.meta_mode)
         out[row] = images
     return out
 
@@ -279,9 +276,6 @@ def cmd_eval(cfg, aux_on=True):
         report.write_csv(os.path.join(p["results"], f"metrics_{row}.csv"))
         report.write_json(os.path.join(p["results"], f"summary_{row}.json"))
         summaries[row] = report.summary()
-    seeds = {s["phi_seed"] for s in summaries.values()}
-    if len(seeds) != 1:
-        raise TensorError(f"eval: mixed feature-extractor seeds in one comparison: {seeds}")
     _write_comparison(p["results"], summaries)
     with open(os.path.join(p["results"], "comparison.txt")) as f:
         print(f.read())
@@ -312,9 +306,12 @@ def _write_comparison(results_dir, summaries):
 
 
 def cmd_retrieve(cfg, scene_index=0):
-    scenes = _load_scenes(cfg, "train")
-    pool = train_task_pool(cfg, scenes)
-    episode = unseen_episode(cfg, _load_scenes(cfg, "unseen")[scene_index])
+    unseen = _load_scenes(cfg, "unseen")
+    if not 0 <= scene_index < len(unseen):
+        raise TensorError(f"--scene {scene_index} is out of range: there are {len(unseen)} "
+                          f"unseen scenes (0..{len(unseen) - 1})")
+    pool = train_task_pool(cfg, _load_scenes(cfg, "train"))
+    episode = unseen_episode(cfg, unseen[scene_index])
     query = episode.train[0].x_struct
     top = retrieve_topk(query, pool, cfg.k_aux)
     print(f"query: unseen scene {episode.scene_id}")

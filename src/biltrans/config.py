@@ -1,5 +1,6 @@
 """Flat key = value experiment configuration with provenance-tracked defaults."""
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .tensor import TensorError
@@ -64,9 +65,8 @@ class ExperimentConfig:
             raise TensorError(f"config: meta_mode must be one of {MetaMode.ALL}, got {self.meta_mode!r}")
         if self.n_shot not in (1, 5):
             raise TensorError(f"config: n_shot must be 1 or 5, got {self.n_shot}")
-        for name in ("image_size", "classes", "base_width", "depth", "n_test", "inner_batch",
-                     "meta_batch", "n_train_scenes", "n_unseen_scenes", "samples_per_scene",
-                     "k_aux", "jobs"):
+        for name in ("image_size", "depth", "n_test", "inner_batch", "meta_batch",
+                     "n_train_scenes", "n_unseen_scenes", "samples_per_scene", "k_aux", "jobs"):
             if getattr(self, name) < 1:
                 raise TensorError(f"config: {name} must be positive")
         for name in ("inner_iters", "train_inner_iters", "pretrain_iters", "metatrain_iters",
@@ -79,6 +79,13 @@ class ExperimentConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise TensorError(f"config: {name} must be in [0, 1)")
+        if self.classes < 2:
+            raise TensorError("config: classes must be >= 2")
+        if self.base_width < 4:
+            raise TensorError("config: base_width must be >= 4")
+        for name in ("lambda_adv", "lambda_perc"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise TensorError(f"config: {name} must be finite and >= 0")
         if self.image_size % (2**self.depth):
             raise TensorError("config: image_size must be divisible by 2^depth")
         if not 0 <= self.shade_amp_max <= 0.3:

@@ -1,5 +1,6 @@
-"""Terms and weights of the training objective, which ``bilevel.Objective``
-assembles: L1 + weighted adversarial + weighted perceptual.
+"""Terms of the training objective, which ``bilevel.Objective`` assembles
+with the config's loss weights: L1 + weighted adversarial + weighted
+perceptual.
 
 The perceptual term compares channel-unit-normalized activations of a
 frozen, randomly initialized conv stack; random features stand in for a
@@ -20,18 +21,6 @@ PROB_CLAMP = 1e-7
 NORM_EPS = 1e-10
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    adversarial: float = 10.0
-    perceptual: float = 2.0
-    nonsaturating: bool = False
-
-    def __post_init__(self):
-        for v in (self.adversarial, self.perceptual):
-            if not (np.isfinite(v) and v >= 0):
-                raise TensorError("LossWeights: weights must be finite and >= 0")
-
-
 @dataclass
 class FeatureExtractor:
     """Frozen 3-stage conv stack with a tap after every stage."""
@@ -41,7 +30,7 @@ class FeatureExtractor:
     params: ParameterSet = field(init=False)
 
     def __post_init__(self):
-        ps = ParameterSet("feature", "any")
+        ps = ParameterSet("any")
         rng = stream(self.seed, "feature-extractor")
         cin = 3
         for i, cout in enumerate(self.widths):

@@ -8,53 +8,19 @@ image and emits a grid of patch logits.
 """
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
+from .config import ExperimentConfig
 from .rng import stream
 from .tensor import Tensor, TensorError
-
-
-@dataclass(frozen=True)
-class NetConfig:
-    height: int = 32
-    width: int = 32
-    classes: int = 5
-    mode: str = "pg2"  # pg2: structure + reference input; pix2pix: structure only
-    base_width: int = 16
-    depth: int = 3
-
-    def __post_init__(self):
-        if self.mode not in ("pg2", "pix2pix"):
-            raise TensorError(f"NetConfig: unknown mode {self.mode!r}")
-        f = 2**self.depth
-        if self.height % f or self.width % f:
-            raise TensorError(f"NetConfig: {self.height}x{self.width} not divisible by 2^{self.depth}")
-        if self.base_width < 4:
-            raise TensorError("NetConfig: base_width must be >= 4")
-        if self.classes < 2:
-            raise TensorError("NetConfig: need at least 2 structure classes")
-
-    @property
-    def ref_channels(self) -> int:
-        return 3 if self.mode == "pg2" else 0
-
-    @property
-    def gen_in_channels(self) -> int:
-        return self.classes + self.ref_channels
-
-    @property
-    def disc_in_channels(self) -> int:
-        return self.classes + 3
 
 
 class ParameterSet:
     """Ordered name -> Tensor map for one network."""
 
-    def __init__(self, role: str, mode: str):
-        self.role = role
+    def __init__(self, mode: str):
         self.mode = mode
         self._params: dict[str, Tensor] = {}
 
@@ -65,15 +31,6 @@ class ParameterSet:
 
     def __getitem__(self, name) -> Tensor:
         return self._params[name]
-
-    def __setitem__(self, name, t: Tensor):
-        self._params[name] = t
-
-    def __contains__(self, name):
-        return name in self._params
-
-    def __len__(self):
-        return len(self._params)
 
     def keys(self):
         return self._params.keys()
@@ -87,11 +44,8 @@ class ParameterSet:
     def tensors(self):
         return list(self._params.values())
 
-    def count(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
     def copy(self) -> "ParameterSet":
-        out = ParameterSet(self.role, self.mode)
+        out = ParameterSet(self.mode)
         for name, p in self._params.items():
             out.add(name, p.data.copy())
         return out
@@ -109,19 +63,19 @@ class ParameterSet:
         return {name: grad_map[p].data for name, p in self._params.items()}
 
     def with_tensors(self, mapping: dict[str, Tensor]) -> "ParameterSet":
-        """Same names/role, values replaced by the given Tensors."""
+        """Same names and mode, values replaced by the given Tensors."""
         if set(mapping) != set(self._params):
             raise TensorError("with_tensors: name mismatch")
-        out = ParameterSet(self.role, self.mode)
+        out = ParameterSet(self.mode)
         for name in self._params:
             out._params[name] = mapping[name]
         return out
 
 
-def _gen_layers(cfg: NetConfig):
+def _gen_layers(cfg: ExperimentConfig):
     """(name, c_in, c_out, kind) for every generator conv, in forward order."""
     w = cfg.base_width
-    layers = [("stem", cfg.gen_in_channels, w, "conv3")]
+    layers = [("stem", cfg.classes + (3 if cfg.with_reference else 0), w, "conv3")]
     ch = w
     for i in range(cfg.depth):
         nxt = w * 2 ** (i + 1)
@@ -143,10 +97,10 @@ def _gen_layers(cfg: NetConfig):
     return layers
 
 
-def _disc_layers(cfg: NetConfig):
+def _disc_layers(cfg: ExperimentConfig):
     w = cfg.base_width
     layers = []
-    ch = cfg.disc_in_channels
+    ch = cfg.classes + 3  # structure map and image
     for i in range(cfg.depth):
         nxt = w * 2**i
         layers.append((f"blk{i}", ch, nxt, "conv3s2"))
@@ -171,11 +125,12 @@ def _init_into(ps: ParameterSet, layers, rng):
         ps.add(f"{name}.b", np.zeros((cout, 1, 1)))
 
 
-def init_params(cfg: NetConfig, seed: int):
-    """Freshly initialized (generator, discriminator) pair, deterministic per seed."""
-    g = ParameterSet("generator", cfg.mode)
+def init_params(cfg: ExperimentConfig, seed: int):
+    """Freshly initialized (generator, discriminator) pair for the network
+    settings of ``cfg``, deterministic per seed."""
+    g = ParameterSet(cfg.mode)
     _init_into(g, _gen_layers(cfg), stream(seed, "init", "generator"))
-    d = ParameterSet("discriminator", cfg.mode)
+    d = ParameterSet(cfg.mode)
     _init_into(d, _disc_layers(cfg), stream(seed, "init", "discriminator"))
     return g, d
 

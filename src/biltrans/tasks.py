@@ -9,7 +9,7 @@ auxiliary fine-tuning meaningful.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,29 +64,20 @@ class TranslationSample:
     x_struct: SegMap
     x_ref: np.ndarray | None  # (3, H, W) or None in structure-only mode
     y: np.ndarray  # (3, H, W)
-    _cache: tuple = field(default=None, repr=False, compare=False)
-
-    def tensors(self):
-        """(one-hot structure, reference, target) as read-only batch-of-one
-        Tensors, each (1, C, H, W)."""
-        if self._cache is None:
-            ref = None if self.x_ref is None else T.constant(self.x_ref[None])
-            self._cache = (T.constant(self.x_struct.one_hot()[None]), ref, T.constant(self.y[None]))
-        return self._cache
 
 
 def stack_samples(samples):
     """One (structure, reference or None, target) batch of Tensors, the
-    samples of a list stacked along the leading axis; a batch triple passes
-    through unchanged."""
+    one-hot structure maps, references and targets of a list of samples
+    stacked along the leading axis; a batch triple passes through unchanged."""
     if isinstance(samples, tuple):
         return samples
-    xs, xr, y = zip(*(s.tensors() for s in samples))
 
-    def cat(ts):
-        return T.constant(np.concatenate([t.data for t in ts]))
+    def cat(arrays):
+        return T.constant(np.stack(arrays))
 
-    return cat(xs), None if xr[0] is None else cat(xr), cat(y)
+    xr = None if samples[0].x_ref is None else cat([s.x_ref for s in samples])
+    return cat([s.x_struct.one_hot() for s in samples]), xr, cat([s.y for s in samples])
 
 
 @dataclass

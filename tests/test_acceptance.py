@@ -26,9 +26,8 @@ from biltrans.bilevel import (
     test_adapt,
 )
 from biltrans.config import default_config
-from biltrans.losses import FeatureExtractor, LossWeights
 from biltrans.metrics import mse, psnr, ssim
-from biltrans.nets import NetConfig, ParameterSet, init_params
+from biltrans.nets import ParameterSet, init_params
 from biltrans.optim import AdamState, adam_step
 from biltrans.rng import substream_seed
 from biltrans.tasks import SegMap, TaskEpisode, render, retrieve_topk, sample_episode, similarity, synth_scene
@@ -60,7 +59,7 @@ def test_criterion_1_gradient_correctness():
     worst_primitive = max(worst_by_op.values())
 
     # full network gradients, every weight, on a small configuration
-    cfg = NetConfig(height=8, width=8, classes=2, mode="pg2", base_width=4, depth=1)
+    cfg = default_config(image_size=8, classes=2, mode="pg2", base_width=4, depth=1)
     g, d = init_params(cfg, seed=0)
     rng = np.random.default_rng(1)
     xs = np.eye(2)[rng.integers(0, 2, (8, 8))].transpose(2, 0, 1)[None]
@@ -121,16 +120,15 @@ def tiny_d_forward(params, xs, img):
 
 def tiny_world(seed, inner_steps):
     rng = np.random.default_rng(seed)
-    g = ParameterSet("generator", "pg2")
+    g = ParameterSet("pg2")
     g.add("g1.w", rng.normal(0, 0.3, (2, 5, 3, 3)))
     g.add("g2.w", rng.normal(0, 0.3, (3, 2, 1, 1)))
-    d = ParameterSet("discriminator", "pg2")
+    d = ParameterSet("pg2")
     d.add("d1.w", rng.normal(0, 0.3, (2, 5, 3, 3)))
     d.add("d2.w", rng.normal(0, 0.3, (1, 2, 1, 1)))
-    assert g.count() + d.count() <= 200
+    assert sum(p.data.size for ps in (g, d) for p in ps.values()) <= 200
     obj = Objective(
-        phi=FeatureExtractor(seed=9, widths=(4, 4)),
-        weights=LossWeights(adversarial=1.0, perceptual=1.0),
+        default_config(phi_seed=9, phi_widths="4,4", lambda_adv=1.0, lambda_perc=1.0),
         g_forward=tiny_g_forward,
         d_forward=tiny_d_forward,
     )
@@ -151,8 +149,8 @@ def test_criterion_2_meta_gradient_correctness():
         obj, cfg = state.objective, state.config
 
         def pipeline(g_values, d_values, want):
-            g = ParameterSet("generator", "pg2")
-            d = ParameterSet("discriminator", "pg2")
+            g = ParameterSet("pg2")
+            d = ParameterSet("pg2")
             for n, v in g_values.items():
                 g.add(n, v)
             for n, v in d_values.items():
@@ -243,7 +241,7 @@ def test_criterion_3_retrieval_exactness():
 
 
 def test_criterion_7_optimizer_and_metric_oracles():
-    ps = ParameterSet("generator", "pg2")
+    ps = ParameterSet("pg2")
     ps.add("w", np.asarray(0.0))
     state = AdamState.for_params(ps, rate=0.1)
     for _ in range(5):
@@ -361,11 +359,11 @@ phi_widths = 4,4
 
 
 def test_criterion_6_alternation_contracts():
-    net = NetConfig(height=16, width=16, classes=3, mode="pg2", base_width=4, depth=1)
-    cfg = default_config(inner_batch=3, meta_batch=2, n_test=2, train_inner_iters=1,
-                         alpha=1e-3, beta=1e-3, k_aux=2, gp_finetune_iters=2)
-    g, d = init_params(net, 0)
-    obj = Objective(phi=FeatureExtractor(seed=5, widths=(4, 4)), weights=LossWeights())
+    cfg = default_config(image_size=16, classes=3, base_width=4, depth=1, inner_batch=3,
+                         meta_batch=2, n_test=2, train_inner_iters=1, alpha=1e-3, beta=1e-3,
+                         k_aux=2, gp_finetune_iters=2, phi_seed=5, phi_widths="4,4")
+    g, d = init_params(cfg, 0)
+    obj = Objective(cfg)
     state = BiLevelState(config=cfg, objective=obj, g_gp=g, d_gp=d, seed=0)
 
     scenes = [synth_scene(900 + i, scene_id=i, height=16, width=16, classes=3) for i in range(4)]
@@ -384,8 +382,8 @@ def test_criterion_6_alternation_contracts():
                 obj, seed=3, n_iters=1)
     pool = [sample_episode(s, 5, 2, seed=50 + i) for i, s in enumerate(scenes)]
     unseen = sample_episode(synth_scene(999, scene_id=99, height=16, width=16, classes=3), 5, 2, seed=9)
-    test_adapt(state, unseen, pool, k=2, use_aux=True, seed=4)
-    test_adapt(state, unseen, pool, k=2, use_aux=False, seed=4)
+    test_adapt(state, unseen, pool, k=2, seed=4)
+    test_adapt(state, unseen, pool, seed=4)
     isolation_ok = (state.g_gp.digest(), state.d_gp.digest()) == digest_before
 
     ok = one_step_ok and isolation_ok

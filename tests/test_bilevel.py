@@ -18,16 +18,15 @@ from biltrans.bilevel import (
     test_adapt,
 )
 from biltrans.config import default_config
-from biltrans.losses import FeatureExtractor, LossWeights
-from biltrans.nets import NetConfig, ParameterSet, init_params
-from biltrans.tasks import TaskEpisode, augment, render, sample_episode, synth_scene
+from biltrans.nets import ParameterSet, init_params
+from biltrans.tasks import TaskEpisode, augment, render, sample_episode, stack_samples, synth_scene
 from biltrans.tensor import TensorError, finite_diff_gradient
 
-SMALL_NET = NetConfig(height=16, width=16, classes=3, mode="pg2", base_width=4, depth=1)
+SMALL_NET = default_config(image_size=16, classes=3, mode="pg2", base_width=4, depth=1)
 
 
 def small_objective(phi_seed=3):
-    return Objective(phi=FeatureExtractor(seed=phi_seed), weights=LossWeights())
+    return Objective(default_config(phi_seed=phi_seed))
 
 
 def small_state(seed=0, **cfg_kwargs):
@@ -64,20 +63,19 @@ def tiny_d_forward(params, xs, img):
 
 def tiny_pair(seed):
     rng = np.random.default_rng(seed)
-    g = ParameterSet("generator", "pg2")
+    g = ParameterSet("pg2")
     g.add("g1.w", rng.normal(0, 0.3, (2, 5, 3, 3)))  # structure(2) + reference(3) in
     g.add("g2.w", rng.normal(0, 0.3, (3, 2, 1, 1)))
-    d = ParameterSet("discriminator", "pg2")
+    d = ParameterSet("pg2")
     d.add("d1.w", rng.normal(0, 0.3, (2, 5, 3, 3)))
     d.add("d2.w", rng.normal(0, 0.3, (1, 2, 1, 1)))
-    assert g.count() + d.count() <= 200
+    assert sum(p.data.size for ps in (g, d) for p in ps.values()) <= 200
     return g, d
 
 
 def tiny_objective():
     return Objective(
-        phi=FeatureExtractor(seed=9, widths=(4, 4)),
-        weights=LossWeights(adversarial=1.0, perceptual=1.0),
+        default_config(phi_seed=9, phi_widths="4,4", lambda_adv=1.0, lambda_perc=1.0),
         g_forward=tiny_g_forward,
         d_forward=tiny_d_forward,
     )
@@ -159,7 +157,7 @@ def test_inner_adapt_descends_episode_train_l1():
 
         vals = []
         for s in samples:
-            xs, xr, y = s.tensors()
+            xs, xr, y = stack_samples([s])
             vals.append(l1_loss(obj.g_forward(g, xs, xr), y).item())
         return np.mean(vals)
 
@@ -297,8 +295,8 @@ def test_unrolled_meta_gradient_matches_end_to_end_finite_differences(inner_step
     cfg = state.config
 
     def pipeline(g_values, d_values, want="g"):
-        g = ParameterSet("generator", "pg2")
-        d = ParameterSet("discriminator", "pg2")
+        g = ParameterSet("pg2")
+        d = ParameterSet("pg2")
         for n, v in g_values.items():
             g.add(n, v)
         for n, v in d_values.items():
@@ -363,7 +361,7 @@ def test_pretrain_deterministic_per_seed():
 def test_pretrain_loss_trends_down():
     # moving-average (window 100) training loss decreases from start to end
     # of pretraining in at least 4 of 5 seeds
-    net = NetConfig(height=16, width=16, classes=3, mode="pg2", base_width=8, depth=2)
+    net = default_config(image_size=16, classes=3, mode="pg2", base_width=8, depth=2)
     drops = 0
     for seed in range(5):
         cfg = default_config(inner_batch=5, meta_batch=2, alpha=3e-4, beta=3e-4)
@@ -419,7 +417,7 @@ def _trained_tiny_world(seed=15):
 
 def test_test_adapt_without_aux_skips_finetune():
     state, train_tasks, unseen = _trained_tiny_world()
-    g1, _, imgs1 = test_adapt(state, unseen, train_tasks, k=2, use_aux=False, seed=5)
+    g1, _, imgs1 = test_adapt(state, unseen, train_tasks, seed=5)
     # no-aux path equals adapting straight from the general parameters
     g2, _, _ = inner_adapt((state.g_gp, state.d_gp), unseen.train, state.config,
                            MetaMode.FIRST_ORDER, state.objective,
@@ -432,25 +430,25 @@ def test_test_adapt_without_aux_skips_finetune():
 def test_test_adapt_leaves_state_bitwise_unchanged():
     state, train_tasks, unseen = _trained_tiny_world(16)
     before = (state.g_gp.digest(), state.d_gp.digest(), state.adam_g.t, state.adam_d.t)
-    test_adapt(state, unseen, train_tasks, k=2, use_aux=True, seed=6)
+    test_adapt(state, unseen, train_tasks, k=2, seed=6)
     after = (state.g_gp.digest(), state.d_gp.digest(), state.adam_g.t, state.adam_d.t)
     assert before == after
 
 
 def test_test_adapt_aux_changes_initialization():
     state, train_tasks, unseen = _trained_tiny_world(17)
-    g_no, _, _ = test_adapt(state, unseen, train_tasks, k=2, use_aux=False, seed=7)
-    g_yes, _, _ = test_adapt(state, unseen, train_tasks, k=2, use_aux=True, seed=7)
+    g_no, _, _ = test_adapt(state, unseen, train_tasks, seed=7)
+    g_yes, _, _ = test_adapt(state, unseen, train_tasks, k=2, seed=7)
     assert g_no.digest() != g_yes.digest()
 
 
 def test_test_adapt_rejects_bad_k_and_empty_split():
     state, train_tasks, unseen = _trained_tiny_world(18)
     with pytest.raises(TensorError, match="k="):
-        test_adapt(state, unseen, train_tasks, k=10, use_aux=True)
+        test_adapt(state, unseen, train_tasks, k=10)
     hollow = TaskEpisode(scene=unseen.scene, train=[], test=unseen.test)
     with pytest.raises(TensorError, match="training split"):
-        test_adapt(state, hollow, train_tasks, k=2, use_aux=False)
+        test_adapt(state, hollow, train_tasks)
 
 
 def test_feature_extractor_untouched_by_training():
@@ -461,7 +459,7 @@ def test_feature_extractor_untouched_by_training():
     metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=2)
     unseen = small_episode(3200, scene_id=50)
     pool = [small_episode(3300 + i, scene_id=i) for i in range(3)]
-    test_adapt(state, unseen, pool, k=2, use_aux=True, seed=1)
+    test_adapt(state, unseen, pool, k=2, seed=1)
     assert state.objective.phi.digest() == phi_digest
 
 

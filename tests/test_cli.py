@@ -241,7 +241,8 @@ def test_cli_config_error_exit_code(tmp_path):
 BAD_VALUES = [
     ("adam_eps", "0"), ("adam_eps", "nan"), ("adam_beta1", "1.0"), ("adam_beta1", "-0.1"),
     ("adam_beta2", "1.0"), ("alpha", "0"), ("beta", "-1"), ("pretrain_iters", "-1"),
-    ("gp_finetune_iters", "-3"),
+    ("gp_finetune_iters", "-3"), ("classes", "1"), ("base_width", "2"), ("lambda_adv", "nan"),
+    ("lambda_perc", "-1"),
 ]
 
 
@@ -300,6 +301,17 @@ def test_cli_retrieve_ranks_duplicate_first(tmp_path, capsys):
     assert run_cli("retrieve", "--config", str(cfg_file), "--scene", "0") == 0
     printed = capsys.readouterr().out
     assert "rank 1" in printed
+
+
+@pytest.mark.parametrize("scene", ["2", "3", "-1"])
+def test_cli_retrieve_rejects_scene_out_of_range(scene, tmp_path, capsys):
+    cfg_file = tmp_path / "smoke.cfg"
+    cfg_file.write_text(SMOKE + f"\nout_dir = {tmp_path / 'run'}\n")  # 2 unseen scenes
+    assert run_cli("gen-data", "--config", str(cfg_file)) == 0
+    capsys.readouterr()
+    assert run_cli("retrieve", "--config", str(cfg_file), "--scene", scene) == 2
+    err = capsys.readouterr().err
+    assert "--scene" in err and "Traceback" not in err, err
 
 
 def test_cli_adapt_before_metatrain_fails_cleanly(tmp_path):

@@ -6,13 +6,14 @@ import pytest
 
 from biltrans import losses, tensor as T
 from biltrans.bilevel import Objective
-from biltrans.losses import FeatureExtractor, LossWeights, l1_loss, perceptual_loss
-from biltrans.nets import NetConfig, init_params, discriminator_forward, generator_forward
-from biltrans.tasks import synth_scene, render
+from biltrans.config import default_config
+from biltrans.losses import FeatureExtractor, l1_loss, perceptual_loss
+from biltrans.nets import init_params, discriminator_forward, generator_forward
+from biltrans.tasks import render, stack_samples, synth_scene
 from biltrans.tensor import Tape, TensorError, backward, finite_diff_gradient
 
-CFG = NetConfig(height=8, width=8, classes=2, mode="pg2", base_width=4, depth=1)
-ADV_ONLY = LossWeights(adversarial=1.0, perceptual=0.0)
+CFG = default_config(image_size=8, classes=2, mode="pg2", base_width=4, depth=1)
+ADV_ONLY = default_config(phi_seed=10, lambda_adv=1.0, lambda_perc=0.0)
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
@@ -55,7 +56,7 @@ def _emit(img):
 def test_adversarial_symmetric_uncertainty():
     # p = 0.5 on every patch; the generator reproduces its target, so L1 is 0
     batch = _fixed_batch(0)
-    obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY, g_forward=_emit(batch[2]),
+    obj = Objective(ADV_ONLY, g_forward=_emit(batch[2]),
                     d_forward=lambda d, xs, img: T.constant(np.zeros((1, 1, 2, 2))))
     loss_g, loss_d = obj.pair_losses(None, None, batch), obj.disc_loss_detached(None, None, batch)
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
@@ -66,7 +67,7 @@ def test_adversarial_perfect_discriminator_limit():
     # saturated logits: p_real and 1 - p_fake clamp to 1 - 1e-7
     batch = _fixed_batch(1)
     y = batch[2]
-    obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY, g_forward=_emit(batch[1]),
+    obj = Objective(ADV_ONLY, g_forward=_emit(batch[1]),
                     d_forward=lambda d, xs, img: T.constant(np.full((1, 1, 2, 2), 30.0 if img is y else -30.0)))
     with Tape(Tape.DIFFERENTIABLE):  # generated images stay connected
         loss_d = obj.disc_loss_detached(None, None, batch)
@@ -81,7 +82,7 @@ def test_adversarial_constant_disc_through_network_path():
         p.data[...] = 0.0
     xs, xr, y = _fixed_batch(2)
     fake = T.tensor(rand((1, 3, 8, 8), 1))
-    obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY, g_forward=_emit(fake))
+    obj = Objective(ADV_ONLY, g_forward=_emit(fake))
     loss_g = obj.pair_losses(None, d, (xs, xr, y))
     loss_d = obj.disc_loss_detached(None, d, (xs, xr, y))  # bias 0 -> p = 0.5
     l1 = np.mean(np.abs(fake.data - y.data))
@@ -92,7 +93,7 @@ def test_adversarial_constant_disc_through_network_path():
 def test_adversarial_generator_gradient_vs_finite_differences():
     g, d = init_params(CFG, seed=1)
     batch = _fixed_batch(3)
-    obj = Objective(phi=FeatureExtractor(seed=10), weights=ADV_ONLY)
+    obj = Objective(ADV_ONLY)
 
     def f(theta):
         ps = g.copy()
@@ -170,18 +171,17 @@ def _sample(seed, with_reference=True):
     return render(scene, 0, with_reference=with_reference)
 
 
-def _gen_losses(g, d, phi, weights, sample):
+def _gen_losses(g, d, config, sample):
     """(generator total loss, discriminator loss) of the objective on one sample."""
-    obj = Objective(phi=phi, weights=weights)
+    obj = Objective(config)
     return obj.pair_losses(g, d, [sample]), obj.disc_loss_detached(g, d, [sample])
 
 
 def test_total_loss_degenerate_weights_equal_l1():
     g, d = init_params(CFG, seed=2)
-    phi = FeatureExtractor(seed=15)
     sample = _sample(21)
-    lg, _ = _gen_losses(g, d, phi, LossWeights(adversarial=0.0, perceptual=0.0), sample)
-    xs, xr, y = sample.tensors()
+    lg, _ = _gen_losses(g, d, default_config(phi_seed=15, lambda_adv=0.0, lambda_perc=0.0), sample)
+    xs, xr, y = stack_samples([sample])
     expect = l1_loss(generator_forward(g, xs, xr), y).item()
     assert lg.item() == expect
 
@@ -191,11 +191,11 @@ def test_total_loss_weighted_sum_arithmetic(nonsaturating):
     # component values (0.3, 0.7, 0.05) with recipe weights 10 and 2
     assert 0.3 + 10 * 0.7 + 2 * 0.05 == pytest.approx(7.4)
     _, d = init_params(CFG, seed=3)
-    phi = FeatureExtractor(seed=16)
-    xs, xr, y = _sample(22).tensors()
+    xs, xr, y = stack_samples([_sample(22)])
     fake = T.tensor(rand((1, 3, 8, 8), 9, -0.9, 0.9))
-    weights = LossWeights(adversarial=10.0, perceptual=2.0, nonsaturating=nonsaturating)
-    obj = Objective(phi=phi, weights=weights, g_forward=_emit(fake))
+    config = default_config(phi_seed=16, lambda_adv=10.0, lambda_perc=2.0, nonsaturating=nonsaturating)
+    obj = Objective(config, g_forward=_emit(fake))
+    phi = obj.phi
     got_g, got_d = obj.pair_losses(None, d, (xs, xr, y)), obj.disc_loss_detached(None, d, (xs, xr, y))
 
     # adversarial terms recomputed in numpy from the discriminator's logits
@@ -215,11 +215,10 @@ def test_total_loss_weighted_sum_arithmetic(nonsaturating):
 
 def test_total_loss_linear_in_weights():
     g, d = init_params(CFG, seed=4)
-    phi = FeatureExtractor(seed=17)
     sample = _sample(23)
 
     def at(wa, wb):
-        lg, _ = _gen_losses(g, d, phi, LossWeights(adversarial=wa, perceptual=wb), sample)
+        lg, _ = _gen_losses(g, d, default_config(phi_seed=17, lambda_adv=wa, lambda_perc=wb), sample)
         return lg.item()
 
     v00, v10, v01 = at(0, 0), at(1, 0), at(0, 1)
@@ -231,18 +230,16 @@ def test_total_loss_linear_in_weights():
 def test_loss_d_nonnegative_after_clamp():
     for s in range(10):
         g, d = init_params(CFG, seed=s)
-        phi = FeatureExtractor(seed=1)
         sample = _sample(40 + s)
-        _, ld = _gen_losses(g, d, phi, LossWeights(), sample)
+        _, ld = _gen_losses(g, d, default_config(phi_seed=1), sample)
         assert ld.item() >= 0.0
 
 
 def test_total_loss_differentiable_wrt_generator():
     g, d = init_params(CFG, seed=5)
-    phi = FeatureExtractor(seed=18)
     sample = _sample(24)
     with Tape(Tape.DIFFERENTIABLE):
-        lg, _ = _gen_losses(g, d, phi, LossWeights(), sample)
+        lg, _ = _gen_losses(g, d, default_config(phi_seed=18), sample)
         grads = backward(lg, g.tensors())
     assert all(np.all(np.isfinite(grads[p].data)) for p in g.tensors())
     assert any(np.any(grads[p].data != 0) for p in g.tensors())
@@ -250,6 +247,6 @@ def test_total_loss_differentiable_wrt_generator():
 
 def test_invalid_weights_rejected():
     with pytest.raises(TensorError):
-        LossWeights(adversarial=-1.0)
+        default_config(lambda_adv=-1.0)
     with pytest.raises(TensorError):
-        LossWeights(perceptual=float("nan"))
+        default_config(lambda_perc=float("nan"))

@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from biltrans import tensor as T
-from biltrans.nets import NetConfig, generator_forward, discriminator_forward, init_params
+from biltrans.config import default_config
+from biltrans.nets import generator_forward, discriminator_forward, init_params
 from biltrans.tensor import Tape, TensorError, backward, finite_diff_gradient
 
-TINY = NetConfig(height=8, width=8, classes=2, mode="pg2", base_width=4, depth=1)
-TINY_PIX = NetConfig(height=8, width=8, classes=2, mode="pix2pix", base_width=4, depth=1)
-DEFAULT = NetConfig()
+TINY = default_config(image_size=8, classes=2, mode="pg2", base_width=4, depth=1)
+TINY_PIX = default_config(image_size=8, classes=2, mode="pix2pix", base_width=4, depth=1)
+DEFAULT = default_config()
 
 
 def onehot(classes, h, w, seed):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, classes, size=(h, w))
     return np.eye(classes)[labels].transpose(2, 0, 1)[None]
+
+
+def count(ps):
+    return sum(p.data.size for p in ps.values())
 
 
 def rand_img(h, w, seed):
@@ -46,7 +51,7 @@ def test_biases_start_at_zero_and_weights_zero_mean():
 
 
 def test_parameter_count_matches_layerwise_oracle():
-    cfg = NetConfig(height=32, width=32, classes=5, mode="pg2", base_width=16, depth=3)
+    cfg = default_config(image_size=32, classes=5, mode="pg2", base_width=16, depth=3)
     g, d = init_params(cfg, seed=1)
 
     # independent recount: walk the architecture definition from first principles
@@ -76,25 +81,27 @@ def test_parameter_count_matches_layerwise_oracle():
         ch = nxt
     expected_d += conv_params(ch, 1, 1)
 
-    assert g.count() == expected_g
-    assert d.count() == expected_d
+    assert count(g) == expected_g
+    assert count(d) == expected_d
 
 
 def test_parameter_count_invariant_across_seeds():
     counts = set()
     for seed in range(3):
         g, d = init_params(TINY, seed)
-        counts.add((g.count(), d.count()))
+        counts.add((count(g), count(d)))
     assert len(counts) == 1
 
 
 def test_invalid_config_rejected():
     with pytest.raises(TensorError):
-        NetConfig(height=30, width=32, depth=3)
+        default_config(image_size=30, depth=3)
     with pytest.raises(TensorError):
-        NetConfig(base_width=2)
+        default_config(base_width=2)
     with pytest.raises(TensorError):
-        NetConfig(mode="cycle")
+        default_config(classes=1)
+    with pytest.raises(TensorError):
+        default_config(mode="cycle")
 
 
 def test_generator_output_shape_and_range():

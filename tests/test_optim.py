@@ -11,7 +11,7 @@ from biltrans.tensor import Tape, TensorError, backward
 
 
 def make_params(values: dict) -> ParameterSet:
-    ps = ParameterSet("generator", "pg2")
+    ps = ParameterSet("pg2")
     for name, v in values.items():
         ps.add(name, np.asarray(v, dtype=np.float64))
     return ps

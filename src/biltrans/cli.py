@@ -93,10 +93,6 @@ def unseen_episode(cfg, scene):
     )
 
 
-def unseen_episodes(cfg, scenes):
-    return [unseen_episode(cfg, s) for s in scenes]
-
-
 def cmd_gen_data(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(_paths(cfg)["config"], "w") as f:
@@ -184,7 +180,7 @@ def _append_loss_log(path, records):
             w.writerow([r["iteration"], repr(r["loss_g_total"]), repr(r["loss_d"])])
 
 
-def _rows_for(cfg, aux_on):
+def _rows_for(aux_on):
     return [r for r in ROWS if aux_on or r != "bilevel"]
 
 
@@ -232,7 +228,7 @@ def _adapt_job(args):
 def cmd_adapt(cfg, aux_on=True):
     p = _paths(cfg)
     _require(p["pretrain_ckpt"], "biltrans pretrain")
-    rows = _rows_for(cfg, aux_on)
+    rows = _rows_for(aux_on)
     if any(r.startswith("bilevel") for r in rows):
         _require(p["metatrain_ckpt"], "biltrans metatrain")
     scenes = _load_scenes(cfg, "unseen")
@@ -260,8 +256,8 @@ def cmd_eval(cfg, aux_on=True):
     from .losses import FeatureExtractor
 
     phi = FeatureExtractor(seed=cfg.phi_seed, widths=cfg.phi_width_list())
-    episodes = unseen_episodes(cfg, _load_scenes(cfg, "unseen"))
-    rows = _rows_for(cfg, aux_on)
+    episodes = [unseen_episode(cfg, s) for s in _load_scenes(cfg, "unseen")]
+    rows = _rows_for(aux_on)
     summaries = {}
     for row in rows:
         report = MetricReport(phi_seed=cfg.phi_seed)
@@ -350,6 +346,8 @@ def build_parser():
 
 
 def resolve_config(args):
+    if args.iters is not None and args.iters < 0:
+        raise ConfigError(f"--iters must be >= 0, got {args.iters}")
     try:
         cfg = load_config(args.config) if args.config else default_config()
         overrides = {}

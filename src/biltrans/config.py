@@ -74,8 +74,8 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise TensorError(f"config: {name} must be >= 0")
         for name in ("alpha", "beta", "adam_eps"):
-            if not getattr(self, name) > 0:
-                raise TensorError(f"config: {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise TensorError(f"config: {name} must be finite and positive")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise TensorError(f"config: {name} must be in [0, 1)")
@@ -92,7 +92,10 @@ class ExperimentConfig:
             raise TensorError("config: shade_amp_max must be in [0, 0.3]")
         if self.k_aux > self.n_train_scenes:
             raise TensorError("config: k_aux cannot exceed n_train_scenes")
-        tuple(self.phi_width_list())  # parse check
+        if self.clusters < 0:
+            raise TensorError("config: clusters must be >= 0")
+        if min(self.phi_width_list()) < 1:
+            raise TensorError(f"config: every phi_widths entry must be >= 1, got {self.phi_widths!r}")
         return self
 
     @property

@@ -61,10 +61,11 @@ def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
 
 def _unit_normalize(feat: Tensor) -> Tensor:
     # divide by the per-location channel L2 norm
-    sum_sq = T.channel_sum(T.square(feat))
+    n, _, h, w = feat.shape
+    sum_sq = T.sum_to(T.square(feat), (n, 1, h, w))
     eps = T.constant(np.full(sum_sq.shape, NORM_EPS))
     inv_norm = T.reciprocal(T.sqrt(T.add(sum_sq, eps)))
-    return T.mul(feat, T.channel_repeat(inv_norm, feat.shape[1]))
+    return T.mul(feat, T.broadcast_to(inv_norm, feat.shape))
 
 
 def perceptual_loss(phi: FeatureExtractor, pred: Tensor, target: Tensor) -> Tensor:

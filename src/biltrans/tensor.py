@@ -177,7 +177,7 @@ def _shape_err(name, *shapes):
 
 def _apply(name, inputs, attrs=None) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = _FORWARD[name](attrs, *[t.data for t in inputs])
+        out_data = _OPS[name][0](attrs, *[t.data for t in inputs])
     if not np.isfinite(out_data).all():
         raise TensorError(f"{name}: non-finite value in output")
     out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
@@ -330,16 +330,6 @@ def _f_reduce_mean(attrs, x):
     return np.asarray(x.mean())
 
 
-def _f_reduce_sum(attrs, x):
-    return np.asarray(x.sum())
-
-
-def _f_broadcast_scalar(attrs, x):
-    if x.shape != ():
-        raise _shape_err("broadcast_scalar", x.shape)
-    return np.full(attrs["shape"], float(x))
-
-
 def _f_bias_add(attrs, x, b):
     # per-channel bias (C, 1, 1) broadcast over an (N, C, H, W) batch
     if x.ndim != 4 or b.shape != (x.shape[1], 1, 1):
@@ -347,29 +337,26 @@ def _f_bias_add(attrs, x, b):
     return x + b
 
 
-def _f_channel_broadcast(attrs, x):
-    if x.ndim != 3 or x.shape[1:] != (1, 1):
-        raise _shape_err("channel_broadcast", x.shape)
-    return np.broadcast_to(x, (attrs["n"], x.shape[0], attrs["h"], attrs["w"])).copy()
+@functools.lru_cache(maxsize=None)
+def _broadcast_axes(name, big, small):
+    # the axes of ``big`` that broadcasting ``small`` to it repeats along,
+    # shapes aligned from the right as in numpy: every leading axis, and
+    # every axis where ``small`` has size 1
+    lead = len(big) - len(small)
+    if lead < 0 or any(s not in (1, b) for s, b in zip(small, big[lead:])):
+        raise _shape_err(name, small, big)
+    return tuple(range(lead)) + tuple(lead + i for i, s in enumerate(small) if s == 1)
 
 
-def _f_channel_reduce(attrs, x):
-    if x.ndim != 4:
-        raise _shape_err("channel_reduce", x.shape)
-    return x.sum(axis=(0, 2, 3)).reshape(x.shape[1], 1, 1)
+def _f_broadcast_to(attrs, x):
+    shape = attrs["shape"]
+    _broadcast_axes("broadcast_to", shape, x.shape)
+    return np.broadcast_to(x, shape).copy()
 
 
-def _f_channel_sum(attrs, x):
-    if x.ndim != 4:
-        raise _shape_err("channel_sum", x.shape)
-    return x.sum(axis=1, keepdims=True)
-
-
-def _f_channel_repeat(attrs, x):
-    if x.ndim != 4 or x.shape[1] != 1:
-        raise _shape_err("channel_repeat", x.shape)
-    n, _, h, w = x.shape
-    return np.broadcast_to(x, (n, attrs["c"], h, w)).copy()
+def _f_sum_to(attrs, x):
+    shape = attrs["shape"]
+    return x.sum(axis=_broadcast_axes("sum_to", x.shape, shape)).reshape(shape)
 
 
 def _f_concat_channels(attrs, a, b):
@@ -427,42 +414,6 @@ def _f_pad_reflect_adjoint(attrs, g):
     out[:, :, :, 1 : p + 1][:, :, :, ::-1] += rows[:, :, :, :p]
     out[:, :, :, w - 1 - p : w - 1][:, :, :, ::-1] += rows[:, :, :, p + w :]
     return out
-
-
-_FORWARD = {
-    "add": _f_add,
-    "sub": _f_sub,
-    "mul": _f_mul,
-    "scalar_mul": _f_scalar_mul,
-    "conv2d": _f_conv2d,
-    "conv2d_dx": _f_conv2d_dx,
-    "conv2d_dk": _f_conv2d_dk,
-    "upsample_nearest2": _f_upsample_nearest2,
-    "avg_pool2": _f_avg_pool2,
-    "relu": _f_relu,
-    "leaky_relu": _f_leaky_relu,
-    "tanh": _f_tanh,
-    "sigmoid": _f_sigmoid,
-    "log": _f_log,
-    "square": _f_square,
-    "abs": _f_abs,
-    "sqrt": _f_sqrt,
-    "reciprocal": _f_reciprocal,
-    "clamp": _f_clamp,
-    "reduce_mean": _f_reduce_mean,
-    "reduce_sum": _f_reduce_sum,
-    "broadcast_scalar": _f_broadcast_scalar,
-    "bias_add": _f_bias_add,
-    "channel_broadcast": _f_channel_broadcast,
-    "channel_reduce": _f_channel_reduce,
-    "channel_sum": _f_channel_sum,
-    "channel_repeat": _f_channel_repeat,
-    "concat_channels": _f_concat_channels,
-    "slice_channels": _f_slice_channels,
-    "pad_channels": _f_pad_channels,
-    "pad_reflect": _f_pad_reflect,
-    "pad_reflect_adjoint": _f_pad_reflect_adjoint,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -542,34 +493,19 @@ def reduce_mean(x):
     return _apply("reduce_mean", [x])
 
 
-def reduce_sum(x):
-    return _apply("reduce_sum", [x])
-
-
-def broadcast_scalar(x, shape):
-    return _apply("broadcast_scalar", [x], {"shape": tuple(shape)})
-
-
 def bias_add(x, b):
     """``x`` (N, C, H, W) plus a per-channel bias ``b`` of shape (C, 1, 1)."""
     return _apply("bias_add", [x, b])
 
 
-def channel_broadcast(x, n, h, w):
-    return _apply("channel_broadcast", [x], {"n": int(n), "h": int(h), "w": int(w)})
+def broadcast_to(x, shape):
+    """Repeat ``x`` up to ``shape``, aligned from the right as in numpy."""
+    return _apply("broadcast_to", [x], {"shape": tuple(shape)})
 
 
-def channel_reduce(x):
-    return _apply("channel_reduce", [x])
-
-
-def channel_sum(x):
-    """Sum over the channel axis: (N, C, H, W) -> (N, 1, H, W)."""
-    return _apply("channel_sum", [x])
-
-
-def channel_repeat(x, c):
-    return _apply("channel_repeat", [x], {"c": int(c)})
+def sum_to(x, shape):
+    """Sum ``x`` down to ``shape``: the adjoint of ``broadcast_to``."""
+    return _apply("sum_to", [x], {"shape": tuple(shape)})
 
 
 def concat_channels(a, b):
@@ -692,36 +628,19 @@ def _v_clamp(g, ins, out, attrs):
 
 def _v_reduce_mean(g, ins, out, attrs):
     n = ins[0].data.size
-    return [scalar_mul(broadcast_scalar(g, ins[0].shape), 1.0 / n)]
-
-
-def _v_reduce_sum(g, ins, out, attrs):
-    return [broadcast_scalar(g, ins[0].shape)]
-
-
-def _v_broadcast_scalar(g, ins, out, attrs):
-    return [reduce_sum(g)]
+    return [scalar_mul(broadcast_to(g, ins[0].shape), 1.0 / n)]
 
 
 def _v_bias_add(g, ins, out, attrs):
-    return [g, channel_reduce(g)]
+    return [g, sum_to(g, ins[1].shape)]
 
 
-def _v_channel_broadcast(g, ins, out, attrs):
-    return [channel_reduce(g)]
+def _v_broadcast_to(g, ins, out, attrs):
+    return [sum_to(g, ins[0].shape)]
 
 
-def _v_channel_reduce(g, ins, out, attrs):
-    n, _, h, w = ins[0].shape
-    return [channel_broadcast(g, n, h, w)]
-
-
-def _v_channel_sum(g, ins, out, attrs):
-    return [channel_repeat(g, ins[0].shape[1])]
-
-
-def _v_channel_repeat(g, ins, out, attrs):
-    return [channel_sum(g)]
+def _v_sum_to(g, ins, out, attrs):
+    return [broadcast_to(g, ins[0].shape)]
 
 
 def _v_concat_channels(g, ins, out, attrs):
@@ -747,42 +666,39 @@ def _v_pad_reflect_adjoint(g, ins, out, attrs):
     return [pad_reflect(g, attrs["pad"])]
 
 
-_VJP = {
-    "add": _v_add,
-    "sub": _v_sub,
-    "mul": _v_mul,
-    "scalar_mul": _v_scalar_mul,
-    "conv2d": _v_conv2d,
-    "conv2d_dx": _v_conv2d_dx,
-    "conv2d_dk": _v_conv2d_dk,
-    "upsample_nearest2": _v_upsample_nearest2,
-    "avg_pool2": _v_avg_pool2,
-    "relu": _v_relu,
-    "leaky_relu": _v_leaky_relu,
-    "tanh": _v_tanh,
-    "sigmoid": _v_sigmoid,
-    "log": _v_log,
-    "square": _v_square,
-    "abs": _v_abs,
-    "sqrt": _v_sqrt,
-    "reciprocal": _v_reciprocal,
-    "clamp": _v_clamp,
-    "reduce_mean": _v_reduce_mean,
-    "reduce_sum": _v_reduce_sum,
-    "broadcast_scalar": _v_broadcast_scalar,
-    "bias_add": _v_bias_add,
-    "channel_broadcast": _v_channel_broadcast,
-    "channel_reduce": _v_channel_reduce,
-    "channel_sum": _v_channel_sum,
-    "channel_repeat": _v_channel_repeat,
-    "concat_channels": _v_concat_channels,
-    "slice_channels": _v_slice_channels,
-    "pad_channels": _v_pad_channels,
-    "pad_reflect": _v_pad_reflect,
-    "pad_reflect_adjoint": _v_pad_reflect_adjoint,
+# every registry op: name -> (forward kernel, backward rule)
+_OPS = {
+    "add": (_f_add, _v_add),
+    "sub": (_f_sub, _v_sub),
+    "mul": (_f_mul, _v_mul),
+    "scalar_mul": (_f_scalar_mul, _v_scalar_mul),
+    "conv2d": (_f_conv2d, _v_conv2d),
+    "conv2d_dx": (_f_conv2d_dx, _v_conv2d_dx),
+    "conv2d_dk": (_f_conv2d_dk, _v_conv2d_dk),
+    "upsample_nearest2": (_f_upsample_nearest2, _v_upsample_nearest2),
+    "avg_pool2": (_f_avg_pool2, _v_avg_pool2),
+    "relu": (_f_relu, _v_relu),
+    "leaky_relu": (_f_leaky_relu, _v_leaky_relu),
+    "tanh": (_f_tanh, _v_tanh),
+    "sigmoid": (_f_sigmoid, _v_sigmoid),
+    "log": (_f_log, _v_log),
+    "square": (_f_square, _v_square),
+    "abs": (_f_abs, _v_abs),
+    "sqrt": (_f_sqrt, _v_sqrt),
+    "reciprocal": (_f_reciprocal, _v_reciprocal),
+    "clamp": (_f_clamp, _v_clamp),
+    "reduce_mean": (_f_reduce_mean, _v_reduce_mean),
+    "bias_add": (_f_bias_add, _v_bias_add),
+    "broadcast_to": (_f_broadcast_to, _v_broadcast_to),
+    "sum_to": (_f_sum_to, _v_sum_to),
+    "concat_channels": (_f_concat_channels, _v_concat_channels),
+    "slice_channels": (_f_slice_channels, _v_slice_channels),
+    "pad_channels": (_f_pad_channels, _v_pad_channels),
+    "pad_reflect": (_f_pad_reflect, _v_pad_reflect),
+    "pad_reflect_adjoint": (_f_pad_reflect_adjoint, _v_pad_reflect_adjoint),
 }
 
-ALL_OP_NAMES = frozenset(_FORWARD)
+ALL_OP_NAMES = frozenset(_OPS)
 
 
 def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor]:
@@ -830,7 +746,7 @@ def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor
         ins = [tape.nodes[i] for i in op.input_ids]
         if not any(t.requires_grad for t in ins):
             continue
-        contribs = run(_VJP[op.name], g, ins, tape.nodes[op.output_id], op.attrs)
+        contribs = run(_OPS[op.name][1], g, ins, tape.nodes[op.output_id], op.attrs)
         for node_id, t, contrib in zip(op.input_ids, ins, contribs):
             if contrib is None or not t.requires_grad:
                 continue

@@ -242,7 +242,8 @@ BAD_VALUES = [
     ("adam_eps", "0"), ("adam_eps", "nan"), ("adam_beta1", "1.0"), ("adam_beta1", "-0.1"),
     ("adam_beta2", "1.0"), ("alpha", "0"), ("beta", "-1"), ("pretrain_iters", "-1"),
     ("gp_finetune_iters", "-3"), ("classes", "1"), ("base_width", "2"), ("lambda_adv", "nan"),
-    ("lambda_perc", "-1"),
+    ("lambda_perc", "-1"), ("alpha", "inf"), ("beta", "inf"), ("adam_eps", "inf"),
+    ("phi_widths", "-4"), ("phi_widths", "8,0"), ("clusters", "-1"),
 ]
 
 
@@ -254,6 +255,22 @@ def test_cli_rejects_invalid_value_at_config_time(key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err, err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "metatrain"])
+def test_cli_rejects_negative_iters(stage, tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_file = tmp_path / "smoke.cfg"
+    cfg_file.write_text(SMOKE + f"\nout_dir = {out}\n")
+    assert run_cli("gen-data", "--config", str(cfg_file)) == 0
+    if stage == "metatrain":
+        assert run_cli("pretrain", "--config", str(cfg_file), "--iters", "0") == 0
+    before = sorted(p for p in out.rglob("*"))
+    capsys.readouterr()
+    assert run_cli(stage, "--config", str(cfg_file), "--iters", "-2") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--iters" in err, err
+    assert sorted(p for p in out.rglob("*")) == before
 
 
 def test_cli_missing_prerequisite_exit_code(tmp_path):

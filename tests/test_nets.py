@@ -207,6 +207,6 @@ def test_generator_differentiable_under_second_order_tape():
     with Tape(Tape.DIFFERENTIABLE):
         loss = T.reduce_mean(T.square(generator_forward(g, x, r)))
         grads = backward(loss, g.tensors())
-        gnorm = T.reduce_sum(T.square(grads[g["head.w"]]))
+        gnorm = T.sum_to(T.square(grads[g["head.w"]]), ())
         second = backward(gnorm, [g["head.w"]])
     assert np.all(np.isfinite(second[g["head.w"]].data))

@@ -65,6 +65,10 @@ def test_shape_mismatch_rejected_with_op_name():
         T.add(T.tensor([1.0]), T.tensor([1.0, 2.0]))
     with pytest.raises(TensorError, match="conv2d"):
         T.conv2d(T.tensor(np.ones((1, 2, 4, 4))), T.tensor(np.ones((3, 1, 1, 1))))
+    with pytest.raises(TensorError, match="sum_to"):
+        T.sum_to(T.tensor(np.ones((1, 3, 4, 5))), (3, 2, 1))
+    with pytest.raises(TensorError, match="broadcast_to"):
+        T.broadcast_to(T.tensor(np.ones((3, 1, 1))), (1, 4, 4, 5))
 
 
 def test_non_finite_output_rejected():
@@ -87,7 +91,7 @@ def test_backward_mean_square_closed_form():
 def test_backward_relu_subgradient_zero_at_zero():
     with Tape():
         x = leaf([-1.0, 0.0, 2.0])
-        loss = T.reduce_sum(T.relu(x))
+        loss = T.sum_to(T.relu(x), ())
         grads = backward(loss, [x])
     np.testing.assert_array_equal(grads[x].data, [0.0, 0.0, 1.0])
 
@@ -103,7 +107,7 @@ def test_backward_rejects_nonscalar_loss():
 def test_backward_rejects_off_tape_tensor():
     with Tape():
         x = leaf([1.0])
-        loss = T.reduce_sum(x)
+        loss = T.sum_to(x, ())
         stranger = leaf([1.0])
         with pytest.raises(TensorError, match="tape"):
             backward(loss, [stranger])
@@ -117,7 +121,7 @@ def test_backward_linearity():
         with Tape():
             x = leaf(xv)
             f = T.reduce_mean(T.square(x))
-            g = T.reduce_sum(T.mul(x, x))  # same value, separate graph path
+            g = T.sum_to(T.mul(x, x), ())  # same value, separate graph path
             total = T.add(T.scalar_mul(f, scale_f), T.scalar_mul(g, scale_g))
             return backward(total, [x])[x].data
 
@@ -190,6 +194,19 @@ def _binary(shape=(1, 2, 6, 6)):
     return build
 
 
+def _broadcast_pair(name, n=1):
+    # seed k takes the (k mod 3)-th (small, big) pair: a scalar, a per-channel
+    # and a per-location broadcast over an (n, C, H, W) batch
+    def build(seed):
+        small, big = [((), (1, 2, 3, 3)), ((3, 1, 1), (n, 3, 4, 5)),
+                      ((n, 1, 4, 5), (n, 3, 4, 5))][seed % 3]
+        if name == "broadcast_to":
+            return [np.asarray(rand(small, seed))], {"shape": big}
+        return [rand(big, seed)], {"shape": small}
+
+    return build
+
+
 _CASES = {
     "add": _binary(),
     "sub": _binary(),
@@ -211,13 +228,9 @@ _CASES = {
     "reciprocal": _unary((1, 2, 6, 6), 0.2, 2.0),
     "clamp": lambda seed: ([np.where(np.abs(a := rand((1, 2, 6, 6), seed, -2, 2)) % 0.5 < 1e-3, a + 2e-3, a)], {"lo": -0.5, "hi": 0.5}),
     "reduce_mean": _unary(),
-    "reduce_sum": _unary(),
-    "broadcast_scalar": lambda seed: ([np.asarray(rand((), seed))], {"shape": (1, 2, 3, 3)}),
     "bias_add": lambda seed: ([rand((1, 3, 4, 5), seed), rand((3, 1, 1), seed + 1)], None),
-    "channel_broadcast": lambda seed: ([rand((3, 1, 1), seed)], {"n": 1, "h": 4, "w": 5}),
-    "channel_reduce": _unary((1, 3, 4, 5)),
-    "channel_sum": _unary((1, 3, 4, 5)),
-    "channel_repeat": lambda seed: ([rand((1, 1, 4, 5), seed)], {"c": 3}),
+    "broadcast_to": _broadcast_pair("broadcast_to"),
+    "sum_to": _broadcast_pair("sum_to"),
     "concat_channels": lambda seed: ([rand((1, 2, 5, 5), seed), rand((1, 3, 5, 5), seed + 1)], None),
     "slice_channels": lambda seed: ([rand((1, 4, 5, 5), seed)], {"start": 1, "stop": 3}),
     "pad_channels": lambda seed: ([rand((1, 2, 5, 5), seed)], {"before": 1, "after": 2}),
@@ -234,7 +247,8 @@ _BATCH_CASES = {
     "upsample_nearest2": ("upsample_nearest2", _unary((2, 2, 3, 4))),
     "concat_channels": ("concat_channels", lambda seed: ([rand((2, 2, 5, 5), seed), rand((2, 3, 5, 5), seed + 1)], None)),
     "bias_add": ("bias_add", lambda seed: ([rand((2, 3, 4, 5), seed), rand((3, 1, 1), seed + 1)], None)),
-    "channel_sum": ("channel_sum", _unary((2, 3, 4, 5))),
+    "broadcast_to": ("broadcast_to", _broadcast_pair("broadcast_to", n=2)),
+    "sum_to": ("sum_to", _broadcast_pair("sum_to", n=2)),
 }
 
 
@@ -250,7 +264,7 @@ def analytic_and_fd(name, build, seed, n_checks=1):
         leaves = [leaf(a) for a in arrays]
         out = T._apply(name, leaves, attrs)
         proj = T.constant(rand(out.shape, seed + 7000))
-        loss = T.reduce_sum(T.mul(out, proj)) if out.shape != () else T.mul(out, proj)
+        loss = T.sum_to(T.mul(out, proj), ()) if out.shape != () else T.mul(out, proj)
         loss = T.scalar_mul(loss, float(weights))
         grads = backward(loss, leaves)
 
@@ -258,7 +272,7 @@ def analytic_and_fd(name, build, seed, n_checks=1):
         ins = [T.tensor(theta[f"x{i}"]) for i in range(len(arrays))]
         o = T._apply(name, ins, attrs)
         p = T.constant(rand(o.shape, seed + 7000))
-        l = T.reduce_sum(T.mul(o, p)) if o.shape != () else T.mul(o, p)
+        l = T.sum_to(T.mul(o, p), ()) if o.shape != () else T.mul(o, p)
         return float(weights) * l.item()
 
     fd = finite_diff_gradient(f, {f"x{i}": a for i, a in enumerate(arrays)}, eps=1e-5)
@@ -347,7 +361,7 @@ def test_gradient_of_gradient_quartic():
 def test_values_mode_gradients_are_not_nodes():
     with Tape(Tape.VALUES):
         x = leaf([1.0, -2.0])
-        loss = T.reduce_sum(T.square(x))
+        loss = T.sum_to(T.square(x), ())
         g = backward(loss, [x])[x]
     assert g.node is None
 
@@ -363,7 +377,7 @@ def test_second_order_through_conv_net():
             y = T.tanh(T.conv2d(T.tensor(xv), k))
             loss = T.reduce_mean(T.square(y))
             g = backward(loss, [k])[k]
-            return T.reduce_sum(T.square(g)).item()
+            return T.sum_to(T.square(g), ()).item()
 
     fd = finite_diff_gradient(grad_norm, {"k": kv}, eps=1e-5)
     with Tape(Tape.DIFFERENTIABLE):
@@ -371,7 +385,7 @@ def test_second_order_through_conv_net():
         y = T.tanh(T.conv2d(T.tensor(xv), k))
         loss = T.reduce_mean(T.square(y))
         g = backward(loss, [k])[k]
-        norm = T.reduce_sum(T.square(g))
+        norm = T.sum_to(T.square(g), ())
         g2 = backward(norm, [k])[k]
     assert rel_err(g2.data, fd["k"]) < 1e-5
 
@@ -388,12 +402,12 @@ def test_second_order_through_batched_image_ops():
         h = T.tanh(T.bias_add(T.conv2d(T.pad_reflect(x, 1), leaves["k1"], stride=2), leaves["b1"]))
         h = T.concat_channels(T.upsample_nearest2(h), x)
         h = T.avg_pool2(T.tanh(T.conv2d(T.pad_reflect(h, 1), leaves["k2"])))
-        norm = T.channel_repeat(T.channel_sum(T.square(h)), 2)
+        norm = T.broadcast_to(T.sum_to(T.square(h), (2, 1, 3, 3)), h.shape)
         loss = T.reduce_mean(T.mul(h, T.tanh(norm)))
         grads = backward(loss, list(leaves.values()))
         total = None
         for t in leaves.values():
-            term = T.reduce_sum(T.square(grads[t]))
+            term = T.sum_to(T.square(grads[t]), ())
             total = term if total is None else T.add(total, term)
         return total
 

@@ -194,15 +194,23 @@ def _binary(shape=(1, 2, 6, 6)):
     return build
 
 
+def _shape_pair(name, small, big):
+    # broadcast_to takes a small-shaped input up to big, sum_to a big one down
+    def build(seed):
+        if name == "broadcast_to":
+            return [np.asarray(rand(small, seed))], {"shape": big}
+        return [rand(big, seed)], {"shape": small}
+
+    return build
+
+
 def _broadcast_pair(name, n=1):
     # seed k takes the (k mod 3)-th (small, big) pair: a scalar, a per-channel
     # and a per-location broadcast over an (n, C, H, W) batch
     def build(seed):
         small, big = [((), (1, 2, 3, 3)), ((3, 1, 1), (n, 3, 4, 5)),
                       ((n, 1, 4, 5), (n, 3, 4, 5))][seed % 3]
-        if name == "broadcast_to":
-            return [np.asarray(rand(small, seed))], {"shape": big}
-        return [rand(big, seed)], {"shape": small}
+        return _shape_pair(name, small, big)(seed)
 
     return build
 
@@ -236,6 +244,20 @@ _CASES = {
     "pad_channels": lambda seed: ([rand((1, 2, 5, 5), seed)], {"before": 1, "after": 2}),
     "pad_reflect": lambda seed: ([rand((1, 2, 5, 5), seed)], {"pad": 2}),
     "pad_reflect_adjoint": lambda seed: ([rand((1, 2, 9, 9), seed)], {"pad": 2}),
+}
+
+# the broadcast and reduction patterns the networks and losses use, each
+# checked under its own name through broadcast_to/sum_to: (op name, input builder)
+_PATTERN_CASES = {
+    name: (op, _shape_pair(op, small, big))
+    for name, op, small, big in [
+        ("reduce_sum", "sum_to", (), (1, 2, 6, 6)),
+        ("broadcast_scalar", "broadcast_to", (), (1, 2, 3, 3)),
+        ("channel_broadcast", "broadcast_to", (3, 1, 1), (1, 3, 4, 5)),
+        ("channel_reduce", "sum_to", (3, 1, 1), (1, 3, 4, 5)),
+        ("channel_sum", "sum_to", (1, 1, 4, 5), (1, 3, 4, 5)),
+        ("channel_repeat", "broadcast_to", (1, 1, 4, 5), (1, 3, 4, 5)),
+    ]
 }
 
 # N = 2 batches of the image ops: (op name, input builder)
@@ -282,10 +304,10 @@ def analytic_and_fd(name, build, seed, n_checks=1):
     return worst
 
 
-@pytest.mark.parametrize("name", sorted(T.ALL_OP_NAMES))
+@pytest.mark.parametrize("name", sorted(T.ALL_OP_NAMES.union(_PATTERN_CASES)))
 def test_every_op_gradient_matches_finite_differences(name):
-    build = _CASES[name]
-    worst = max(analytic_and_fd(name, build, seed) for seed in range(5))
+    op, build = _PATTERN_CASES[name] if name in _PATTERN_CASES else (name, _CASES[name])
+    worst = max(analytic_and_fd(op, build, seed) for seed in range(5))
     assert worst < 1e-6, f"{name}: rel err {worst:.3e}"
 
 

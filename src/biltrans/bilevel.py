@@ -52,15 +52,20 @@ class Objective:
         self.g_forward = self.g_forward or generator_forward
         self.d_forward = self.d_forward or discriminator_forward
 
-    def pair_losses(self, g, d, samples):
-        """Mean generator total loss: L1 + weighted adversarial + weighted perceptual.
+    def generate(self, g, batch):
+        """Generated images (N, 3, H, W) for a list of samples or a batch
+        triple (see ``stack_samples``), recorded on the active tape."""
+        xs, xr, _ = stack_samples(batch)
+        return self.g_forward(g, xs, xr)
 
-        ``samples`` is a list of samples or one stacked batch triple (see
-        ``stack_samples``); every term is one batch mean, which equals the
-        mean of the per-sample losses.
+    def pair_losses(self, d, batch, fake):
+        """Mean generator total loss of the generated batch ``fake``: L1 +
+        weighted adversarial + weighted perceptual.
+
+        Every term is one batch mean, which equals the mean of the
+        per-sample losses.
         """
-        xs, xr, y = stack_samples(samples)
-        fake = self.g_forward(g, xs, xr)
+        xs, _, y = stack_samples(batch)
         loss_g = l1_loss(fake, y)
         cfg = self.config
         if cfg.lambda_adv != 0.0:
@@ -79,27 +84,20 @@ class Objective:
         logits = self.d_forward(d, xs, img)
         return T.clamp(T.sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
-    def disc_loss_detached(self, g, d, samples):
-        """Mean discriminator loss -(log p_real + log(1 - p_fake)), with the
-        generated images detached unless the active tape is DIFFERENTIABLE
-        (detaching only skips the generator's VJPs; an unrolled outer
-        gradient needs the discriminator's dependence on the generator)."""
-        xs, xr, y = stack_samples(samples)
+    def disc_loss_detached(self, d, batch, fake):
+        """Mean discriminator loss -(log p_real + log(1 - p_fake)) of the
+        generated batch ``fake``, detached unless the active tape is
+        DIFFERENTIABLE (detaching only skips the generator's VJPs; an
+        unrolled outer gradient needs the discriminator's dependence on the
+        generator)."""
+        xs, _, y = stack_samples(batch)
         tape = T.active_tape()
-        if tape is not None and tape.mode == Tape.DIFFERENTIABLE:
-            fake = self.g_forward(g, xs, xr)
-        else:
-            with T.no_tape():
-                fake = T.constant(self.g_forward(g, xs, xr).data)
+        if tape is None or tape.mode != Tape.DIFFERENTIABLE:
+            fake = T.constant(fake.data)
         p_fake = self._prob(d, xs, fake)
         log_one_minus_fake = T.reduce_mean(T.log(T.sub(T.constant(np.ones(p_fake.shape)), p_fake)))
         p_real = self._prob(d, xs, y)
         return T.scalar_mul(T.add(T.reduce_mean(T.log(p_real)), log_one_minus_fake), -1.0)
-
-    def generate(self, g, samples) -> np.ndarray:
-        """Generated images (N, 3, H, W) for a list of samples or a batch triple."""
-        xs, xr, _ = stack_samples(samples)
-        return self.g_forward(g, xs, xr).data
 
 
 def _adam(params, rate, config: ExperimentConfig) -> AdamState:
@@ -166,19 +164,24 @@ def _batch_for_iteration(samples, config: ExperimentConfig, rng):
 
 def alternating_step(objective: Objective, g, d, batch, step_g, step_d, tape=None):
     """One GAN training step: a discriminator step on ``batch``, then a
-    generator step against the updated discriminator.
+    generator step against the updated discriminator, both on one
+    generated batch.
 
     ``step_d(d, grads)``/``step_g(g, grads)`` apply the update rule to a
     parameter set and its ``backward`` result and return the updated set.
-    Without ``tape`` each loss is recorded on a fresh VALUES tape; with a
-    DIFFERENTIABLE ``tape`` both steps are recorded on it.
+    Without ``tape`` the batch is generated on a fresh VALUES tape that the
+    generator step reuses, and the discriminator step runs on its own
+    fresh tape; with a DIFFERENTIABLE ``tape`` everything is recorded on it.
     Returns (g, d, loss_g, loss_d).
     """
+    batch = stack_samples(batch)
+    with tape or Tape() as g_tape:
+        fake = objective.generate(g, batch)
     with tape or Tape():
-        loss_d = objective.disc_loss_detached(g, d, batch)
+        loss_d = objective.disc_loss_detached(d, batch, fake)
         d = step_d(d, backward(loss_d, d.tensors()))
-    with tape or Tape():
-        loss_g = objective.pair_losses(g, d, batch)
+    with g_tape:
+        loss_g = objective.pair_losses(d, batch, fake)
         g = step_g(g, backward(loss_g, g.tensors()))
     return g, d, loss_g, loss_d
 
@@ -284,8 +287,10 @@ def meta_gradients(state: BiLevelState, episodes: list, mode: str):
         # first-order: at the adapted pair; unrolled: through the recorded steps
         g_wrt, d_wrt = (g_is, d_is) if tape is None else (state.g_gp, state.d_gp)
         with tape or Tape():
-            loss_g = state.objective.pair_losses(g_is, d_is, ep.test)
-            loss_d = state.objective.disc_loss_detached(g_is, d_is, ep.test)
+            batch = stack_samples(ep.test)
+            fake = state.objective.generate(g_is, batch)
+            loss_g = state.objective.pair_losses(d_is, batch, fake)
+            loss_d = state.objective.disc_loss_detached(d_is, batch, fake)
             g_by_name = g_wrt.grads_by_name(backward(loss_g, g_wrt.tensors()))
             d_by_name = d_wrt.grads_by_name(backward(loss_d, d_wrt.tensors()))
         for n in sum_g:
@@ -386,7 +391,7 @@ def test_adapt(state: BiLevelState, episode: TaskEpisode, train_tasks: list,
     if not episode.train:
         raise TensorError("test_adapt: unseen episode has no training split")
     if k:  # retrieve_topk rejects a k outside 1..len(train_tasks)
-        aux = retrieve_topk(episode.train[0].x_struct, train_tasks, k)
+        aux = retrieve_topk(episode.key, train_tasks, k)
         tuned = gp_finetune_on_aux(state, aux, finetune_mode,
                                    substream_seed(seed, "aux", episode.scene_id))
         gp_pair = (tuned.g_gp, tuned.d_gp)
@@ -397,7 +402,7 @@ def test_adapt(state: BiLevelState, episode: TaskEpisode, train_tasks: list,
         state.objective, substream_seed(seed, "test-adapt", episode.scene_id),
         n_iters=state.config.inner_iters,
     )
-    images = list(state.objective.generate(g_is, episode.test))
+    images = list(state.objective.generate(g_is, episode.test).data)
     return g_is, d_is, images
 
 

@@ -19,6 +19,7 @@ from .config import default_config, load_config, parse_config, serialize_config
 from .metrics import MetricReport, score_pair
 from .rng import substream_seed
 from .tasks import (
+    LazyEpisode,
     export_dataset,
     load_manifest,
     read_ppm,
@@ -74,9 +75,9 @@ def _scenes(cfg, split):
 
 def train_task_pool(cfg, scenes):
     """One fixed episode per training scene, used for retrieval and as
-    auxiliary fine-tuning data."""
+    auxiliary fine-tuning data; only the retrieved ones are ever rendered."""
     return [
-        sample_episode(
+        LazyEpisode(
             s, cfg.n_shot, cfg.n_test,
             substream_seed(cfg.master_seed, "train-task", s.scene_id),
             cfg.with_reference, cfg.allow_flip,
@@ -205,7 +206,7 @@ def adapt_one_scene(cfg, scene, rows, inputs):
     out = {}
     for row in rows:
         if row == "baseline":
-            images = list(state_pre.objective.generate(state_pre.g_gp, episode.test))
+            images = list(state_pre.objective.generate(state_pre.g_gp, episode.test).data)
         elif row == "baseline_shot":
             _, _, images = test_adapt(state_pre, episode, [], seed=cfg.master_seed)
         elif row == "bilevel_noaux":
@@ -308,11 +309,10 @@ def cmd_retrieve(cfg, scene_index=0):
                           f"unseen scenes (0..{len(unseen) - 1})")
     pool = train_task_pool(cfg, _load_scenes(cfg, "train"))
     episode = unseen_episode(cfg, unseen[scene_index])
-    query = episode.train[0].x_struct
-    top = retrieve_topk(query, pool, cfg.k_aux)
+    top = retrieve_topk(episode.key, pool, cfg.k_aux)
     print(f"query: unseen scene {episode.scene_id}")
     for rank, task in enumerate(top, start=1):
-        score = similarity(query, task.train[0].x_struct)
+        score = similarity(episode.key, task.key)
         print(f"  rank {rank}: train scene {task.scene_id} similarity {score:.4f}")
     return 0
 

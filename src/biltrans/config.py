@@ -88,6 +88,13 @@ class ExperimentConfig:
                 raise TensorError(f"config: {name} must be finite and >= 0")
         if self.image_size % (2**self.depth):
             raise TensorError("config: image_size must be divisible by 2^depth")
+        # every reflect pad of the networks and the feature extractor needs a
+        # side of at least 2, and SSIM a 7x7 window
+        for least, what in ((2 ** (self.depth + 1), "2^(depth + 1)"),
+                            (2 ** len(self.phi_width_list()), "2^(number of phi_widths entries)"),
+                            (7, "the SSIM window")):
+            if self.image_size < least:
+                raise TensorError(f"config: image_size must be >= {what} = {least}")
         if not 0 <= self.shade_amp_max <= 0.3:
             raise TensorError("config: shade_amp_max must be in [0, 0.3]")
         if self.k_aux > self.n_train_scenes:

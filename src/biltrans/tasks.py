@@ -8,6 +8,7 @@ similar scenes also look similar, which is what makes retrieval-based
 auxiliary fine-tuning meaningful.
 """
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -89,6 +90,11 @@ class TaskEpisode:
     @property
     def scene_id(self) -> int:
         return self.scene.scene_id
+
+    @property
+    def key(self) -> SegMap:
+        """The structure map that retrieval compares: the first training sample's."""
+        return self.train[0].x_struct
 
 
 def _draw_distinct_colors(rng, classes, bound, min_dist):
@@ -262,10 +268,36 @@ def sample_episode(scene: SceneSpec, n_shot: int, n_test: int, seed: int,
         raise TensorError(f"sample_episode: n_shot must be 1 or 5, got {n_shot}")
     if n_test < 1:
         raise TensorError("sample_episode: n_test must be >= 1")
-    base = int(stream(seed, "episode", scene.scene_id).integers(0, 2**62))
+    base = _episode_base(scene, seed)
     train = [render(scene, base + 2 * i, with_reference, allow_flip) for i in range(n_shot)]
     test = [render(scene, base + 2 * j + 1, with_reference, allow_flip) for j in range(n_test)]
     return TaskEpisode(scene=scene, train=train, test=test)
+
+
+def _episode_base(scene: SceneSpec, seed: int) -> int:
+    # layout seed of an episode's first training render
+    return int(stream(seed, "episode", scene.scene_id).integers(0, 2**62))
+
+
+class LazyEpisode:
+    """``sample_episode`` with the same arguments, rendered on first read of
+    ``train`` or ``test``. Its retrieval ``key`` is painted at once, from the
+    first training render's own layout stream, so it equals that render's
+    structure map bitwise."""
+
+    def __init__(self, scene: SceneSpec, n_shot: int, n_test: int, seed: int,
+                 with_reference: bool = True, allow_flip: bool = True):
+        self.scene, self.scene_id = scene, scene.scene_id
+        self._args = (n_shot, n_test, seed, with_reference, allow_flip)
+        rng = stream(scene.seed, "render", _episode_base(scene, seed))
+        self.key = SegMap(_paint_layout(scene, rng), scene.classes)
+
+    @functools.cached_property
+    def _episode(self) -> TaskEpisode:
+        return sample_episode(self.scene, *self._args)
+
+    train = property(lambda self: self._episode.train)
+    test = property(lambda self: self._episode.test)
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +323,12 @@ def similarity(a: SegMap, b: SegMap) -> float:
 def retrieve_topk(x_uns: SegMap, train_tasks: list, k: int) -> list:
     """The K train episodes most similar to the query structure map.
 
-    Each task is keyed by its first training sample's structure map; ties
-    break by ascending scene id.
+    Each task is keyed by its first training sample's structure map
+    (``key``); ties break by ascending scene id.
     """
     if not (1 <= k <= len(train_tasks)):
         raise TensorError(f"retrieve_topk: k={k} out of range for {len(train_tasks)} tasks")
-    scored = [
-        (-similarity(x_uns, task.train[0].x_struct), task.scene_id, task)
-        for task in train_tasks
-    ]
+    scored = [(-similarity(x_uns, task.key), task.scene_id, task) for task in train_tasks]
     scored.sort(key=lambda item: (item[0], item[1]))
     return [task for _, _, task in scored[:k]]
 

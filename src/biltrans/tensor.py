@@ -525,144 +525,147 @@ def pad_reflect(x, pad=1):
 
 
 # ---------------------------------------------------------------------------
-# backward rules, each written with registry ops so they are differentiable
+# backward rules, each written with registry ops so they are differentiable.
+# ``need`` holds one flag per input; a rule may return None for an input
+# whose flag is false, and the ones with a costly adjoint do.
 
 
 def _ones_like(t):
     return constant(np.ones_like(t.data))
 
 
-def _v_add(g, ins, out, attrs):
+def _v_add(g, ins, out, attrs, need):
     return [g, g]
 
 
-def _v_sub(g, ins, out, attrs):
-    return [g, scalar_mul(g, -1.0)]
+def _v_sub(g, ins, out, attrs, need):
+    return [g, scalar_mul(g, -1.0) if need[1] else None]
 
 
-def _v_mul(g, ins, out, attrs):
+def _v_mul(g, ins, out, attrs, need):
     a, b = ins
-    return [mul(g, b), mul(g, a)]
+    return [mul(g, b) if need[0] else None, mul(g, a) if need[1] else None]
 
 
-def _v_scalar_mul(g, ins, out, attrs):
+def _v_scalar_mul(g, ins, out, attrs, need):
     return [scalar_mul(g, attrs["c"])]
 
 
-def _v_conv2d(g, ins, out, attrs):
+def _v_conv2d(g, ins, out, attrs, need):
     x, k = ins
     s = attrs["stride"]
-    gx = _apply("conv2d_dx", [g, k], {"stride": s, "h": x.shape[2], "w": x.shape[3]})
-    gk = _apply("conv2d_dk", [x, g], {"stride": s, "kh": k.shape[2], "kw": k.shape[3]})
+    gx = _apply("conv2d_dx", [g, k], {"stride": s, "h": x.shape[2], "w": x.shape[3]}) if need[0] else None
+    gk = _apply("conv2d_dk", [x, g], {"stride": s, "kh": k.shape[2], "kw": k.shape[3]}) if need[1] else None
     return [gx, gk]
 
 
-def _v_conv2d_dx(g, ins, out, attrs):
+def _v_conv2d_dx(g, ins, out, attrs, need):
     # bilinear: adjoints swap back through conv2d / conv2d_dk
     gin, k = ins
     s = attrs["stride"]
-    gg = _apply("conv2d", [g, k], {"stride": s})
-    gk = _apply("conv2d_dk", [g, gin], {"stride": s, "kh": k.shape[2], "kw": k.shape[3]})
+    gg = _apply("conv2d", [g, k], {"stride": s}) if need[0] else None
+    gk = _apply("conv2d_dk", [g, gin], {"stride": s, "kh": k.shape[2], "kw": k.shape[3]}) if need[1] else None
     return [gg, gk]
 
 
-def _v_conv2d_dk(g, ins, out, attrs):
+def _v_conv2d_dk(g, ins, out, attrs, need):
     x, gin = ins
     s = attrs["stride"]
-    gx = _apply("conv2d_dx", [gin, g], {"stride": s, "h": x.shape[2], "w": x.shape[3]})
-    gg = _apply("conv2d", [x, g], {"stride": s})
+    gx = _apply("conv2d_dx", [gin, g], {"stride": s, "h": x.shape[2], "w": x.shape[3]}) if need[0] else None
+    gg = _apply("conv2d", [x, g], {"stride": s}) if need[1] else None
     return [gx, gg]
 
 
-def _v_upsample_nearest2(g, ins, out, attrs):
+def _v_upsample_nearest2(g, ins, out, attrs, need):
     return [scalar_mul(avg_pool2(g), 4.0)]
 
 
-def _v_avg_pool2(g, ins, out, attrs):
+def _v_avg_pool2(g, ins, out, attrs, need):
     return [scalar_mul(upsample_nearest2(g), 0.25)]
 
 
-def _v_relu(g, ins, out, attrs):
+def _v_relu(g, ins, out, attrs, need):
     mask = constant((ins[0].data > 0).astype(np.float64))
     return [mul(g, mask)]
 
 
-def _v_leaky_relu(g, ins, out, attrs):
+def _v_leaky_relu(g, ins, out, attrs, need):
     mask = constant(np.where(ins[0].data > 0, 1.0, 0.2))
     return [mul(g, mask)]
 
 
-def _v_tanh(g, ins, out, attrs):
+def _v_tanh(g, ins, out, attrs, need):
     return [mul(g, sub(_ones_like(out), square(out)))]
 
 
-def _v_sigmoid(g, ins, out, attrs):
+def _v_sigmoid(g, ins, out, attrs, need):
     return [mul(g, mul(out, sub(_ones_like(out), out)))]
 
 
-def _v_log(g, ins, out, attrs):
+def _v_log(g, ins, out, attrs, need):
     return [mul(g, reciprocal(ins[0]))]
 
 
-def _v_square(g, ins, out, attrs):
+def _v_square(g, ins, out, attrs, need):
     return [scalar_mul(mul(g, ins[0]), 2.0)]
 
 
-def _v_abs(g, ins, out, attrs):
+def _v_abs(g, ins, out, attrs, need):
     return [mul(g, constant(np.sign(ins[0].data)))]
 
 
-def _v_sqrt(g, ins, out, attrs):
+def _v_sqrt(g, ins, out, attrs, need):
     return [scalar_mul(mul(g, reciprocal(out)), 0.5)]
 
 
-def _v_reciprocal(g, ins, out, attrs):
+def _v_reciprocal(g, ins, out, attrs, need):
     return [scalar_mul(mul(g, square(out)), -1.0)]
 
 
-def _v_clamp(g, ins, out, attrs):
+def _v_clamp(g, ins, out, attrs, need):
     x = ins[0].data
     mask = constant(((x > attrs["lo"]) & (x < attrs["hi"])).astype(np.float64))
     return [mul(g, mask)]
 
 
-def _v_reduce_mean(g, ins, out, attrs):
+def _v_reduce_mean(g, ins, out, attrs, need):
     n = ins[0].data.size
     return [scalar_mul(broadcast_to(g, ins[0].shape), 1.0 / n)]
 
 
-def _v_bias_add(g, ins, out, attrs):
-    return [g, sum_to(g, ins[1].shape)]
+def _v_bias_add(g, ins, out, attrs, need):
+    return [g, sum_to(g, ins[1].shape) if need[1] else None]
 
 
-def _v_broadcast_to(g, ins, out, attrs):
+def _v_broadcast_to(g, ins, out, attrs, need):
     return [sum_to(g, ins[0].shape)]
 
 
-def _v_sum_to(g, ins, out, attrs):
+def _v_sum_to(g, ins, out, attrs, need):
     return [broadcast_to(g, ins[0].shape)]
 
 
-def _v_concat_channels(g, ins, out, attrs):
+def _v_concat_channels(g, ins, out, attrs, need):
     ca = ins[0].shape[1]
-    return [slice_channels(g, 0, ca), slice_channels(g, ca, out.shape[1])]
+    return [slice_channels(g, 0, ca) if need[0] else None,
+            slice_channels(g, ca, out.shape[1]) if need[1] else None]
 
 
-def _v_slice_channels(g, ins, out, attrs):
+def _v_slice_channels(g, ins, out, attrs, need):
     total = ins[0].shape[1]
     return [pad_channels(g, attrs["start"], total - attrs["stop"])]
 
 
-def _v_pad_channels(g, ins, out, attrs):
+def _v_pad_channels(g, ins, out, attrs, need):
     b = attrs["before"]
     return [slice_channels(g, b, b + ins[0].shape[1])]
 
 
-def _v_pad_reflect(g, ins, out, attrs):
+def _v_pad_reflect(g, ins, out, attrs, need):
     return [_apply("pad_reflect_adjoint", [g], {"pad": attrs["pad"]})]
 
 
-def _v_pad_reflect_adjoint(g, ins, out, attrs):
+def _v_pad_reflect_adjoint(g, ins, out, attrs, need):
     return [pad_reflect(g, attrs["pad"])]
 
 
@@ -704,7 +707,10 @@ ALL_OP_NAMES = frozenset(_OPS)
 def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor]:
     """Gradients of a scalar ``loss`` with respect to each tensor in ``wrt``.
 
-    On a DIFFERENTIABLE tape the gradient computation is recorded onto the
+    Only the ops between a ``wrt`` tensor and ``loss`` are visited, and a
+    backward rule is asked only for the adjoints of inputs that depend on
+    ``wrt`` (activity analysis, as in Griewank & Walther 2008). On a
+    DIFFERENTIABLE tape the gradient computation is recorded onto the
     same tape, so the returned tensors are nodes and can be differentiated
     again. Unreached leaves get zero gradients.
     """
@@ -727,31 +733,30 @@ def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor
             raise TensorError("backward: requested tensor does not require grad")
         wrt_ids.append(idx)
 
-    differentiable = tape.mode == Tape.DIFFERENTIABLE
-    n_ops = len(tape.ops)
+    # mark every node that depends on a wrt tensor, up to the loss
+    active = set(wrt_ids)
+    live = []
+    for op in tape.ops:
+        if op.output_id > loss_id:
+            break
+        if not active.isdisjoint(op.input_ids):
+            active.add(op.output_id)
+            live.append(op)
+
     adjoints: dict[int, Tensor] = {loss_id: constant(1.0)}
-
-    def run(fn, *args):
-        # VJP arithmetic joins the tape only when gradients must stay differentiable
-        if differentiable:
-            with tape:
-                return fn(*args)
-        with no_tape():
-            return fn(*args)
-
-    for op in reversed(tape.ops[:n_ops]):
-        g = adjoints.get(op.output_id)
-        if g is None:
-            continue
-        ins = [tape.nodes[i] for i in op.input_ids]
-        if not any(t.requires_grad for t in ins):
-            continue
-        contribs = run(_OPS[op.name][1], g, ins, tape.nodes[op.output_id], op.attrs)
-        for node_id, t, contrib in zip(op.input_ids, ins, contribs):
-            if contrib is None or not t.requires_grad:
+    # VJP arithmetic joins the tape only when gradients must stay differentiable
+    with tape if tape.mode == Tape.DIFFERENTIABLE else no_tape():
+        for op in reversed(live):
+            g = adjoints.get(op.output_id)
+            if g is None:
                 continue
-            prev = adjoints.get(node_id)
-            adjoints[node_id] = contrib if prev is None else run(add, prev, contrib)
+            ins = [tape.nodes[i] for i in op.input_ids]
+            need = [i in active and t.requires_grad for i, t in zip(op.input_ids, ins)]
+            contribs = _OPS[op.name][1](g, ins, tape.nodes[op.output_id], op.attrs, need)
+            for node_id, wanted, contrib in zip(op.input_ids, need, contribs):
+                if wanted:
+                    prev = adjoints.get(node_id)
+                    adjoints[node_id] = contrib if prev is None else add(prev, contrib)
 
     out = {}
     for t, idx in zip(wrt, wrt_ids):

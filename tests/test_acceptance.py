@@ -158,7 +158,8 @@ def test_criterion_2_meta_gradient_correctness():
             g_is, d_is, tape = inner_adapt((g, d), ep.train, cfg, MetaMode.FULL_UNROLLED,
                                            obj, seed=77, n_iters=inner_steps)
             with tape:
-                lg, ld = obj.pair_losses(g_is, d_is, ep.test), obj.disc_loss_detached(g_is, d_is, ep.test)
+                fake = obj.generate(g_is, ep.test)
+                lg, ld = obj.pair_losses(d_is, ep.test, fake), obj.disc_loss_detached(d_is, ep.test, fake)
             return lg.item() if want == "g" else ld.item()
 
         g0 = {n: p.data.copy() for n, p in state.g_gp.items()}
@@ -167,7 +168,8 @@ def test_criterion_2_meta_gradient_correctness():
                                        MetaMode.FULL_UNROLLED, obj, seed=77,
                                        n_iters=inner_steps)
         with tape:
-            lg, ld = obj.pair_losses(g_is, d_is, ep.test), obj.disc_loss_detached(g_is, d_is, ep.test)
+            fake = obj.generate(g_is, ep.test)
+            lg, ld = obj.pair_losses(d_is, ep.test, fake), obj.disc_loss_detached(d_is, ep.test, fake)
             an_g = state.g_gp.grads_by_name(backward(lg, state.g_gp.tensors()))
             an_d = state.d_gp.grads_by_name(backward(ld, state.d_gp.tensors()))
         fd_g = finite_diff_gradient(lambda th: pipeline(th, d0, "g"), g0, eps=1e-5)

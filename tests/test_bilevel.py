@@ -241,6 +241,111 @@ def test_alternating_step_tape_changes_connectivity_not_values(k):
     assert d_tape.digest() == d_eager.digest()
 
 
+def _count_generator_calls(obj):
+    calls = []
+    forward = obj.g_forward
+    obj.g_forward = lambda g, xs, xr: calls.append(1) or forward(g, xs, xr)
+    return calls
+
+
+@pytest.mark.parametrize("mode", MetaMode.ALL)
+def test_one_generator_forward_per_step_and_per_episode(mode):
+    inner_steps = 2
+    state = tiny_state(22, train_inner_iters=inner_steps)
+    obj, rate = state.objective, state.config.alpha
+    calls = _count_generator_calls(obj)
+    ep = tiny_episode(502)
+    g, d = state.g_gp.copy(), state.d_gp.copy()
+    if mode == MetaMode.FULL_UNROLLED:
+        tape, step_g, step_d = T.Tape(T.Tape.DIFFERENTIABLE), bilevel._sgd_rule(rate), bilevel._sgd_rule(rate)
+    else:
+        tape = None
+        step_g = bilevel._adam_rule(bilevel._adam(g, rate, state.config))
+        step_d = bilevel._adam_rule(bilevel._adam(d, rate, state.config))
+    alternating_step(obj, g, d, ep.train, step_g, step_d, tape)
+    assert len(calls) == 1
+    calls.clear()
+    episodes = [ep, tiny_episode(503)]
+    meta_gradients(state, episodes, mode)
+    assert len(calls) == len(episodes) * (inner_steps + 1)
+
+
+def test_alternating_step_equals_two_forward_step_bitwise():
+    # the reference generates twice: a detached forward for the discriminator
+    # step, then a fresh taped forward for the generator step
+    state = small_state(42)
+    obj, cfg = state.objective, state.config
+    batch = small_episode(43).train
+
+    def two_forward_step(g, d, step_g, step_d):
+        with T.Tape():
+            with T.no_tape():
+                fake = T.constant(obj.generate(g, batch).data)
+            loss_d = obj.disc_loss_detached(d, batch, fake)
+            d = step_d(d, T.backward(loss_d, d.tensors()))
+        with T.Tape():
+            loss_g = obj.pair_losses(d, batch, obj.generate(g, batch))
+            g = step_g(g, T.backward(loss_g, g.tensors()))
+        return g, d, loss_g, loss_d
+
+    def run(step):
+        g, d = state.g_gp.copy(), state.d_gp.copy()
+        step_g = bilevel._adam_rule(bilevel._adam(g, cfg.alpha, cfg))
+        step_d = bilevel._adam_rule(bilevel._adam(d, cfg.alpha, cfg))
+        losses = []
+        for _ in range(3):
+            g, d, loss_g, loss_d = step(g, d, step_g, step_d)
+            losses.append((loss_g.item(), loss_d.item()))
+        return g.digest(), d.digest(), losses
+
+    one_forward = run(lambda g, d, step_g, step_d: alternating_step(obj, g, d, batch, step_g, step_d))
+    assert one_forward == run(two_forward_step)
+
+
+@pytest.mark.parametrize("mode", [T.Tape.VALUES, T.Tape.DIFFERENTIABLE])
+def test_backward_to_one_network_equals_its_part_of_both(mode):
+    g, d = init_params(SMALL_NET, 25)
+    obj = small_objective()
+    batch = small_episode(3502).train
+
+    def grads(wrt):
+        with T.Tape(mode) as tape:
+            loss = obj.pair_losses(d, batch, obj.generate(g, batch))
+            n_forward = len(tape.ops)
+            out = T.backward(loss, wrt)
+        return g.grads_by_name(out), len(tape.ops) - n_forward
+
+    part, added_part = grads(g.tensors())
+    full, added_full = grads(g.tensors() + d.tensors())
+    for n in part:
+        np.testing.assert_array_equal(part[n], full[n], err_msg=n)
+    if mode == T.Tape.DIFFERENTIABLE:
+        assert 0 < added_part < added_full
+    else:
+        assert added_part == added_full == 0
+
+
+def test_generator_step_backward_skips_discriminator_kernels():
+    # the discriminator update is cut from the tape, so the generator loss
+    # depends on the discriminator's kernels only as constants
+    state = small_state(40)
+    tape = T.Tape(T.Tape.DIFFERENTIABLE)
+    seen = {}
+
+    def step_d(d, grads):
+        seen["after_d"] = len(tape.ops)
+        return d.with_tensors({n: T.tensor(p.data - 1e-3 * grads[p].data, requires_grad=True)
+                               for n, p in d.items()})
+
+    def step_g(g, grads):
+        seen["dk"] = [op.name for op in tape.ops[seen["after_d"]:]].count("conv2d_dk")
+        return g
+
+    alternating_step(state.objective, state.g_gp, state.d_gp, small_episode(41).train,
+                     step_g, step_d, tape)
+    assert seen["dk"] == sum(n.endswith(".w") for n in state.g_gp.keys())
+
+
 # ---------------------------------------------------------------------------
 # meta update contracts
 
@@ -304,7 +409,8 @@ def test_unrolled_meta_gradient_matches_end_to_end_finite_differences(inner_step
         g_is, d_is, tape = inner_adapt((g, d), ep.train, cfg, MetaMode.FULL_UNROLLED,
                                        obj, seed=77, n_iters=inner_steps)
         with tape:
-            loss_g, loss_d = obj.pair_losses(g_is, d_is, ep.test), obj.disc_loss_detached(g_is, d_is, ep.test)
+            fake = obj.generate(g_is, ep.test)
+            loss_g, loss_d = obj.pair_losses(d_is, ep.test, fake), obj.disc_loss_detached(d_is, ep.test, fake)
         return loss_g.item() if want == "g" else loss_d.item()
 
     g0 = {n: p.data.copy() for n, p in state.g_gp.items()}
@@ -318,7 +424,8 @@ def test_unrolled_meta_gradient_matches_end_to_end_finite_differences(inner_step
     from biltrans.tensor import backward
 
     with tape:
-        loss_g, loss_d = obj.pair_losses(g_is, d_is, ep.test), obj.disc_loss_detached(g_is, d_is, ep.test)
+        fake = obj.generate(g_is, ep.test)
+        loss_g, loss_d = obj.pair_losses(d_is, ep.test, fake), obj.disc_loss_detached(d_is, ep.test, fake)
         gg = state.g_gp.grads_by_name(backward(loss_g, state.g_gp.tensors()))
         gd = state.d_gp.grads_by_name(backward(loss_d, state.d_gp.tensors()))
 
@@ -474,12 +581,12 @@ def _objective_terms(obj, g, d, samples):
     for key, fn, mode in (("pair_g", obj.pair_losses, T.Tape.VALUES),
                           ("disc_connected", obj.disc_loss_detached, T.Tape.DIFFERENTIABLE)):
         with T.Tape(mode):
-            loss = fn(g, d, samples)
+            loss = fn(d, samples, obj.generate(g, samples))
             grads = T.backward(loss, g.tensors() + d.tensors())
             terms[key] = (loss.item(), {**{f"g.{n}": grads[p].data for n, p in g.items()},
                                         **{f"d.{n}": grads[p].data for n, p in d.items()}})
     with T.Tape():
-        loss = obj.disc_loss_detached(g, d, samples)
+        loss = obj.disc_loss_detached(d, samples, obj.generate(g, samples))
         grads = T.backward(loss, d.tensors())
         terms["disc_detached"] = (loss.item(), {f"d.{n}": grads[p].data for n, p in d.items()})
     return terms
@@ -511,5 +618,6 @@ def test_objective_tape_size_does_not_grow_with_batch():
             fn(samples)
         return len(tape.ops)
 
-    for fn in (lambda s: obj.pair_losses(g, d, s), lambda s: obj.disc_loss_detached(g, d, s)):
+    for fn in (lambda s: obj.pair_losses(d, s, obj.generate(g, s)),
+               lambda s: obj.disc_loss_detached(d, s, obj.generate(g, s))):
         assert ops(fn, batch) == ops(fn, batch[:1])

@@ -2,11 +2,12 @@
 
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from biltrans import cli
+from biltrans import cli, tasks
 from biltrans.checkpoint import (
     MAGIC,
     build_state,
@@ -16,6 +17,8 @@ from biltrans.checkpoint import (
 )
 from biltrans.config import default_config, parse_config, serialize_config
 from biltrans.bilevel import metatrain, pretrain
+from biltrans.rng import substream_seed
+from biltrans.tasks import render, retrieve_topk, sample_episode, similarity
 from biltrans.tensor import TensorError
 
 SMOKE = """
@@ -243,7 +246,8 @@ BAD_VALUES = [
     ("adam_beta2", "1.0"), ("alpha", "0"), ("beta", "-1"), ("pretrain_iters", "-1"),
     ("gp_finetune_iters", "-3"), ("classes", "1"), ("base_width", "2"), ("lambda_adv", "nan"),
     ("lambda_perc", "-1"), ("alpha", "inf"), ("beta", "inf"), ("adam_eps", "inf"),
-    ("phi_widths", "-4"), ("phi_widths", "8,0"), ("clusters", "-1"),
+    ("phi_widths", "-4"), ("phi_widths", "8,0"), ("clusters", "-1"), ("depth", "4"),
+    ("phi_widths", "4,4,4,4,4"), ("image_size", "6"),
 ]
 
 
@@ -318,6 +322,37 @@ def test_cli_retrieve_ranks_duplicate_first(tmp_path, capsys):
     assert run_cli("retrieve", "--config", str(cfg_file), "--scene", "0") == 0
     printed = capsys.readouterr().out
     assert "rank 1" in printed
+
+
+@pytest.mark.parametrize("mode", ["pg2", "pix2pix"])
+def test_lazy_task_pool_retrieves_and_renders_like_the_eager_pool(mode, monkeypatch):
+    cfg = replace(parse_config(SMOKE), mode=mode, n_train_scenes=12, n_unseen_scenes=4,
+                  clusters=3, k_aux=3)
+    scenes = cli._scenes(cfg, "train")
+    eager = [sample_episode(s, cfg.n_shot, cfg.n_test,
+                            substream_seed(cfg.master_seed, "train-task", s.scene_id),
+                            cfg.with_reference, cfg.allow_flip) for s in scenes]
+    train_ids = {s.scene_id for s in scenes}
+    rendered = []  # scene ids of training-scene renders
+    monkeypatch.setattr(tasks, "render", lambda scene, *a: (
+        rendered.append(scene.scene_id) if scene.scene_id in train_ids else None) or render(scene, *a))
+    lazy = cli.train_task_pool(cfg, scenes)
+    assert rendered == []  # building the pool renders nothing
+    retrieved = set()
+    for scene in cli._scenes(cfg, "unseen"):
+        query = cli.unseen_episode(cfg, scene).key
+        got = retrieve_topk(query, lazy, cfg.k_aux)
+        retrieved |= {t.scene_id for t in got}
+        want = retrieve_topk(query, eager, cfg.k_aux)
+        assert [t.scene_id for t in got] == [t.scene_id for t in want]
+        assert [similarity(query, t.key) for t in got] == [similarity(query, t.key) for t in want]
+        for a, b in zip(got, want):
+            for sa, sb in zip(a.train + a.test, b.train + b.test):
+                assert np.array_equal(sa.x_struct.labels, sb.x_struct.labels)
+                assert np.array_equal(sa.y, sb.y)
+                assert (sa.x_ref is None and sb.x_ref is None) or np.array_equal(sa.x_ref, sb.x_ref)
+    # only the retrieved tasks were rendered, each once
+    assert sorted(rendered) == sorted(i for i in retrieved for _ in range(cfg.n_shot + cfg.n_test))
 
 
 @pytest.mark.parametrize("scene", ["2", "3", "-1"])

@@ -48,17 +48,12 @@ def _fixed_batch(seed):
     return T.tensor(xs), T.tensor(rand((1, 3, 8, 8), seed + 1)), T.tensor(rand((1, 3, 8, 8), seed + 2))
 
 
-def _emit(img):
-    """A generator forward that ignores its parameters and returns ``img``."""
-    return lambda g, xs, xr: T.tensor(img.data)
-
-
 def test_adversarial_symmetric_uncertainty():
     # p = 0.5 on every patch; the generator reproduces its target, so L1 is 0
     batch = _fixed_batch(0)
-    obj = Objective(ADV_ONLY, g_forward=_emit(batch[2]),
-                    d_forward=lambda d, xs, img: T.constant(np.zeros((1, 1, 2, 2))))
-    loss_g, loss_d = obj.pair_losses(None, None, batch), obj.disc_loss_detached(None, None, batch)
+    obj = Objective(ADV_ONLY, d_forward=lambda d, xs, img: T.constant(np.zeros((1, 1, 2, 2))))
+    fake = T.tensor(batch[2].data)
+    loss_g, loss_d = obj.pair_losses(None, batch, fake), obj.disc_loss_detached(None, batch, fake)
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
     assert loss_g.item() == pytest.approx(-np.log(2), abs=1e-12)
 
@@ -67,12 +62,13 @@ def test_adversarial_perfect_discriminator_limit():
     # saturated logits: p_real and 1 - p_fake clamp to 1 - 1e-7
     batch = _fixed_batch(1)
     y = batch[2]
-    obj = Objective(ADV_ONLY, g_forward=_emit(batch[1]),
+    obj = Objective(ADV_ONLY,
                     d_forward=lambda d, xs, img: T.constant(np.full((1, 1, 2, 2), 30.0 if img is y else -30.0)))
+    fake = T.tensor(batch[1].data)
     with Tape(Tape.DIFFERENTIABLE):  # generated images stay connected
-        loss_d = obj.disc_loss_detached(None, None, batch)
+        loss_d = obj.disc_loss_detached(None, batch, fake)
     assert abs(loss_d.item()) < 1e-6
-    assert abs(obj.disc_loss_detached(None, None, batch).item()) < 1e-6
+    assert abs(obj.disc_loss_detached(None, batch, fake).item()) < 1e-6
 
 
 def test_adversarial_constant_disc_through_network_path():
@@ -82,9 +78,9 @@ def test_adversarial_constant_disc_through_network_path():
         p.data[...] = 0.0
     xs, xr, y = _fixed_batch(2)
     fake = T.tensor(rand((1, 3, 8, 8), 1))
-    obj = Objective(ADV_ONLY, g_forward=_emit(fake))
-    loss_g = obj.pair_losses(None, d, (xs, xr, y))
-    loss_d = obj.disc_loss_detached(None, d, (xs, xr, y))  # bias 0 -> p = 0.5
+    obj = Objective(ADV_ONLY)
+    loss_g = obj.pair_losses(d, (xs, xr, y), fake)
+    loss_d = obj.disc_loss_detached(d, (xs, xr, y), fake)  # bias 0 -> p = 0.5
     l1 = np.mean(np.abs(fake.data - y.data))
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
     assert loss_g.item() - l1 == pytest.approx(-np.log(2), abs=1e-12)
@@ -99,11 +95,11 @@ def test_adversarial_generator_gradient_vs_finite_differences():
         ps = g.copy()
         for name in theta:
             ps[name].data[...] = theta[name]
-        return obj.pair_losses(ps, d, batch).item()
+        return obj.pair_losses(d, batch, obj.generate(ps, batch)).item()
 
     fd = finite_diff_gradient(f, {n: p.data for n, p in g.items()}, eps=1e-5)
     with Tape():
-        loss_g = obj.pair_losses(g, d, batch)
+        loss_g = obj.pair_losses(d, batch, obj.generate(g, batch))
         grads = g.grads_by_name(backward(loss_g, g.tensors()))
     worst = max(
         np.max(np.abs(grads[n] - fd[n]) / np.maximum.reduce([np.abs(grads[n]), np.abs(fd[n]), np.ones_like(fd[n])]))
@@ -174,7 +170,8 @@ def _sample(seed, with_reference=True):
 def _gen_losses(g, d, config, sample):
     """(generator total loss, discriminator loss) of the objective on one sample."""
     obj = Objective(config)
-    return obj.pair_losses(g, d, [sample]), obj.disc_loss_detached(g, d, [sample])
+    fake = obj.generate(g, [sample])
+    return obj.pair_losses(d, [sample], fake), obj.disc_loss_detached(d, [sample], fake)
 
 
 def test_total_loss_degenerate_weights_equal_l1():
@@ -194,9 +191,9 @@ def test_total_loss_weighted_sum_arithmetic(nonsaturating):
     xs, xr, y = stack_samples([_sample(22)])
     fake = T.tensor(rand((1, 3, 8, 8), 9, -0.9, 0.9))
     config = default_config(phi_seed=16, lambda_adv=10.0, lambda_perc=2.0, nonsaturating=nonsaturating)
-    obj = Objective(config, g_forward=_emit(fake))
+    obj = Objective(config)
     phi = obj.phi
-    got_g, got_d = obj.pair_losses(None, d, (xs, xr, y)), obj.disc_loss_detached(None, d, (xs, xr, y))
+    got_g, got_d = obj.pair_losses(d, (xs, xr, y), fake), obj.disc_loss_detached(d, (xs, xr, y), fake)
 
     # adversarial terms recomputed in numpy from the discriminator's logits
     def prob(img):

@@ -343,6 +343,20 @@ def test_fd_rejects_nondeterministic_function():
         finite_diff_gradient(f, {"t": np.asarray(1.0)})
 
 
+@pytest.mark.parametrize("name", ["conv2d", "conv2d_dx", "conv2d_dk"])
+def test_conv_rules_compute_only_needed_adjoints(name):
+    arrays, attrs = _CASES[name](0)
+    ins = [leaf(a) for a in arrays]
+    out = T._apply(name, ins, attrs)
+    g = T.tensor(rand(out.shape, 1))
+    rule = T._OPS[name][1]
+    full = rule(g, ins, out, attrs, [True, True])
+    for skip in (0, 1):
+        got = rule(g, ins, out, attrs, [i != skip for i in range(2)])
+        assert got[skip] is None
+        np.testing.assert_array_equal(got[1 - skip].data, full[1 - skip].data)
+
+
 def test_fd_agrees_with_backward_on_two_layer_net():
     # two dense layers as 1x1 convolutions over a (1, 3, 2, 1) input
     rng = np.random.default_rng(99)

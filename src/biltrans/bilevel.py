@@ -267,6 +267,7 @@ def meta_gradients(state: BiLevelState, episodes: list, mode: str):
     Both modes take the episode-test losses of the adapted pair on one
     tape; FIRST_ORDER differentiates them at the adapted parameters,
     FULL_UNROLLED backpropagates them through the recorded inner steps.
+    Each episode's tape is dropped before the next episode adapts.
     Returns (g grads, d grads, mean generator loss, mean discriminator loss).
     """
     cfg = state.config
@@ -286,13 +287,16 @@ def meta_gradients(state: BiLevelState, episodes: list, mode: str):
         )
         # first-order: at the adapted pair; unrolled: through the recorded steps
         g_wrt, d_wrt = (g_is, d_is) if tape is None else (state.g_gp, state.d_gp)
-        with tape or Tape():
+        with tape or Tape() as tape:
             batch = stack_samples(ep.test)
             fake = state.objective.generate(g_is, batch)
             loss_g = state.objective.pair_losses(d_is, batch, fake)
             loss_d = state.objective.disc_loss_detached(d_is, batch, fake)
-            g_by_name = g_wrt.grads_by_name(backward(loss_g, g_wrt.tensors()))
-            d_by_name = d_wrt.grads_by_name(backward(loss_d, d_wrt.tensors()))
+        # outside the block nothing is recorded: the meta-gradient is never
+        # differentiated again, and the tape is freed before the next episode
+        g_by_name = g_wrt.grads_by_name(backward(loss_g, g_wrt.tensors()))
+        d_by_name = d_wrt.grads_by_name(backward(loss_d, d_wrt.tensors()))
+        del tape
         for n in sum_g:
             sum_g[n] += g_by_name[n]
         for n in sum_d:

@@ -115,9 +115,13 @@ def build_state(cfg: ExperimentConfig) -> BiLevelState:
 
 
 def load_checkpoint(path: str):
-    """Reconstruct (state, config) exactly as saved."""
-    config_text, arrays = read_checkpoint_arrays(path)
-    cfg = parse_config(config_text)
+    """Reconstruct (state, config) exactly as saved; a malformed file raises
+    TensorError naming it."""
+    try:
+        config_text, arrays = read_checkpoint_arrays(path)
+        cfg = parse_config(config_text)
+    except (TensorError, UnicodeDecodeError) as e:
+        raise TensorError(f"{path}: {e}") from e
     state = build_state(cfg)
 
     def array(key, shape=()):

@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .bilevel import MetaMode, metatrain, pretrain, test_adapt
 from .checkpoint import build_state, load_checkpoint, save_checkpoint
@@ -236,6 +235,8 @@ def cmd_adapt(cfg, aux_on=True):
     n = len(scenes)
     os.makedirs(p["results"], exist_ok=True)
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for its import
+
         payload = [(serialize_config(cfg), i, rows) for i in range(n)]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
             results = dict(ex.map(_adapt_job, payload))
@@ -407,6 +408,9 @@ def main(argv=None) -> int:
         if "non-finite" in str(e):
             print(f"numerical failure: {e}", file=sys.stderr)
             return 4
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:  # a path of the wrong kind, e.g. a directory where a file belongs
         print(f"error: {e}", file=sys.stderr)
         return 2
 

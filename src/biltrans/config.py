@@ -184,5 +184,9 @@ def serialize_config(cfg: ExperimentConfig, with_provenance: bool = False) -> st
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as f:
-        return parse_config(f.read())
+    """Parse a config file; a malformed one raises TensorError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse_config(f.read())
+    except (TensorError, UnicodeDecodeError) as e:
+        raise TensorError(f"{path}: {e}") from e

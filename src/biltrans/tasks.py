@@ -410,17 +410,17 @@ def load_manifest(data_dir: str) -> list:
         raise FileNotFoundError(path)
     header = {}
     scene_rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("scene "):
-                scene_rows.append(line)
-            else:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
     try:
+        with open(path, encoding="utf-8") as f:  # a non-UTF-8 byte is a ValueError
+            for line in f:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith("scene "):
+                    scene_rows.append(line)
+                else:
+                    key, _, value = line.partition("=")
+                    header[key.strip()] = value.strip()
         classes = int(header["classes"])
         height, width = int(header["height"]), int(header["width"])
         amp = float(header["shade_amp_max"])

@@ -6,7 +6,9 @@ Simard 2006). Ops record onto the innermost active ``Tape``;
 with no active tape they evaluate eagerly. Every op's backward rule is
 itself written in terms of registry ops, so a tape opened in
 ``Tape.DIFFERENTIABLE`` mode can differentiate through gradients
-(unrolled optimizer steps, gradient-of-gradient).
+(unrolled optimizer steps, gradient-of-gradient). The VJP ops of
+``backward`` follow the same rule as every other op: they join a tape
+only while it is the active tape, and only if it is DIFFERENTIABLE.
 """
 
 import functools
@@ -112,7 +114,9 @@ class Tape:
 
     A tape has exactly one writer thread. ``VALUES`` mode records forward
     ops only; ``DIFFERENTIABLE`` mode additionally records the ops executed
-    during ``backward``, making returned gradients tape nodes.
+    by a ``backward`` called while the tape is active, making the returned
+    gradients tape nodes. A ``backward`` called after the tape's ``with``
+    block records nothing and returns plain tensors.
     """
 
     VALUES = "record-values-only"
@@ -709,10 +713,12 @@ def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor
 
     Only the ops between a ``wrt`` tensor and ``loss`` are visited, and a
     backward rule is asked only for the adjoints of inputs that depend on
-    ``wrt`` (activity analysis, as in Griewank & Walther 2008). On a
-    DIFFERENTIABLE tape the gradient computation is recorded onto the
-    same tape, so the returned tensors are nodes and can be differentiated
-    again. Unreached leaves get zero gradients.
+    ``wrt`` (activity analysis, as in Griewank & Walther 2008), and each
+    adjoint is released once the op that reads it has run. When ``tape``
+    is DIFFERENTIABLE and is the active tape, the gradient computation is
+    recorded onto it, so the returned tensors are nodes and can be
+    differentiated again; otherwise nothing is recorded. Unreached leaves
+    get zero gradients.
     """
     if loss.data.shape != ():
         raise TensorError(f"backward: loss must be a scalar, got shape {loss.data.shape}")
@@ -744,10 +750,14 @@ def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor
             live.append(op)
 
     adjoints: dict[int, Tensor] = {loss_id: constant(1.0)}
+    keep = set(wrt_ids)
     # VJP arithmetic joins the tape only when gradients must stay differentiable
-    with tape if tape.mode == Tape.DIFFERENTIABLE else no_tape():
+    recording = tape.mode == Tape.DIFFERENTIABLE and active_tape() is tape
+    with tape if recording else no_tape():
         for op in reversed(live):
-            g = adjoints.get(op.output_id)
+            # only this op reads its output's adjoint, unless a wrt tensor is that output
+            out_id = op.output_id
+            g = adjoints.get(out_id) if out_id in keep else adjoints.pop(out_id, None)
             if g is None:
                 continue
             ins = [tape.nodes[i] for i in op.input_ids]

@@ -1,6 +1,8 @@
 """Bilevel training: inner adaptation, meta updates, unrolled meta-gradients
 against end-to-end finite differences, isolation contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -436,6 +438,86 @@ def test_unrolled_meta_gradient_matches_end_to_end_finite_differences(inner_step
     worst_d = max(rel_err(gd[n], fd_d[n]) for n in fd_d)
     assert worst_g < 1e-4, f"generator meta-gradient rel err {worst_g:.3e}"
     assert worst_d < 1e-4, f"discriminator meta-gradient rel err {worst_d:.3e}"
+
+
+def _spy_inner_adapt(monkeypatch, on_start=lambda: None, on_return=lambda tape: None):
+    real = bilevel.inner_adapt
+
+    def spy(*args, **kwargs):
+        on_start()
+        g_is, d_is, tape = real(*args, **kwargs)
+        on_return(tape)
+        return g_is, d_is, tape
+
+    monkeypatch.setattr(bilevel, "inner_adapt", spy)
+
+
+def test_unrolled_outer_passes_record_nothing_and_match_recording_reference(monkeypatch):
+    state = tiny_state(23, train_inner_iters=2)
+    episodes = [tiny_episode(504), tiny_episode(505)]
+    obj = state.objective
+
+    # reference: both outer passes inside ``with tape:``, recorded on it
+    sum_g = {n: np.zeros_like(p.data) for n, p in state.g_gp.items()}
+    sum_d = {n: np.zeros_like(p.data) for n, p in state.d_gp.items()}
+    for ep in episodes:
+        seed = bilevel.substream_seed(state.seed, "meta-inner", state.meta_iteration, ep.scene_id)
+        g_is, d_is, tape = inner_adapt((state.g_gp, state.d_gp), ep.train, state.config,
+                                       MetaMode.FULL_UNROLLED, obj, seed, n_iters=2)
+        with tape:
+            batch = stack_samples(ep.test)
+            fake = obj.generate(g_is, batch)
+            loss_g, loss_d = obj.pair_losses(d_is, batch, fake), obj.disc_loss_detached(d_is, batch, fake)
+            n_forward = len(tape.ops)
+            gg = state.g_gp.grads_by_name(T.backward(loss_g, state.g_gp.tensors()))
+            gd = state.d_gp.grads_by_name(T.backward(loss_d, state.d_gp.tensors()))
+        assert len(tape.ops) > n_forward  # the reference does record its outer passes
+        for n in sum_g:
+            sum_g[n] += gg[n]
+        for n in sum_d:
+            sum_d[n] += gd[n]
+
+    tapes = []
+    _spy_inner_adapt(monkeypatch, on_return=tapes.append)
+    outer = []  # (tape ops when an outer pass starts, when it ends)
+    real_backward = bilevel.backward
+
+    def spy_backward(loss, wrt):
+        if T.active_tape() is not None:  # an inner step, recorded on its tape
+            return real_backward(loss, wrt)
+        n = len(loss.node[0].ops)
+        out = real_backward(loss, wrt)
+        outer.append((n, len(loss.node[0].ops)))
+        return out
+
+    monkeypatch.setattr(bilevel, "backward", spy_backward)
+    g_grads, d_grads, _, _ = meta_gradients(state, episodes, MetaMode.FULL_UNROLLED)
+    assert len(tapes) == len(episodes) and len(outer) == 2 * len(episodes)
+    for tape, (before_g, after_g), (before_d, after_d) in zip(tapes, outer[::2], outer[1::2]):
+        assert before_g == after_g == before_d == after_d == len(tape.ops)
+    k = float(len(episodes))
+    for n in sum_g:
+        np.testing.assert_array_equal(g_grads[n], sum_g[n] / k, err_msg=n)
+    for n in sum_d:
+        np.testing.assert_array_equal(d_grads[n], sum_d[n] / k, err_msg=n)
+
+
+@pytest.mark.parametrize("mode", MetaMode.ALL)
+def test_each_episode_tape_is_freed_before_the_next_adapts(mode, monkeypatch):
+    state = tiny_state(24, train_inner_iters=1)
+    episodes = [tiny_episode(506), tiny_episode(507), tiny_episode(508)]
+    obj = state.objective
+    seen, alive_at_start = [], []
+
+    # every tape an episode's losses are recorded on, inner steps included
+    pair_losses = obj.pair_losses
+    obj.pair_losses = lambda *args: seen.append(weakref.ref(T.active_tape())) or pair_losses(*args)
+
+    _spy_inner_adapt(monkeypatch, on_start=lambda: alive_at_start.append(
+        sum(ref() is not None for ref in seen)))
+    meta_gradients(state, episodes, mode)
+    assert len(alive_at_start) == len(episodes) and len(seen) >= 2 * len(episodes)
+    assert alive_at_start == [0] * len(episodes)
 
 
 # ---------------------------------------------------------------------------

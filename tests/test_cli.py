@@ -2,6 +2,8 @@
 
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -277,6 +279,36 @@ def test_cli_rejects_negative_iters(stage, tmp_path, capsys):
     assert sorted(p for p in out.rglob("*")) == before
 
 
+def test_cli_config_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    cfg_file = tmp_path / "latin1.cfg"
+    cfg_file.write_bytes(SMOKE.encode() + b"# caf\xe9\n" + f"out_dir = {tmp_path / 'run'}\n".encode())
+    assert run_cli("gen-data", "--config", str(cfg_file)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(cfg_file) in err and "Traceback" not in err, err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_gen_data_out_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    cfg_file = tmp_path / "smoke.cfg"
+    cfg_file.write_text(SMOKE)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert run_cli("gen-data", "--config", str(cfg_file), "--out", str(taken)) == 2
+    err = capsys.readouterr().err
+    assert str(taken) in err and "Traceback" not in err, err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # ``adapt`` imports the pool only for jobs > 1; every other stage skips its cost
+    code = ("import sys, biltrans.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
+
+
 def test_cli_missing_prerequisite_exit_code(tmp_path):
     cfg_file = tmp_path / "smoke.cfg"
     cfg_file.write_text(SMOKE + f"\nout_dir = {tmp_path / 'run'}\n")
@@ -503,6 +535,19 @@ def _cut_before_meta_arrays(path):
     path.write_bytes(blob[: blob.index(b"meta/pretrain_iteration") - 8])
 
 
+def _manifest_not_utf8(path):
+    path.write_bytes(b"# \xff\xfe\n" + path.read_bytes())
+
+
+def _checkpoint_header_not_utf8(path):
+    path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", 2) + b"\xff\xfe")
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
 BAD_INPUTS = {
     # case: (subcommand, file under the run directory, how it is damaged, exit code)
     "eval-missing-image": ("eval", "results/bilevel/scene_10000/img_001.ppm", _delete, 3),
@@ -515,6 +560,9 @@ BAD_INPUTS = {
     "ppm-malformed-header": ("eval", "results/bilevel/scene_10000/img_000.ppm", _ppm_width(b"w"), 2),
     "ppm-negative-width": ("eval", "results/bilevel/scene_10001/img_000.ppm", _ppm_width(b"-16"), 2),
     "ppm-16-bit-maxval": ("eval", "results/baseline_shot/scene_10000/img_001.ppm", _ppm_maxval_16_bit, 2),
+    "manifest-not-utf8": ("pretrain", "data/train/dataset.manifest", _manifest_not_utf8, 2),
+    "checkpoint-config-not-utf8": ("pretrain", "checkpoints/pretrain.ckpt", _checkpoint_header_not_utf8, 2),
+    "checkpoint-is-directory": ("pretrain", "checkpoints/pretrain.ckpt", _replace_with_directory, 2),
 }
 
 

@@ -402,6 +402,41 @@ def test_values_mode_gradients_are_not_nodes():
     assert g.node is None
 
 
+def test_backward_after_differentiable_block_records_nothing():
+    # VJP ops join a DIFFERENTIABLE tape only while it is the active tape
+    xv, kv = rand((2, 1, 5, 5), 61), rand((2, 1, 3, 3), 62)
+    with Tape(Tape.DIFFERENTIABLE) as tape:
+        x, k = leaf(xv), leaf(kv)
+        loss = T.reduce_mean(T.square(T.tanh(T.conv2d(x, k))))
+        n_forward = len(tape.ops)
+        inside = backward(loss, [x, k])
+        assert all(g.node is not None for g in inside.values())
+        assert len(tape.ops) > n_forward
+    n_inside = len(tape.ops)
+    after = backward(loss, [x, k])
+    assert len(tape.ops) == n_inside
+    for t in (x, k):
+        assert after[t].node is None
+        np.testing.assert_array_equal(after[t].data, inside[t].data)
+
+
+def test_backward_returns_adjoint_of_requested_op_output():
+    # released adjoints must not include one that ``wrt`` names
+    xv = rand((3, 4), 63)
+
+    def tail(h):
+        return T.reduce_mean(T.mul(T.square(h), T.tanh(h)))
+
+    with Tape():
+        x = leaf(xv)
+        h = T.tanh(T.scalar_mul(x, 1.5))
+        grads = backward(tail(h), [x, h])
+        h_leaf = leaf(h.data)
+        ref = backward(tail(h_leaf), [h_leaf])[h_leaf]
+    assert grads[h].shape == h.shape
+    np.testing.assert_array_equal(grads[h].data, ref.data)
+
+
 def test_second_order_through_conv_net():
     # d/dtheta of ||dL/dtheta||^2 vs finite differences of the gradient norm
     xv = rand((1, 1, 4, 4), 55)

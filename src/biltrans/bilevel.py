@@ -86,27 +86,24 @@ class Objective:
 
     def disc_loss_detached(self, d, batch, fake):
         """Mean discriminator loss -(log p_real + log(1 - p_fake)) of the
-        generated batch ``fake``, detached unless the active tape is
-        DIFFERENTIABLE (detaching only skips the generator's VJPs; an
-        unrolled outer gradient needs the discriminator's dependence on the
-        generator)."""
+        generated batch ``fake``, which stays attached: ``backward`` visits
+        no generator op unless asked about one. (The benchmark's tracer wraps
+        this method by name, so a rename waits for a benchmark change.)"""
         xs, _, y = stack_samples(batch)
-        tape = T.active_tape()
-        if tape is None or tape.mode != Tape.DIFFERENTIABLE:
-            fake = T.constant(fake.data)
         p_fake = self._prob(d, xs, fake)
         log_one_minus_fake = T.reduce_mean(T.log(T.sub(T.constant(np.ones(p_fake.shape)), p_fake)))
         p_real = self._prob(d, xs, y)
         return T.scalar_mul(T.add(T.reduce_mean(T.log(p_real)), log_one_minus_fake), -1.0)
 
 
-def _adam(params, rate, config: ExperimentConfig) -> AdamState:
-    return AdamState.for_params(params, rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
+def _adam(params, config: ExperimentConfig) -> AdamState:
+    return AdamState.for_params(params, config.adam_beta1, config.adam_beta2, config.adam_eps)
 
 
 @dataclass
 class BiLevelState:
-    """General-model parameters, their optimizer states, and counters."""
+    """General-model parameters, the Adam pair of the stage in progress
+    (see ``pretrain`` and ``metatrain``), and counters."""
 
     config: ExperimentConfig
     objective: Objective
@@ -115,22 +112,15 @@ class BiLevelState:
     seed: int
     adam_g: AdamState = None
     adam_d: AdamState = None
-    adam_g_pre: AdamState = None
-    adam_d_pre: AdamState = None
     pretrain_iteration: int = 0
     meta_iteration: int = 0
     log_fn: callable = None
 
     def __post_init__(self):
-        c = self.config
         if self.adam_g is None:
-            self.adam_g = _adam(self.g_gp, c.beta, c)
+            self.adam_g = _adam(self.g_gp, self.config)
         if self.adam_d is None:
-            self.adam_d = _adam(self.d_gp, c.beta, c)
-        if self.adam_g_pre is None:
-            self.adam_g_pre = _adam(self.g_gp, c.alpha, c)
-        if self.adam_d_pre is None:
-            self.adam_d_pre = _adam(self.d_gp, c.alpha, c)
+            self.adam_d = _adam(self.d_gp, self.config)
 
     def emit(self, record: dict):
         if self.log_fn is not None:
@@ -186,9 +176,9 @@ def alternating_step(objective: Objective, g, d, batch, step_g, step_d, tape=Non
     return g, d, loss_g, loss_d
 
 
-def _adam_rule(opt: AdamState):
+def _adam_rule(opt: AdamState, rate: float):
     """Update rule: an Adam step in place on the parameter values."""
-    return lambda params, grads: adam_step(opt, params, params.grads_by_name(grads))[1]
+    return lambda params, grads: adam_step(opt, params, params.grads_by_name(grads), rate)[1]
 
 
 def _sgd_rule(rate: float):
@@ -214,8 +204,8 @@ def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
     g, d = gp_pair
     if mode == MetaMode.FIRST_ORDER:
         g, d, tape = g.copy(), d.copy(), None
-        step_g = _adam_rule(_adam(g, config.alpha, config))
-        step_d = _adam_rule(_adam(d, config.alpha, config))
+        step_g = _adam_rule(_adam(g, config), config.alpha)
+        step_d = _adam_rule(_adam(d, config), config.alpha)
     else:
         tape = Tape(Tape.DIFFERENTIABLE)
         step_g = step_d = _sgd_rule(config.alpha)
@@ -231,12 +221,15 @@ def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
 
 def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiLevelState:
     """Conventional GAN training on samples pooled across scenes: one
-    ``alternating_step`` per iteration with the pretraining Adam states."""
+    ``alternating_step`` per iteration, stepping the state's Adam pair at
+    rate alpha."""
     if not scenes:
         raise TensorError("pretrain: empty scene pool")
     total = state.config.pretrain_iters if iters is None else iters
     cfg = state.config
-    step_g, step_d = _adam_rule(state.adam_g_pre), _adam_rule(state.adam_d_pre)
+    if state.meta_iteration and state.pretrain_iteration < total:
+        raise TensorError("pretrain: the state has meta-trained, and its Adam pair is the meta update's")
+    step_g, step_d = _adam_rule(state.adam_g, cfg.alpha), _adam_rule(state.adam_d, cfg.alpha)
     while state.pretrain_iteration < total:
         it = state.pretrain_iteration
         rng = stream(state.seed, "pretrain", it)
@@ -325,8 +318,8 @@ def meta_update(state: BiLevelState, episodes: list, mode: str) -> BiLevelState:
             f"meta_update: expected {state.config.meta_batch} episodes, got {len(episodes)}"
         )
     avg_g, avg_d, mean_lg, mean_ld = meta_gradients(state, episodes, mode)
-    adam_step(state.adam_g, state.g_gp, avg_g)
-    adam_step(state.adam_d, state.d_gp, avg_d)
+    adam_step(state.adam_g, state.g_gp, avg_g, state.config.beta)
+    adam_step(state.adam_d, state.d_gp, avg_d, state.config.beta)
     state.meta_iteration += 1
     state.emit(
         {
@@ -341,15 +334,19 @@ def meta_update(state: BiLevelState, episodes: list, mode: str) -> BiLevelState:
 
 def metatrain(state: BiLevelState, scenes: list, mode: str = MetaMode.FIRST_ORDER,
               iters: int | None = None) -> BiLevelState:
-    """Alternating learning over episodes sampled from the training scenes."""
-    if not scenes:
-        raise TensorError("metatrain: empty scene pool")
-    total = state.config.metatrain_iters if iters is None else iters
+    """Alternating learning over episodes sampled from the training scenes;
+    a state that has not meta-trained yet first gets a fresh Adam pair."""
     cfg = state.config
+    if len(scenes) < cfg.meta_batch:
+        raise TensorError(f"metatrain: meta_batch = {cfg.meta_batch} exceeds the "
+                          f"{len(scenes)} training scenes")
+    total = cfg.metatrain_iters if iters is None else iters
+    if state.meta_iteration == 0:
+        state.adam_g, state.adam_d = _adam(state.g_gp, cfg), _adam(state.d_gp, cfg)
     while state.meta_iteration < total:
         it = state.meta_iteration
         rng = stream(state.seed, "metatrain-episodes", it)
-        picks = rng.choice(len(scenes), size=min(cfg.meta_batch, len(scenes)), replace=False)
+        picks = rng.choice(len(scenes), size=cfg.meta_batch, replace=False)
         episodes = []
         for idx in sorted(int(i) for i in picks):
             scene = scenes[idx]

@@ -4,10 +4,18 @@ Layout: 8-byte magic, u32 version, u64 config length + UTF-8 config text,
 then repeated named arrays: u64 name length, name bytes, u64 rank, u64
 dims, little-endian float64 values. Counters and seeds ride along as named
 1-element arrays so the container stays arrays-only.
+
+Version 2 holds only what a later stage reads: ``g_gp/*``, ``d_gp/*``, the
+Adam pair of the stage in progress (``adam_g/{m,v,t}``, ``adam_d/{m,v,t}``)
+and ``meta/*`` (counters and seed halves). The header's ``phi_seed`` and
+``phi_widths`` rebuild the feature extractor, and ``metatrain`` starts a
+fresh Adam pair, so neither phi nor pretraining moments past the hand-over
+are stored. A file of another version is rejected.
 """
 
 import os
 import struct
+from functools import partial
 
 import numpy as np
 
@@ -17,36 +25,38 @@ from .nets import init_params
 from .tensor import TensorError
 
 MAGIC = b"BILCKPT\x00"
-VERSION = 1
+VERSION = 2
 MAX_DIM = 2**32  # any larger single dimension is a corrupt file
 
 
-def _pack_arrays(out: dict, prefix: str, arrays):
-    for name, value in arrays:
-        out[f"{prefix}/{name}"] = np.asarray(value, dtype=np.float64)
+def _sections(state: BiLevelState):
+    """(name, value, restore) for every array a checkpoint holds, in file
+    order. Saving writes each ``value``; loading hands the stored array to
+    its ``restore``, so nothing is saved that is not also loaded."""
 
+    def restore(obj, attr):
+        return lambda x: setattr(obj, attr, int(x))
 
-def state_to_arrays(state: BiLevelState) -> dict:
-    arrays = {}
-    _pack_arrays(arrays, "g_gp", [(n, p.data) for n, p in state.g_gp.items()])
-    _pack_arrays(arrays, "d_gp", [(n, p.data) for n, p in state.d_gp.items()])
-    _pack_arrays(arrays, "phi", [(n, p.data) for n, p in state.objective.phi.params.items()])
-    for tag, adam in (("adam_g", state.adam_g), ("adam_d", state.adam_d),
-                      ("adam_g_pre", state.adam_g_pre), ("adam_d_pre", state.adam_d_pre)):
-        _pack_arrays(arrays, f"{tag}/m", adam.m.items())
-        _pack_arrays(arrays, f"{tag}/v", adam.v.items())
-        arrays[f"{tag}/t"] = np.asarray(float(adam.t))
-    arrays["meta/pretrain_iteration"] = np.asarray(float(state.pretrain_iteration))
-    arrays["meta/meta_iteration"] = np.asarray(float(state.meta_iteration))
-    # u64 seed split into exact 32-bit halves
-    arrays["meta/seed_lo"] = np.asarray(float(state.seed & 0xFFFFFFFF))
-    arrays["meta/seed_hi"] = np.asarray(float((state.seed >> 32) & 0xFFFFFFFF))
-    return arrays
+    sections = []
+    for prefix, ps in (("g_gp", state.g_gp), ("d_gp", state.d_gp)):
+        sections += [(f"{prefix}/{n}", p.data, partial(np.copyto, p.data)) for n, p in ps.items()]
+    for tag, adam in (("adam_g", state.adam_g), ("adam_d", state.adam_d)):
+        for part in ("m", "v"):
+            sections += [(f"{tag}/{part}/{n}", a, partial(np.copyto, a))
+                         for n, a in getattr(adam, part).items()]
+        sections.append((f"{tag}/t", adam.t, restore(adam, "t")))
+    return sections + [
+        ("meta/pretrain_iteration", state.pretrain_iteration, restore(state, "pretrain_iteration")),
+        ("meta/meta_iteration", state.meta_iteration, restore(state, "meta_iteration")),
+        # u64 seed split into exact 32-bit halves, restored low half first
+        ("meta/seed_lo", state.seed & 0xFFFFFFFF, restore(state, "seed")),
+        ("meta/seed_hi", (state.seed >> 32) & 0xFFFFFFFF,
+         lambda x: setattr(state, "seed", state.seed | int(x) << 32)),
+    ]
 
 
 def save_checkpoint(state: BiLevelState, cfg: ExperimentConfig, path: str):
     """Serialize the training state; see module docstring for the layout."""
-    arrays = state_to_arrays(state)
     config_text = serialize_config(cfg).encode()
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -54,8 +64,8 @@ def save_checkpoint(state: BiLevelState, cfg: ExperimentConfig, path: str):
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<Q", len(config_text)))
         f.write(config_text)
-        for name in arrays:  # insertion order is the canonical order
-            arr = arrays[name]
+        for name, value, _ in _sections(state):
+            arr = np.asarray(value, dtype=np.float64)
             encoded = name.encode()
             f.write(struct.pack("<Q", len(encoded)))
             f.write(encoded)
@@ -123,25 +133,14 @@ def load_checkpoint(path: str):
     except (TensorError, UnicodeDecodeError) as e:
         raise TensorError(f"{path}: {e}") from e
     state = build_state(cfg)
-
-    def array(key, shape=()):
+    sections = _sections(state)
+    extra = sorted(arrays.keys() - {key for key, _, _ in sections})
+    if extra:
+        raise TensorError(f"checkpoint: unexpected arrays {extra} in {path}")
+    for key, value, restore in sections:
         if key not in arrays:
             raise TensorError(f"checkpoint: missing array {key!r} in {path}")
-        if arrays[key].shape != shape:
+        if arrays[key].shape != np.shape(value):
             raise TensorError(f"checkpoint: shape mismatch for {key!r} in {path}")
-        return arrays[key]
-
-    for prefix, ps in (("g_gp", state.g_gp), ("d_gp", state.d_gp),
-                       ("phi", state.objective.phi.params)):
-        for name, p in ps.items():
-            p.data[...] = array(f"{prefix}/{name}", p.data.shape)
-    for tag, adam in (("adam_g", state.adam_g), ("adam_d", state.adam_d),
-                      ("adam_g_pre", state.adam_g_pre), ("adam_d_pre", state.adam_d_pre)):
-        for name in adam.m:
-            adam.m[name][...] = array(f"{tag}/m/{name}", adam.m[name].shape)
-            adam.v[name][...] = array(f"{tag}/v/{name}", adam.v[name].shape)
-        adam.t = int(array(f"{tag}/t"))
-    state.pretrain_iteration = int(array("meta/pretrain_iteration"))
-    state.meta_iteration = int(array("meta/meta_iteration"))
-    state.seed = int(array("meta/seed_lo")) | (int(array("meta/seed_hi")) << 32)
+        restore(arrays[key])
     return state, cfg

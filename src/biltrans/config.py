@@ -97,8 +97,9 @@ class ExperimentConfig:
                 raise TensorError(f"config: image_size must be >= {what} = {least}")
         if not 0 <= self.shade_amp_max <= 0.3:
             raise TensorError("config: shade_amp_max must be in [0, 0.3]")
-        if self.k_aux > self.n_train_scenes:
-            raise TensorError("config: k_aux cannot exceed n_train_scenes")
+        for name in ("k_aux", "meta_batch"):
+            if getattr(self, name) > self.n_train_scenes:
+                raise TensorError(f"config: {name} cannot exceed n_train_scenes")
         if self.clusters < 0:
             raise TensorError("config: clusters must be >= 0")
         if min(self.phi_width_list()) < 1:

@@ -11,9 +11,9 @@ from .tensor import Tape, TensorError, active_tape
 
 @dataclass
 class AdamState:
-    """Per-parameter moments and step counter for one network."""
+    """Per-parameter moments and step counter for one network; the step
+    size is the caller's, so one state serves any rate."""
 
-    rate: float
     beta1: float = 0.5
     beta2: float = 0.999
     eps: float = 1e-8
@@ -22,8 +22,8 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params, rate, beta1=0.5, beta2=0.999, eps=1e-8):
-        state = cls(rate=float(rate), beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params, beta1=0.5, beta2=0.999, eps=1e-8):
+        state = cls(beta1=beta1, beta2=beta2, eps=eps)
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -35,8 +35,9 @@ class AdamState:
                        v={k: a.copy() for k, a in self.v.items()})
 
 
-def adam_step(state: AdamState, params, grads: dict):
-    """One bias-corrected Adam update, in place on the parameter values.
+def adam_step(state: AdamState, params, grads: dict, rate: float):
+    """One bias-corrected Adam update of step size ``rate``, in place on the
+    parameter values.
 
     ``grads`` maps parameter name -> ndarray and must carry exactly the
     parameter names, all finite.
@@ -59,7 +60,7 @@ def adam_step(state: AdamState, params, grads: dict):
         state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        params[name].data -= state.rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        params[name].data -= rate * m_hat / (np.sqrt(v_hat) + state.eps)
     return state, params
 
 

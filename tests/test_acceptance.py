@@ -245,10 +245,10 @@ def test_criterion_3_retrieval_exactness():
 def test_criterion_7_optimizer_and_metric_oracles():
     ps = ParameterSet("pg2")
     ps.add("w", np.asarray(0.0))
-    state = AdamState.for_params(ps, rate=0.1)
+    state = AdamState.for_params(ps)
     for _ in range(5):
         g = 2.0 * (float(ps["w"].data) - 2.0)
-        adam_step(state, ps, {"w": np.asarray(g)})
+        adam_step(state, ps, {"w": np.asarray(g)}, 0.1)
     theta, m, v = 0.0, 0.0, 0.0
     for t in range(1, 6):
         g = 2.0 * (theta - 2.0)

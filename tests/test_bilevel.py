@@ -262,8 +262,8 @@ def test_one_generator_forward_per_step_and_per_episode(mode):
         tape, step_g, step_d = T.Tape(T.Tape.DIFFERENTIABLE), bilevel._sgd_rule(rate), bilevel._sgd_rule(rate)
     else:
         tape = None
-        step_g = bilevel._adam_rule(bilevel._adam(g, rate, state.config))
-        step_d = bilevel._adam_rule(bilevel._adam(d, rate, state.config))
+        step_g = bilevel._adam_rule(bilevel._adam(g, state.config), rate)
+        step_d = bilevel._adam_rule(bilevel._adam(d, state.config), rate)
     alternating_step(obj, g, d, ep.train, step_g, step_d, tape)
     assert len(calls) == 1
     calls.clear()
@@ -292,8 +292,8 @@ def test_alternating_step_equals_two_forward_step_bitwise():
 
     def run(step):
         g, d = state.g_gp.copy(), state.d_gp.copy()
-        step_g = bilevel._adam_rule(bilevel._adam(g, cfg.alpha, cfg))
-        step_d = bilevel._adam_rule(bilevel._adam(d, cfg.alpha, cfg))
+        step_g = bilevel._adam_rule(bilevel._adam(g, cfg), cfg.alpha)
+        step_d = bilevel._adam_rule(bilevel._adam(d, cfg), cfg.alpha)
         losses = []
         for _ in range(3):
             g, d, loss_g, loss_d = step(g, d, step_g, step_d)
@@ -640,6 +640,51 @@ def test_test_adapt_rejects_bad_k_and_empty_split():
         test_adapt(state, hollow, train_tasks)
 
 
+def _moves(state, run):
+    """Absolute change of every general parameter entry across ``run()``."""
+    params = [p for ps in (state.g_gp, state.d_gp) for _, p in ps.items()]
+    before = [p.data.copy() for p in params]
+    run()
+    return np.concatenate([np.abs(p.data - b).ravel() for p, b in zip(params, before)])
+
+
+def test_pretrain_steps_at_alpha_and_the_first_meta_update_at_beta():
+    # a first Adam step moves each entry by at most its rate, and about that far
+    alpha, beta = 1e-2, 1e-4
+    state = small_state(31, alpha=alpha, beta=beta)
+    scenes = [small_scene(3150 + i, i) for i in range(3)]
+    first = _moves(state, lambda: pretrain(state, scenes, iters=1))
+    assert alpha / 2 < first.max() <= alpha * (1 + 1e-9)
+    pretrain(state, scenes, iters=3)
+    meta = _moves(state, lambda: metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=1))
+    assert beta / 2 < meta.max() <= beta * (1 + 1e-9)
+
+
+def test_metatrain_hands_over_a_fresh_adam_pair_even_at_zero_iterations():
+    state = small_state(32)
+    scenes = [small_scene(3160 + i, i) for i in range(3)]
+    pretrain(state, scenes, iters=2)
+    assert state.adam_g.t == state.adam_d.t == 2  # pretraining steps the one pair
+    metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=0)
+    for adam in (state.adam_g, state.adam_d):
+        assert adam.t == 0
+        assert not any(a.any() for a in (*adam.m.values(), *adam.v.values()))
+
+
+def test_pretrain_refuses_a_state_that_has_meta_trained():
+    state = small_state(33)
+    scenes = [small_scene(3170 + i, i) for i in range(3)]
+    metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=1)
+    with pytest.raises(TensorError, match="meta-trained"):
+        pretrain(state, scenes, iters=1)
+
+
+def test_metatrain_rejects_fewer_scenes_than_meta_batch():
+    state = small_state(34)
+    with pytest.raises(TensorError, match="meta_batch = 2 exceeds the 1 training scenes"):
+        metatrain(state, [small_scene(3180)], MetaMode.FIRST_ORDER, iters=1)
+
+
 def test_feature_extractor_untouched_by_training():
     state = small_state(30)
     phi_digest = state.objective.phi.digest()
@@ -659,7 +704,7 @@ def test_feature_extractor_untouched_by_training():
 def _objective_terms(obj, g, d, samples):
     """name -> (loss value, {param name: gradient}) for each objective scalar."""
     terms = {}
-    # the discriminator loss keeps its generator path only on a DIFFERENTIABLE tape
+    # the discriminator loss reads ``fake`` itself, so it has a generator gradient too
     for key, fn, mode in (("pair_g", obj.pair_losses, T.Tape.VALUES),
                           ("disc_connected", obj.disc_loss_detached, T.Tape.DIFFERENTIABLE)):
         with T.Tape(mode):

@@ -12,6 +12,7 @@ import pytest
 from biltrans import cli, tasks
 from biltrans.checkpoint import (
     MAGIC,
+    VERSION,
     build_state,
     load_checkpoint,
     read_checkpoint_arrays,
@@ -188,12 +189,24 @@ def test_checkpoint_truncation_rejected(tmp_path):
         read_checkpoint_arrays(path)
 
 
+def test_checkpoint_with_an_unexpected_array_rejected(tmp_path):
+    # a v1 pretraining moment in a v2 file: loading restores every array it holds
+    cfg = smoke_cfg(tmp_path)
+    path = tmp_path / "extra.ckpt"
+    save_checkpoint(build_state(cfg), cfg, str(path))
+    name = b"adam_g_pre/t"
+    with open(path, "ab") as f:
+        f.write(struct.pack("<Q", len(name)) + name + struct.pack("<Q", 0) + struct.pack("<d", 0.0))
+    with pytest.raises(TensorError, match="unexpected arrays.*adam_g_pre/t"):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_dimension_overflow_rejected(tmp_path):
     path = str(tmp_path / "e.ckpt")
     cfg_text = serialize_config(default_config()).encode()
     with open(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<I", 1))
+        f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<Q", len(cfg_text)))
         f.write(cfg_text)
         f.write(struct.pack("<Q", 4))
@@ -249,7 +262,7 @@ BAD_VALUES = [
     ("gp_finetune_iters", "-3"), ("classes", "1"), ("base_width", "2"), ("lambda_adv", "nan"),
     ("lambda_perc", "-1"), ("alpha", "inf"), ("beta", "inf"), ("adam_eps", "inf"),
     ("phi_widths", "-4"), ("phi_widths", "8,0"), ("clusters", "-1"), ("depth", "4"),
-    ("phi_widths", "4,4,4,4,4"), ("image_size", "6"),
+    ("phi_widths", "4,4,4,4,4"), ("image_size", "6"), ("meta_batch", "5"),
 ]
 
 
@@ -540,7 +553,12 @@ def _manifest_not_utf8(path):
 
 
 def _checkpoint_header_not_utf8(path):
-    path.write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", 2) + b"\xff\xfe")
+    path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", 2) + b"\xff\xfe")
+
+
+def _checkpoint_version_1(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:])
 
 
 def _replace_with_directory(path):
@@ -563,7 +581,10 @@ BAD_INPUTS = {
     "manifest-not-utf8": ("pretrain", "data/train/dataset.manifest", _manifest_not_utf8, 2),
     "checkpoint-config-not-utf8": ("pretrain", "checkpoints/pretrain.ckpt", _checkpoint_header_not_utf8, 2),
     "checkpoint-is-directory": ("pretrain", "checkpoints/pretrain.ckpt", _replace_with_directory, 2),
+    "checkpoint-v1": ("metatrain", "checkpoints/metatrain.ckpt", _checkpoint_version_1, 2),
 }
+# what stderr must say besides the path, where a case names it
+BAD_INPUT_MESSAGES = {"checkpoint-v1": "unsupported version 1"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -579,3 +600,11 @@ def test_cli_malformed_input_exit_codes(case, adapted_run, tmp_path, capsys):
     assert run_cli(subcommand, "--config", str(cfg_file), "--out", str(out)) == code
     err = capsys.readouterr().err
     assert str(out / rel) in err and "Traceback" not in err, err
+    assert BAD_INPUT_MESSAGES.get(case, "") in err, err
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "metatrain"])
+def test_checkpoint_holds_only_what_the_next_stage_reads(stage, adapted_run):
+    _, run = adapted_run
+    _, arrays = read_checkpoint_arrays(str(run / "checkpoints" / f"{stage}.ckpt"))
+    assert {name.split("/")[0] for name in arrays} == {"g_gp", "d_gp", "adam_g", "adam_d", "meta"}

@@ -19,17 +19,17 @@ def make_params(values: dict) -> ParameterSet:
 
 def test_zero_gradient_is_fixed_point():
     ps = make_params({"w": [1.0, -2.0, 3.0]})
-    state = AdamState.for_params(ps, rate=0.1)
+    state = AdamState.for_params(ps)
     before = ps["w"].data.copy()
-    adam_step(state, ps, {"w": np.zeros(3)})
+    adam_step(state, ps, {"w": np.zeros(3)}, 0.1)
     assert state.t == 1
     np.testing.assert_array_equal(ps["w"].data, before)
 
 
 def test_first_step_closed_form():
     ps = make_params({"w": 0.0})
-    state = AdamState.for_params(ps, rate=0.1)
-    adam_step(state, ps, {"w": np.asarray(0.3)})
+    state = AdamState.for_params(ps)
+    adam_step(state, ps, {"w": np.asarray(0.3)}, 0.1)
     # fresh state: m_hat = g, v_hat = g^2, update = -rate * g / (|g| + eps)
     expect = -0.1 * 0.3 / (0.3 + 1e-8)
     assert float(ps["w"].data) == pytest.approx(expect, abs=1e-12)
@@ -39,10 +39,10 @@ def test_first_step_closed_form():
 def test_five_steps_match_independent_recomputation():
     # optimize f(theta) = (theta - 2)^2 from theta = 0
     ps = make_params({"w": 0.0})
-    state = AdamState.for_params(ps, rate=0.1)
+    state = AdamState.for_params(ps)
     for _ in range(5):
         g = 2.0 * (float(ps["w"].data) - 2.0)
-        adam_step(state, ps, {"w": np.asarray(g)})
+        adam_step(state, ps, {"w": np.asarray(g)}, 0.1)
 
     # independent reference, written straight from the update equations
     theta, m, v = 0.0, 0.0, 0.0
@@ -60,27 +60,27 @@ def test_five_steps_match_independent_recomputation():
 
 def test_grad_key_mismatch_rejected():
     ps = make_params({"w": 0.0, "b": 0.0})
-    state = AdamState.for_params(ps, rate=0.1)
+    state = AdamState.for_params(ps)
     with pytest.raises(TensorError, match="mismatch"):
-        adam_step(state, ps, {"w": np.asarray(1.0)})
+        adam_step(state, ps, {"w": np.asarray(1.0)}, 0.1)
     with pytest.raises(TensorError, match="mismatch"):
-        adam_step(state, ps, {"w": np.asarray(1.0), "b": np.asarray(1.0), "x": np.asarray(1.0)})
+        adam_step(state, ps, {"w": np.asarray(1.0), "b": np.asarray(1.0), "x": np.asarray(1.0)}, 0.1)
 
 
 def test_non_finite_grad_rejected():
     ps = make_params({"w": 0.0})
-    state = AdamState.for_params(ps, rate=0.1)
+    state = AdamState.for_params(ps)
     with pytest.raises(TensorError, match="non-finite"):
-        adam_step(state, ps, {"w": np.asarray(np.nan)})
+        adam_step(state, ps, {"w": np.asarray(np.nan)}, 0.1)
 
 
 def test_adam_deterministic_and_state_pure():
     def run():
         ps = make_params({"w": np.ones(4)})
-        state = AdamState.for_params(ps, rate=0.05)
+        state = AdamState.for_params(ps)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            adam_step(state, ps, {"w": rng.standard_normal(4)})
+            adam_step(state, ps, {"w": rng.standard_normal(4)}, 0.05)
         return ps["w"].data.copy()
 
     np.testing.assert_array_equal(run(), run())
@@ -89,10 +89,10 @@ def test_adam_deterministic_and_state_pure():
 def test_adam_step_magnitude_bounded_by_rate():
     rng = np.random.default_rng(4)
     ps = make_params({"w": np.zeros(16)})
-    state = AdamState.for_params(ps, rate=0.01)
+    state = AdamState.for_params(ps)
     prev = ps["w"].data.copy()
     for _ in range(50):
-        adam_step(state, ps, {"w": rng.standard_normal(16) * 10})
+        adam_step(state, ps, {"w": rng.standard_normal(16) * 10}, 0.01)
         step = np.abs(ps["w"].data - prev)
         assert np.all(step <= 0.01 * (1 + 1e-6) / (1 - 0.5))  # loose Kingma bound
         prev = ps["w"].data.copy()
@@ -153,3 +153,15 @@ def test_k_step_unrolled_quadratic_matches_analytic(k):
             cur = sgd_step_differentiable(cur, {"w": g}, rate=alpha)
         d = backward(cur["w"], [theta0])[theta0]
     assert float(d.data) == pytest.approx((1 - 2 * alpha) ** k, rel=1e-9)
+
+
+@pytest.mark.parametrize("rate", [1e-3, 3e-4])
+def test_first_step_moves_each_entry_by_at_most_the_rate(rate):
+    # a fresh state serves any rate: the step size is the caller's
+    rng = np.random.default_rng(6)
+    ps = make_params({"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)})
+    before = {n: p.data.copy() for n, p in ps.items()}
+    adam_step(AdamState.for_params(ps), ps, {n: rng.standard_normal(p.data.shape) for n, p in ps.items()}, rate)
+    for n, p in ps.items():
+        step = np.abs(p.data - before[n])
+        assert np.all(step <= rate * (1 + 1e-9)) and np.all(step > rate / 2), n

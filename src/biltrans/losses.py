@@ -45,7 +45,7 @@ class FeatureExtractor:
         taps = []
         h = img
         for i in range(len(self.widths)):
-            h = T.relu(T.conv2d(T.pad_reflect(h, 1), self.params[f"stage{i}.w"], stride=2))
+            h = T.relu(T.conv2d(h, self.params[f"stage{i}.w"], stride=2, pad=1))
             taps.append(h)
         return taps
 

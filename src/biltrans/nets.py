@@ -136,8 +136,7 @@ def init_params(cfg: ExperimentConfig, seed: int):
 
 
 def _conv(ps, name, x, stride=1, pad=1):
-    h = T.pad_reflect(x, pad) if pad else x
-    return T.bias_add(T.conv2d(h, ps[f"{name}.w"], stride=stride), ps[f"{name}.b"])
+    return T.conv2d(x, ps[f"{name}.w"], stride=stride, pad=pad, bias=ps[f"{name}.b"])
 
 
 def _residual_block(ps, prefix, x):

@@ -1,66 +1,68 @@
 """Parameter updates: Adam for pretraining, the first-order inner loop and
 the meta update; SGD for the differentiable (unrolled) inner loop."""
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
 from . import tensor as T
 from .tensor import Tape, TensorError, active_tape
 
 
-@dataclass
 class AdamState:
-    """Per-parameter moments and step counter for one network; the step
-    size is the caller's, so one state serves any rate."""
+    """Moments and step counter for one network; the step size is the
+    caller's, so one state serves any rate.
 
-    beta1: float = 0.5
-    beta2: float = 0.999
-    eps: float = 1e-8
-    t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    Each moment is one flat buffer over all parameters, in parameter order;
+    ``m`` and ``v`` map each parameter name to a view of its slice.
+    """
+
+    def __init__(self, shapes: dict, beta1=0.5, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps, self.t = beta1, beta2, eps, 0
+        ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes.values()])
+        self.m_flat, self.v_flat = np.zeros(ends[-1]), np.zeros(ends[-1])
+        self.m, self.v = ({name: flat[lo:hi].reshape(shape) for (name, shape), lo, hi
+                           in zip(shapes.items(), ends, ends[1:])} for flat in (self.m_flat, self.v_flat))
 
     @classmethod
     def for_params(cls, params, beta1=0.5, beta2=0.999, eps=1e-8):
-        state = cls(beta1=beta1, beta2=beta2, eps=eps)
-        for name, p in params.items():
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        return state
+        return cls({name: p.data.shape for name, p in params.items()}, beta1, beta2, eps)
 
     def copy(self) -> "AdamState":
         """Deep copy of the moments."""
-        return replace(self, m={k: a.copy() for k, a in self.m.items()},
-                       v={k: a.copy() for k, a in self.v.items()})
+        out = AdamState({n: a.shape for n, a in self.m.items()}, self.beta1, self.beta2, self.eps)
+        out.t, out.m_flat[:], out.v_flat[:] = self.t, self.m_flat, self.v_flat
+        return out
 
 
 def adam_step(state: AdamState, params, grads: dict, rate: float):
     """One bias-corrected Adam update of step size ``rate``, in place on the
-    parameter values.
+    parameter values: one vectorised update over all of the network's
+    parameters, each element by the same expression as alone.
 
     ``grads`` maps parameter name -> ndarray and must carry exactly the
     parameter names, all finite.
     """
-    names = list(params.keys())
+    names = list(state.m)
     if set(grads.keys()) != set(names):
         missing = set(names) - set(grads.keys())
         extra = set(grads.keys()) - set(names)
         raise TensorError(f"adam_step: grad keys mismatch (missing={sorted(missing)}, extra={sorted(extra)})")
-    for name in names:
-        if not np.all(np.isfinite(grads[name])):
-            raise TensorError(f"adam_step: non-finite gradient for {name!r}")
+    g = np.concatenate([np.ravel(grads[name]) for name in names], dtype=np.float64)
+    if not np.isfinite(g).all():
+        bad = next(name for name in names if not np.all(np.isfinite(grads[name])))
+        raise TensorError(f"adam_step: non-finite gradient for {bad!r}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
+    m, v = state.m_flat, state.v_flat
+    m[:] = b1 * m + (1.0 - b1) * g
+    v[:] = b2 * v + (1.0 - b2) * g * g
+    update = rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    lo = 0
     for name in names:
-        g = np.asarray(grads[name], dtype=np.float64)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        params[name].data -= rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        p = params[name].data
+        p -= update[lo : lo + p.size].reshape(p.shape)
+        lo += p.size
     return state, params
 
 

@@ -1,16 +1,17 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
-Values are 64-bit floats; image ops take (N, C, H, W) batches and
-convolutions lower each batch to one im2col matmul (Chellapilla, Puri &
-Simard 2006). Ops record onto the innermost active ``Tape``;
-with no active tape they evaluate eagerly. Every op's backward rule is
-itself written in terms of registry ops, so a tape opened in
-``Tape.DIFFERENTIABLE`` mode can differentiate through gradients
+Values are 64-bit floats; image ops take (N, C, H, W) batches. A conv op
+reflect-pads its input and adds its bias itself and lowers each batch to
+one im2col matmul (Chellapilla, Puri & Simard 2006). Ops record onto the
+innermost active ``Tape``; with no active tape they evaluate eagerly.
+Every op's backward rule is itself written in terms of registry ops, so a
+tape opened in ``Tape.DIFFERENTIABLE`` mode can differentiate through gradients
 (unrolled optimizer steps, gradient-of-gradient). The VJP ops of
 ``backward`` follow the same rule as every other op: they join a tape
 only while it is the active tape, and only if it is DIFFERENTIABLE.
 """
 
+import collections
 import functools
 import threading
 import weakref
@@ -45,11 +46,6 @@ class Tensor:
         tape = self._tape() if self._tape is not None else None
         return None if tape is None else (tape, self._node_index)
 
-    @node.setter
-    def node(self, value):
-        tape, self._node_index = value
-        self._tape = weakref.ref(tape)
-
     @property
     def shape(self):
         return self.data.shape
@@ -71,14 +67,7 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-class _Op:
-    __slots__ = ("name", "input_ids", "output_id", "attrs")
-
-    def __init__(self, name, input_ids, output_id, attrs):
-        self.name = name
-        self.input_ids = input_ids
-        self.output_id = output_id
-        self.attrs = attrs
+_Op = collections.namedtuple("_Op", "name input_ids output_id attrs")
 
 
 _tls = threading.local()
@@ -130,6 +119,7 @@ class Tape:
         self.ops: list[_Op] = []
         self._leaf_ids: dict[int, int] = {}  # id(tensor) -> node index
         self._writer: int | None = None
+        self._ref = weakref.ref(self)  # the one weak reference its nodes hold
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -168,9 +158,11 @@ class Tape:
 
     def record(self, name, inputs, output, attrs):
         self._check_writer()
-        in_ids = [self.node_index(t, create=True) for t in inputs]
+        ref = self._ref
+        in_ids = [t._node_index if t._tape is ref else self.node_index(t, create=True)
+                  for t in inputs]
         out_id = self._add_node(output)
-        output.node = (self, out_id)
+        output._tape, output._node_index = ref, out_id
         self.ops.append(_Op(name, in_ids, out_id, attrs))
 
 
@@ -184,7 +176,14 @@ def _apply(name, inputs, attrs=None) -> Tensor:
         out_data = _OPS[name][0](attrs, *[t.data for t in inputs])
     if not np.isfinite(out_data).all():
         raise TensorError(f"{name}: non-finite value in output")
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
+    # kernels return float64 arrays (a 0-d result may come back as a scalar)
+    out = Tensor.__new__(Tensor)
+    out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
+    out._tape, out.requires_grad = None, False
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            break
     tape = active_tape()
     if tape is not None:
         tape.record(name, inputs, out, attrs)
@@ -217,9 +216,31 @@ def _f_scalar_mul(attrs, a):
     return a * attrs["c"]
 
 
-def _im2col(x, kh, kw, stride):
-    # (N, C, H, W) -> (N, C*kh*kw, oh*ow) patch matrices, one per sample
+@functools.lru_cache(maxsize=None)
+def _reflect_index(n, p):
+    # source position of each position of an axis of length n, reflect-padded by p
+    idx = np.abs(np.arange(-p, n + p))
+    return np.where(idx >= n, 2 * n - 2 - idx, idx)
+
+
+@functools.lru_cache(maxsize=None)
+def _patch_index(h, w, kh, kw, stride, pad):
+    # flat source pixel in the unpadded (h, w) plane of patch entry (a, b) of
+    # the window at output (i, j), over the reflect-padded plane, (a, b, i, j) order
+    oh, ow = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    rows = _reflect_index(h, pad)[np.arange(kh)[:, None] + stride * np.arange(oh)]
+    cols = _reflect_index(w, pad)[np.arange(kw)[:, None] + stride * np.arange(ow)]
+    return (rows[:, None, :, None] * w + cols[None, :, None, :]).ravel(), oh, ow
+
+
+def _im2col(x, kh, kw, stride, pad):
+    # (N, C, H, W) -> (N, C*kh*kw, oh*ow) patch matrices of x reflect-padded
+    # by pad, one per sample: a strided view copied, or one gather when padded
     n, c, h, w = x.shape
+    if pad:
+        idx, oh, ow = _patch_index(h, w, kh, kw, stride, pad)
+        cols = np.take(x.reshape(n * c, h * w), idx, axis=1, mode="clip")
+        return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
     sn, sc, sh, sw = x.strides
     win = as_strided(x, (n, c, kh, kw, oh, ow), (sn, sc, sh, sw, sh * stride, sw * stride),
@@ -227,50 +248,74 @@ def _im2col(x, kh, kw, stride):
     return win.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
-def _conv_check(name, x, k, stride):
+def _fold_reflect(g, p):
+    # adjoint of reflect padding by p: add the border rows back onto the rows
+    # they mirror, then the columns
+    h, w = g.shape[2] - 2 * p, g.shape[3] - 2 * p
+    rows = g[:, :, p : p + h].copy()
+    rows[:, :, 1 : p + 1][:, :, ::-1] += g[:, :, :p]
+    rows[:, :, h - 1 - p : h - 1][:, :, ::-1] += g[:, :, p + h :]
+    out = rows[:, :, :, p : p + w].copy()
+    out[:, :, :, 1 : p + 1][:, :, :, ::-1] += rows[:, :, :, :p]
+    out[:, :, :, w - 1 - p : w - 1][:, :, :, ::-1] += rows[:, :, :, p + w :]
+    return out
+
+
+def _check_pad(name, shape, pad):
+    # reflect padding mirrors pad pixels, so each side must have more than pad
+    if not 0 <= pad < min(shape[2], shape[3]):
+        raise TensorError(f"{name}: reflect pad {pad} needs an input larger than it, got {tuple(shape)}")
+
+
+def _f_conv2d(attrs, x, k, b=None):
+    s, p = attrs["stride"], attrs["pad"]
     if x.ndim != 4 or k.ndim != 4 or x.shape[1] != k.shape[1]:
-        raise _shape_err(name, x.shape, k.shape)
-    kh, kw = k.shape[2], k.shape[3]
-    if x.shape[2] < kh or x.shape[3] < kw or stride < 1:
-        raise _shape_err(name, x.shape, k.shape)
-
-
-def _f_conv2d(attrs, x, k):
-    s = attrs["stride"]
-    _conv_check("conv2d", x, k, s)
+        raise _shape_err("conv2d", x.shape, k.shape)
+    _check_pad("conv2d", x.shape, p)
     co, ci, kh, kw = k.shape
-    cols, oh, ow = _im2col(x, kh, kw, s)
-    out = np.matmul(k.reshape(co, ci * kh * kw), cols)
-    return out.reshape(x.shape[0], co, oh, ow)
+    if x.shape[2] + 2 * p < kh or x.shape[3] + 2 * p < kw or s < 1:
+        raise _shape_err("conv2d", x.shape, k.shape)
+    if b is not None and b.shape != (co, 1, 1):
+        raise TensorError(f"conv2d: bias shape {b.shape} is not ({co}, 1, 1)")
+    cols, oh, ow = _im2col(x, kh, kw, s, p)
+    out = np.matmul(k.reshape(co, ci * kh * kw), cols).reshape(x.shape[0], co, oh, ow)
+    if b is not None:
+        out += b
+    return out
 
 
 def _f_conv2d_dx(attrs, g, k):
     # adjoint of conv2d in its input: the stride-dilated, zero-padded g
-    # correlated with the flipped kernel
-    s, h, w = attrs["stride"], attrs["h"], attrs["w"]
+    # correlated with the flipped kernel gives the padded input's gradient,
+    # whose reflected border is then folded back. Trailing rows/cols unseen
+    # by any window get zero gradient.
+    s, p, h, w = attrs["stride"], attrs["pad"], attrs["h"], attrs["w"]
     co, ci, kh, kw = k.shape
     if g.ndim != 4 or g.shape[1] != co:
         raise _shape_err("conv2d_dx", g.shape, k.shape)
+    _check_pad("conv2d_dx", (0, 0, h, w), p)
     n, _, oh, ow = g.shape
+    hp, wp = h + 2 * p, w + 2 * p
     gd_h, gd_w = (oh - 1) * s + 1, (ow - 1) * s + 1
-    if gd_h + kh - 1 > h or gd_w + kw - 1 > w:
+    if gd_h + kh - 1 > hp or gd_w + kw - 1 > wp:
         raise _shape_err("conv2d_dx", g.shape, k.shape)
-    # trailing rows/cols unseen by any window get zero gradient
-    gd = np.zeros((n, co, h + kh - 1, w + kw - 1))
+    gd = np.zeros((n, co, hp + kh - 1, wp + kw - 1))
     gd[:, :, kh - 1 : kh - 1 + gd_h : s, kw - 1 : kw - 1 + gd_w : s] = g
     k_rot = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-    cols, _, _ = _im2col(gd, kh, kw, 1)
-    return np.matmul(k_rot, cols).reshape(n, ci, h, w)
+    cols, _, _ = _im2col(gd, kh, kw, 1, 0)
+    gp = np.matmul(k_rot, cols).reshape(n, ci, hp, wp)
+    return _fold_reflect(gp, p) if p else gp
 
 
 def _f_conv2d_dk(attrs, x, g):
     # adjoint of conv2d in its kernel, summed over the batch
-    s, kh, kw = attrs["stride"], attrs["kh"], attrs["kw"]
+    s, p, kh, kw = attrs["stride"], attrs["pad"], attrs["kh"], attrs["kw"]
     if x.ndim != 4 or g.ndim != 4 or x.shape[0] != g.shape[0]:
         raise _shape_err("conv2d_dk", x.shape, g.shape)
+    _check_pad("conv2d_dk", x.shape, p)
     n, ci = x.shape[:2]
     co, oh, ow = g.shape[1:]
-    cols, ch, cw = _im2col(x, kh, kw, s)
+    cols, ch, cw = _im2col(x, kh, kw, s, p)
     if (ch, cw) != (oh, ow):
         raise _shape_err("conv2d_dk", x.shape, g.shape)
     out = np.matmul(g.reshape(n, co, oh * ow), cols.transpose(0, 2, 1)).sum(axis=0)
@@ -334,13 +379,6 @@ def _f_reduce_mean(attrs, x):
     return np.asarray(x.mean())
 
 
-def _f_bias_add(attrs, x, b):
-    # per-channel bias (C, 1, 1) broadcast over an (N, C, H, W) batch
-    if x.ndim != 4 or b.shape != (x.shape[1], 1, 1):
-        raise _shape_err("bias_add", x.shape, b.shape)
-    return x + b
-
-
 @functools.lru_cache(maxsize=None)
 def _broadcast_axes(name, big, small):
     # the axes of ``big`` that broadcasting ``small`` to it repeats along,
@@ -386,40 +424,6 @@ def _f_pad_channels(attrs, x):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _reflect_gather(h, w, p):
-    # flat source index of every pixel of the reflect-padded (h + 2p, w + 2p) plane
-    def axis(n):
-        idx = np.abs(np.arange(-p, n + p))
-        return np.where(idx >= n, 2 * n - 2 - idx, idx)
-
-    return (axis(h)[:, None] * w + axis(w)[None, :]).ravel()
-
-
-def _f_pad_reflect(attrs, x):
-    p = attrs["pad"]
-    if x.ndim != 4 or x.shape[2] <= p or x.shape[3] <= p:
-        raise _shape_err("pad_reflect", x.shape)
-    n, c, h, w = x.shape
-    out = np.take(x.reshape(n * c, h * w), _reflect_gather(h, w, p), axis=1)
-    return out.reshape(n, c, h + 2 * p, w + 2 * p)
-
-
-def _f_pad_reflect_adjoint(attrs, g):
-    p = attrs["pad"]
-    if g.ndim != 4 or g.shape[2] <= 2 * p or g.shape[3] <= 2 * p:
-        raise _shape_err("pad_reflect_adjoint", g.shape)
-    h, w = g.shape[2] - 2 * p, g.shape[3] - 2 * p
-    # fold the reflected border rows back onto their sources, then the columns
-    rows = g[:, :, p : p + h].copy()
-    rows[:, :, 1 : p + 1][:, :, ::-1] += g[:, :, :p]
-    rows[:, :, h - 1 - p : h - 1][:, :, ::-1] += g[:, :, p + h :]
-    out = rows[:, :, :, p : p + w].copy()
-    out[:, :, :, 1 : p + 1][:, :, :, ::-1] += rows[:, :, :, :p]
-    out[:, :, :, w - 1 - p : w - 1][:, :, :, ::-1] += rows[:, :, :, p + w :]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # functional API
 
@@ -440,8 +444,11 @@ def scalar_mul(a, c: float):
     return _apply("scalar_mul", [a], {"c": float(c)})
 
 
-def conv2d(x, k, stride=1):
-    return _apply("conv2d", [x, k], {"stride": int(stride)})
+def conv2d(x, k, stride=1, pad=0, bias=None):
+    """Correlate ``x`` (N, C, H, W), reflect-padded by ``pad``, with ``k``
+    (C_out, C, kh, kw) at ``stride``, plus an optional ``bias`` (C_out, 1, 1)."""
+    inputs = [x, k] if bias is None else [x, k, bias]
+    return _apply("conv2d", inputs, {"stride": int(stride), "pad": int(pad)})
 
 
 def upsample_nearest2(x):
@@ -497,11 +504,6 @@ def reduce_mean(x):
     return _apply("reduce_mean", [x])
 
 
-def bias_add(x, b):
-    """``x`` (N, C, H, W) plus a per-channel bias ``b`` of shape (C, 1, 1)."""
-    return _apply("bias_add", [x, b])
-
-
 def broadcast_to(x, shape):
     """Repeat ``x`` up to ``shape``, aligned from the right as in numpy."""
     return _apply("broadcast_to", [x], {"shape": tuple(shape)})
@@ -522,10 +524,6 @@ def slice_channels(x, start, stop):
 
 def pad_channels(x, before, after):
     return _apply("pad_channels", [x], {"before": int(before), "after": int(after)})
-
-
-def pad_reflect(x, pad=1):
-    return _apply("pad_reflect", [x], {"pad": int(pad)})
 
 
 # ---------------------------------------------------------------------------
@@ -555,29 +553,32 @@ def _v_scalar_mul(g, ins, out, attrs, need):
     return [scalar_mul(g, attrs["c"])]
 
 
+def _conv_dx(g, k, attrs, h, w):
+    return _apply("conv2d_dx", [g, k], {"stride": attrs["stride"], "pad": attrs["pad"], "h": h, "w": w})
+
+
+def _conv_dk(x, g, attrs, kh, kw):
+    return _apply("conv2d_dk", [x, g], {"stride": attrs["stride"], "pad": attrs["pad"], "kh": kh, "kw": kw})
+
+
 def _v_conv2d(g, ins, out, attrs, need):
-    x, k = ins
-    s = attrs["stride"]
-    gx = _apply("conv2d_dx", [g, k], {"stride": s, "h": x.shape[2], "w": x.shape[3]}) if need[0] else None
-    gk = _apply("conv2d_dk", [x, g], {"stride": s, "kh": k.shape[2], "kw": k.shape[3]}) if need[1] else None
-    return [gx, gk]
+    x, k = ins[:2]
+    grads = [_conv_dx(g, k, attrs, x.shape[2], x.shape[3]) if need[0] else None,
+             _conv_dk(x, g, attrs, k.shape[2], k.shape[3]) if need[1] else None]
+    return grads + ([sum_to(g, ins[2].shape) if need[2] else None] if len(ins) == 3 else [])
 
 
 def _v_conv2d_dx(g, ins, out, attrs, need):
     # bilinear: adjoints swap back through conv2d / conv2d_dk
     gin, k = ins
-    s = attrs["stride"]
-    gg = _apply("conv2d", [g, k], {"stride": s}) if need[0] else None
-    gk = _apply("conv2d_dk", [g, gin], {"stride": s, "kh": k.shape[2], "kw": k.shape[3]}) if need[1] else None
-    return [gg, gk]
+    return [conv2d(g, k, attrs["stride"], attrs["pad"]) if need[0] else None,
+            _conv_dk(g, gin, attrs, k.shape[2], k.shape[3]) if need[1] else None]
 
 
 def _v_conv2d_dk(g, ins, out, attrs, need):
     x, gin = ins
-    s = attrs["stride"]
-    gx = _apply("conv2d_dx", [gin, g], {"stride": s, "h": x.shape[2], "w": x.shape[3]}) if need[0] else None
-    gg = _apply("conv2d", [x, g], {"stride": s}) if need[1] else None
-    return [gx, gg]
+    return [_conv_dx(gin, g, attrs, x.shape[2], x.shape[3]) if need[0] else None,
+            conv2d(x, g, attrs["stride"], attrs["pad"]) if need[1] else None]
 
 
 def _v_upsample_nearest2(g, ins, out, attrs, need):
@@ -637,10 +638,6 @@ def _v_reduce_mean(g, ins, out, attrs, need):
     return [scalar_mul(broadcast_to(g, ins[0].shape), 1.0 / n)]
 
 
-def _v_bias_add(g, ins, out, attrs, need):
-    return [g, sum_to(g, ins[1].shape) if need[1] else None]
-
-
 def _v_broadcast_to(g, ins, out, attrs, need):
     return [sum_to(g, ins[0].shape)]
 
@@ -665,14 +662,6 @@ def _v_pad_channels(g, ins, out, attrs, need):
     return [slice_channels(g, b, b + ins[0].shape[1])]
 
 
-def _v_pad_reflect(g, ins, out, attrs, need):
-    return [_apply("pad_reflect_adjoint", [g], {"pad": attrs["pad"]})]
-
-
-def _v_pad_reflect_adjoint(g, ins, out, attrs, need):
-    return [pad_reflect(g, attrs["pad"])]
-
-
 # every registry op: name -> (forward kernel, backward rule)
 _OPS = {
     "add": (_f_add, _v_add),
@@ -695,14 +684,11 @@ _OPS = {
     "reciprocal": (_f_reciprocal, _v_reciprocal),
     "clamp": (_f_clamp, _v_clamp),
     "reduce_mean": (_f_reduce_mean, _v_reduce_mean),
-    "bias_add": (_f_bias_add, _v_bias_add),
     "broadcast_to": (_f_broadcast_to, _v_broadcast_to),
     "sum_to": (_f_sum_to, _v_sum_to),
     "concat_channels": (_f_concat_channels, _v_concat_channels),
     "slice_channels": (_f_slice_channels, _v_slice_channels),
     "pad_channels": (_f_pad_channels, _v_pad_channels),
-    "pad_reflect": (_f_pad_reflect, _v_pad_reflect),
-    "pad_reflect_adjoint": (_f_pad_reflect_adjoint, _v_pad_reflect_adjoint),
 }
 
 ALL_OP_NAMES = frozenset(_OPS)

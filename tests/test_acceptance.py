@@ -108,13 +108,13 @@ def test_criterion_1_gradient_correctness():
 
 def tiny_g_forward(params, xs, xr):
     x = T.concat_channels(xs, xr) if xr is not None else xs
-    h = T.relu(T.conv2d(T.pad_reflect(x, 1), params["g1.w"]))
+    h = T.relu(T.conv2d(x, params["g1.w"], pad=1))
     return T.tanh(T.conv2d(h, params["g2.w"]))
 
 
 def tiny_d_forward(params, xs, img):
     x = T.concat_channels(xs, img)
-    h = T.leaky_relu(T.conv2d(T.pad_reflect(x, 1), params["d1.w"], stride=2))
+    h = T.leaky_relu(T.conv2d(x, params["d1.w"], stride=2, pad=1))
     return T.conv2d(h, params["d2.w"])
 
 

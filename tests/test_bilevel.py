@@ -53,13 +53,13 @@ def small_episode(seed, scene_id=0, n_shot=5, n_test=2):
 
 def tiny_g_forward(params, xs, xr):
     x = T.concat_channels(xs, xr) if xr is not None else xs
-    h = T.relu(T.conv2d(T.pad_reflect(x, 1), params["g1.w"]))
+    h = T.relu(T.conv2d(x, params["g1.w"], pad=1))
     return T.tanh(T.conv2d(h, params["g2.w"]))
 
 
 def tiny_d_forward(params, xs, img):
     x = T.concat_channels(xs, img)
-    h = T.leaky_relu(T.conv2d(T.pad_reflect(x, 1), params["d1.w"], stride=2))
+    h = T.leaky_relu(T.conv2d(x, params["d1.w"], stride=2, pad=1))
     return T.conv2d(h, params["d2.w"])
 
 
@@ -346,6 +346,51 @@ def test_generator_step_backward_skips_discriminator_kernels():
     alternating_step(state.objective, state.g_gp, state.d_gp, small_episode(41).train,
                      step_g, step_d, tape)
     assert seen["dk"] == sum(n.endswith(".w") for n in state.g_gp.keys())
+
+
+# one network layer is one conv2d op (reflect padding and bias included), so
+# a step's op count only grows if a layer is split again: 363 ops per eager
+# step and 666 on an unrolled episode's tape before padding and bias were fused
+DESK_NET = default_config(image_size=16, classes=4, base_width=8, depth=2, inner_batch=5,
+                          meta_batch=1, n_test=3, phi_widths="8,16", train_inner_iters=1)
+
+
+def _desk_state_and_episode():
+    g, d = init_params(DESK_NET, 0)
+    state = BiLevelState(config=DESK_NET, objective=Objective(DESK_NET), g_gp=g, d_gp=d, seed=0)
+    scene = synth_scene(0, scene_id=0, height=16, width=16, classes=4)
+    return state, sample_episode(scene, 5, 3, 0)
+
+
+def test_eager_desk_step_op_count(monkeypatch):
+    state, ep = _desk_state_and_episode()
+    count = [0]
+    apply = T._apply
+
+    def counting(name, inputs, attrs=None):
+        count[0] += 1
+        return apply(name, inputs, attrs)
+
+    monkeypatch.setattr(T, "_apply", counting)
+    step_g = bilevel._adam_rule(bilevel._adam(state.g_gp, DESK_NET), DESK_NET.alpha)
+    step_d = bilevel._adam_rule(bilevel._adam(state.d_gp, DESK_NET), DESK_NET.alpha)
+    alternating_step(state.objective, state.g_gp, state.d_gp, ep.train, step_g, step_d)
+    assert 0 < count[0] <= 297
+
+
+def test_unrolled_desk_episode_tape_op_count(monkeypatch):
+    # the episode tape is longest when the outer backward passes read it
+    state, ep = _desk_state_and_episode()
+    sizes = []
+    run_backward = bilevel.backward
+
+    def sizing(loss, wrt, tape=None):
+        sizes.append(len(loss.node[0].ops))
+        return run_backward(loss, wrt, tape)
+
+    monkeypatch.setattr(bilevel, "backward", sizing)
+    meta_gradients(state, [ep], MetaMode.FULL_UNROLLED)
+    assert 0 < max(sizes) <= 560
 
 
 # ---------------------------------------------------------------------------

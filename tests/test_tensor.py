@@ -54,10 +54,75 @@ def test_conv2d_against_direct_loops():
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
-def test_pad_reflect_matches_numpy():
-    x = rand((2, 1, 4, 5), 5)
-    out = T.pad_reflect(T.tensor(x), 2).data
-    np.testing.assert_array_equal(out, np.pad(x, ((0, 0), (0, 0), (2, 2), (2, 2)), mode="reflect"))
+def test_conv2d_pad_bias_matches_numpy_pad_and_loops():
+    # integer values keep every product and sum exact, so any summation
+    # order gives the same bits
+    rng = np.random.default_rng(5)
+    x = rng.integers(-4, 5, (2, 2, 5, 6)).astype(np.float64)
+    k = rng.integers(-4, 5, (3, 2, 3, 3)).astype(np.float64)
+    b = rng.integers(-4, 5, (3, 1, 1)).astype(np.float64)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+    for stride in (1, 2):
+        out = T.conv2d(T.tensor(x), T.tensor(k), stride=stride, pad=1, bias=T.tensor(b)).data
+        oh, ow = (7 - 3) // stride + 1, (8 - 3) // stride + 1
+        expect = np.zeros((2, 3, oh, ow))
+        for n, co, i, j in np.ndindex(expect.shape):
+            win = xp[n, :, i * stride : i * stride + 3, j * stride : j * stride + 3]
+            expect[n, co, i, j] = sum(win[ci, a, c] * k[co, ci, a, c] for ci, a, c in np.ndindex(2, 3, 3))
+        np.testing.assert_array_equal(out, expect + b)
+        # at any values, padding inside the op gives the bits of padding outside it
+        xr, kr, br = rand(x.shape, 6), rand(k.shape, 7), rand(b.shape, 8)
+        fused = T.conv2d(T.tensor(xr), T.tensor(kr), stride=stride, pad=1, bias=T.tensor(br)).data
+        xrp = np.pad(xr, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+        np.testing.assert_array_equal(fused, T.conv2d(T.tensor(xrp), T.tensor(kr), stride=stride).data + br)
+
+
+def test_conv2d_rejects_pad_not_below_input_size():
+    x, k = T.tensor(np.ones((1, 2, 4, 6))), T.tensor(np.ones((3, 2, 3, 3)))
+    T.conv2d(x, k, pad=3)
+    for pad in (4, 5):
+        with pytest.raises(TensorError, match="conv2d"):
+            T.conv2d(x, k, pad=pad)
+    with pytest.raises(TensorError, match="conv2d"):
+        T.conv2d(T.tensor(np.ones((1, 2, 6, 2))), k, pad=2)
+
+
+def test_conv2d_rejects_bias_not_per_output_channel():
+    x, k = T.tensor(np.ones((1, 2, 4, 4))), T.tensor(np.ones((3, 2, 3, 3)))
+    for shape in ((2, 1, 1), (3,), (3, 1), (1, 3, 1, 1), (3, 4, 4)):
+        with pytest.raises(TensorError, match="conv2d"):
+            T.conv2d(x, k, pad=1, bias=T.tensor(np.ones(shape)))
+
+
+def _dilated_conv2d_dx(g, k, stride, pad, h, w):
+    # the input adjoint written out: the stride-dilated, zero-padded g
+    # correlated with the flipped kernel, then reflect padding's adjoint as
+    # 0/1 matrices that fold each padded row and column onto its source
+    n, co, oh, ow = g.shape
+    _, ci, kh, kw = k.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    gd = np.zeros((n, co, hp + kh - 1, wp + kw - 1))
+    gd[:, :, kh - 1 : kh - 1 + (oh - 1) * stride + 1 : stride,
+       kw - 1 : kw - 1 + (ow - 1) * stride + 1 : stride] = g
+    win = np.lib.stride_tricks.sliding_window_view(gd, (kh, kw), axis=(2, 3))
+    gp = np.einsum("ncyxab,cdab->ndyx", win, k[:, :, ::-1, ::-1])
+
+    def fold(size):
+        src = np.pad(np.arange(size), pad, mode="reflect")
+        return (src[None, :] == np.arange(size)[:, None]).astype(np.float64)
+
+    return np.einsum("yi,ncij,xj->ncyx", fold(h), gp, fold(w))
+
+
+@pytest.mark.parametrize("x_shape, co", [((5, 8, 16, 16), 16), ((2, 3, 7, 8), 4), ((3, 16, 8, 8), 32)])
+def test_stride2_conv2d_dx_matches_dilated_formula(x_shape, co):
+    n, ci, h, w = x_shape
+    for pad in (0, 1):
+        oh, ow = (h + 2 * pad - 3) // 2 + 1, (w + 2 * pad - 3) // 2 + 1
+        g, k = rand((n, co, oh, ow), 70 + pad), rand((co, ci, 3, 3), 71 + pad)
+        got = T._apply("conv2d_dx", [T.tensor(g), T.tensor(k)], {"stride": 2, "pad": pad, "h": h, "w": w}).data
+        ref = _dilated_conv2d_dx(g, k, 2, pad, h, w)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_shape_mismatch_rejected_with_op_name():
@@ -215,14 +280,42 @@ def _broadcast_pair(name, n=1):
     return build
 
 
+def _conv_case(op, stride, pad, bias=False, n=1):
+    # a (n, 2, 7, 8) input and a (3, 2, 3, 3) kernel: conv2d takes both (and a
+    # bias), conv2d_dx an output gradient and the kernel, conv2d_dk the input
+    # and an output gradient
+    oh, ow = (7 + 2 * pad - 3) // stride + 1, (8 + 2 * pad - 3) // stride + 1
+
+    def build(seed):
+        x, k, g = rand((n, 2, 7, 8), seed), rand((3, 2, 3, 3), seed + 1), rand((n, 3, oh, ow), seed + 2)
+        attrs = {"stride": stride, "pad": pad}
+        if op == "conv2d":
+            return [x, k] + ([rand((3, 1, 1), seed + 3)] if bias else []), attrs
+        if op == "conv2d_dx":
+            return [g, k], {**attrs, "h": 7, "w": 8}
+        return [x, g], {**attrs, "kh": 3, "kw": 3}
+
+    return build
+
+
+# the reflect-padded convolutions, with and without a bias, at both strides
+# and batch size n: case name -> (op name, input builder)
+def _padded_conv_cases(n):
+    return {
+        f"{op}-pad1{'-bias' if bias else ''}-stride{s}": (op, _conv_case(op, s, 1, bias, n))
+        for op, bias in (("conv2d", False), ("conv2d", True), ("conv2d_dx", False), ("conv2d_dk", False))
+        for s in (1, 2)
+    }
+
+
 _CASES = {
     "add": _binary(),
     "sub": _binary(),
     "mul": _binary(),
     "scalar_mul": lambda seed: ([rand((1, 2, 5, 5), seed)], {"c": -1.7}),
-    "conv2d": lambda seed: ([rand((1, 2, 7, 8), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 2}),
-    "conv2d_dx": lambda seed: ([rand((1, 3, 3, 3), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 2, "h": 7, "w": 8}),
-    "conv2d_dk": lambda seed: ([rand((1, 2, 7, 8), seed), rand((1, 3, 3, 3), seed + 1)], {"stride": 2, "kh": 3, "kw": 3}),
+    "conv2d": _conv_case("conv2d", stride=2, pad=0),
+    "conv2d_dx": _conv_case("conv2d_dx", stride=2, pad=0),
+    "conv2d_dk": _conv_case("conv2d_dk", stride=2, pad=0),
     "upsample_nearest2": _unary((1, 2, 3, 4)),
     "avg_pool2": _unary((1, 2, 6, 4)),
     "relu": _unary(away_from=0.0),
@@ -236,19 +329,17 @@ _CASES = {
     "reciprocal": _unary((1, 2, 6, 6), 0.2, 2.0),
     "clamp": lambda seed: ([np.where(np.abs(a := rand((1, 2, 6, 6), seed, -2, 2)) % 0.5 < 1e-3, a + 2e-3, a)], {"lo": -0.5, "hi": 0.5}),
     "reduce_mean": _unary(),
-    "bias_add": lambda seed: ([rand((1, 3, 4, 5), seed), rand((3, 1, 1), seed + 1)], None),
     "broadcast_to": _broadcast_pair("broadcast_to"),
     "sum_to": _broadcast_pair("sum_to"),
     "concat_channels": lambda seed: ([rand((1, 2, 5, 5), seed), rand((1, 3, 5, 5), seed + 1)], None),
     "slice_channels": lambda seed: ([rand((1, 4, 5, 5), seed)], {"start": 1, "stop": 3}),
     "pad_channels": lambda seed: ([rand((1, 2, 5, 5), seed)], {"before": 1, "after": 2}),
-    "pad_reflect": lambda seed: ([rand((1, 2, 5, 5), seed)], {"pad": 2}),
-    "pad_reflect_adjoint": lambda seed: ([rand((1, 2, 9, 9), seed)], {"pad": 2}),
 }
 
 # the broadcast and reduction patterns the networks and losses use, each
-# checked under its own name through broadcast_to/sum_to: (op name, input builder)
-_PATTERN_CASES = {
+# checked under its own name through broadcast_to/sum_to, and the padded
+# convolutions: (op name, input builder)
+_NAMED_CASES = _padded_conv_cases(1) | {
     name: (op, _shape_pair(op, small, big))
     for name, op, small, big in [
         ("reduce_sum", "sum_to", (), (1, 2, 6, 6)),
@@ -262,13 +353,12 @@ _PATTERN_CASES = {
 
 # N = 2 batches of the image ops: (op name, input builder)
 _BATCH_CASES = {
-    "conv2d-stride1": ("conv2d", lambda seed: ([rand((2, 2, 6, 7), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 1})),
-    "conv2d-stride2": ("conv2d", lambda seed: ([rand((2, 2, 7, 8), seed), rand((3, 2, 3, 3), seed + 1)], {"stride": 2})),
-    "pad_reflect": ("pad_reflect", lambda seed: ([rand((2, 2, 5, 5), seed)], {"pad": 1})),
+    "conv2d-stride1": ("conv2d", _conv_case("conv2d", 1, 0, n=2)),
+    "conv2d-stride2": ("conv2d", _conv_case("conv2d", 2, 0, n=2)),
+    **_padded_conv_cases(2),
     "avg_pool2": ("avg_pool2", _unary((2, 2, 6, 4))),
     "upsample_nearest2": ("upsample_nearest2", _unary((2, 2, 3, 4))),
     "concat_channels": ("concat_channels", lambda seed: ([rand((2, 2, 5, 5), seed), rand((2, 3, 5, 5), seed + 1)], None)),
-    "bias_add": ("bias_add", lambda seed: ([rand((2, 3, 4, 5), seed), rand((3, 1, 1), seed + 1)], None)),
     "broadcast_to": ("broadcast_to", _broadcast_pair("broadcast_to", n=2)),
     "sum_to": ("sum_to", _broadcast_pair("sum_to", n=2)),
 }
@@ -304,9 +394,9 @@ def analytic_and_fd(name, build, seed, n_checks=1):
     return worst
 
 
-@pytest.mark.parametrize("name", sorted(T.ALL_OP_NAMES.union(_PATTERN_CASES)))
+@pytest.mark.parametrize("name", sorted(T.ALL_OP_NAMES.union(_NAMED_CASES)))
 def test_every_op_gradient_matches_finite_differences(name):
-    op, build = _PATTERN_CASES[name] if name in _PATTERN_CASES else (name, _CASES[name])
+    op, build = _NAMED_CASES[name] if name in _NAMED_CASES else (name, _CASES[name])
     worst = max(analytic_and_fd(op, build, seed) for seed in range(5))
     assert worst < 1e-6, f"{name}: rel err {worst:.3e}"
 
@@ -445,7 +535,7 @@ def test_second_order_through_conv_net():
     def grad_norm(theta):
         with Tape(Tape.DIFFERENTIABLE):
             k = leaf(theta["k"])
-            y = T.tanh(T.conv2d(T.tensor(xv), k))
+            y = T.tanh(T.conv2d(T.tensor(xv), k, pad=1))
             loss = T.reduce_mean(T.square(y))
             g = backward(loss, [k])[k]
             return T.sum_to(T.square(g), ()).item()
@@ -453,7 +543,7 @@ def test_second_order_through_conv_net():
     fd = finite_diff_gradient(grad_norm, {"k": kv}, eps=1e-5)
     with Tape(Tape.DIFFERENTIABLE):
         k = leaf(kv)
-        y = T.tanh(T.conv2d(T.tensor(xv), k))
+        y = T.tanh(T.conv2d(T.tensor(xv), k, pad=1))
         loss = T.reduce_mean(T.square(y))
         g = backward(loss, [k])[k]
         norm = T.sum_to(T.square(g), ())
@@ -470,9 +560,9 @@ def test_second_order_through_batched_image_ops():
 
     def grad_norm_sq(leaves):
         x = T.tensor(xv)
-        h = T.tanh(T.bias_add(T.conv2d(T.pad_reflect(x, 1), leaves["k1"], stride=2), leaves["b1"]))
+        h = T.tanh(T.conv2d(x, leaves["k1"], stride=2, pad=1, bias=leaves["b1"]))
         h = T.concat_channels(T.upsample_nearest2(h), x)
-        h = T.avg_pool2(T.tanh(T.conv2d(T.pad_reflect(h, 1), leaves["k2"])))
+        h = T.avg_pool2(T.tanh(T.conv2d(h, leaves["k2"], pad=1)))
         norm = T.broadcast_to(T.sum_to(T.square(h), (2, 1, 3, 3)), h.shape)
         loss = T.reduce_mean(T.mul(h, T.tanh(norm)))
         grads = backward(loss, list(leaves.values()))

@@ -1,11 +1,12 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
 Values are 64-bit floats; image ops take (N, C, H, W) batches. A conv op
-reflect-pads its input and adds its bias itself and lowers each batch to
-one im2col matmul (Chellapilla, Puri & Simard 2006). Ops record onto the
-innermost active ``Tape``; with no active tape they evaluate eagerly.
-Every op's backward rule is itself written in terms of registry ops, so a
-tape opened in ``Tape.DIFFERENTIABLE`` mode can differentiate through gradients
+reflect-pads its input and adds its bias itself, lowers each batch to one
+im2col matmul and, at stride > 1, scatters its input gradient back by
+col2im (Chellapilla, Puri & Simard 2006). Ops record onto the innermost
+active ``Tape``; with no active tape they evaluate eagerly. Every op's
+backward rule is itself written in terms of registry ops, so a tape opened
+in ``Tape.DIFFERENTIABLE`` mode can differentiate through gradients
 (unrolled optimizer steps, gradient-of-gradient). The VJP ops of
 ``backward`` follow the same rule as every other op: they join a tape
 only while it is the active tape, and only if it is DIFFERENTIABLE.
@@ -285,10 +286,9 @@ def _f_conv2d(attrs, x, k, b=None):
 
 
 def _f_conv2d_dx(attrs, g, k):
-    # adjoint of conv2d in its input: the stride-dilated, zero-padded g
-    # correlated with the flipped kernel gives the padded input's gradient,
-    # whose reflected border is then folded back. Trailing rows/cols unseen
-    # by any window get zero gradient.
+    # adjoint of conv2d in its input: the gradient of the padded input, whose
+    # reflected border is then folded back. Trailing rows/cols unseen by any
+    # window get zero gradient.
     s, p, h, w = attrs["stride"], attrs["pad"], attrs["h"], attrs["w"]
     co, ci, kh, kw = k.shape
     if g.ndim != 4 or g.shape[1] != co:
@@ -299,11 +299,23 @@ def _f_conv2d_dx(attrs, g, k):
     gd_h, gd_w = (oh - 1) * s + 1, (ow - 1) * s + 1
     if gd_h + kh - 1 > hp or gd_w + kw - 1 > wp:
         raise _shape_err("conv2d_dx", g.shape, k.shape)
-    gd = np.zeros((n, co, hp + kh - 1, wp + kw - 1))
-    gd[:, :, kh - 1 : kh - 1 + gd_h : s, kw - 1 : kw - 1 + gd_w : s] = g
-    k_rot = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-    cols, _, _ = _im2col(gd, kh, kw, 1, 0)
-    gp = np.matmul(k_rot, cols).reshape(n, ci, hp, wp)
+    if s > 1:
+        # col2im: k^T g is every patch entry's gradient, scattered back with
+        # one strided slice-add per kernel tap
+        cols = np.matmul(k.reshape(co, ci * kh * kw).T, g.reshape(n, co, oh * ow))
+        cols = cols.reshape(n, ci, kh, kw, oh, ow)
+        gp = np.zeros((n, ci, hp, wp))
+        for a in range(kh):
+            for b in range(kw):
+                gp[:, :, a : a + gd_h : s, b : b + gd_w : s] += cols[:, :, a, b]
+    else:
+        # at stride 1 a scatter costs more than correlating the zero-padded
+        # g with the flipped kernel
+        gd = np.zeros((n, co, hp + kh - 1, wp + kw - 1))
+        gd[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow] = g
+        k_rot = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+        cols, _, _ = _im2col(gd, kh, kw, 1, 0)
+        gp = np.matmul(k_rot, cols).reshape(n, ci, hp, wp)
     return _fold_reflect(gp, p) if p else gp
 
 

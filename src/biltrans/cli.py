@@ -8,6 +8,7 @@ failure.
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -217,12 +218,18 @@ def adapt_one_scene(cfg, scene, rows, inputs):
     return out
 
 
-def _adapt_job(args):
-    # runs in a worker process, which loads its own inputs
-    cfg_text, scene_index, rows = args
+@functools.lru_cache(maxsize=1)
+def _worker_inputs(cfg_text, rows):
+    # what a worker process reads, loaded once however many scenes it adapts
     cfg = parse_config(cfg_text)
-    scene = _load_scenes(cfg, "unseen")[scene_index]
-    return scene_index, adapt_one_scene(cfg, scene, rows, _adapt_inputs(cfg, rows))
+    return cfg, _load_scenes(cfg, "unseen"), _adapt_inputs(cfg, rows)
+
+
+def _adapt_job(args):
+    # runs in a worker process
+    cfg_text, scene_index, rows = args
+    cfg, scenes, inputs = _worker_inputs(cfg_text, tuple(rows))
+    return scene_index, adapt_one_scene(cfg, scenes[scene_index], rows, inputs)
 
 
 def cmd_adapt(cfg, aux_on=True):

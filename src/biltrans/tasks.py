@@ -98,26 +98,26 @@ class TaskEpisode:
 
 
 def _draw_distinct_colors(rng, classes, bound, min_dist):
+    upper = np.triu(np.ones((classes, classes), dtype=bool), 1)
     for _ in range(1000):
         colors = rng.uniform(-bound, bound, size=(classes, 3))
-        ok = True
-        for i in range(classes):
-            for j in range(i + 1, classes):
-                if np.max(np.abs(colors[i] - colors[j])) < min_dist:
-                    ok = False
-        if ok:
+        dist = np.abs(colors[:, None] - colors[None, :]).max(axis=2)
+        if (dist[upper] >= min_dist).all():
             return colors
     raise TensorError("could not draw a distinct palette")
 
 
+@functools.lru_cache(maxsize=None)
 def cluster_centroids(cluster_space_seed: int, cluster: int, classes: int):
-    """Shared palette centroid and layout anchors for one cluster."""
+    """Shared palette centroid and layout anchors for one cluster, computed
+    once per argument triple; the arrays are read-only."""
     rng = stream(cluster_space_seed, "cluster", cluster)
     centroid = _draw_distinct_colors(rng, classes, COLOR_BOUND - CLUSTER_JITTER, 0.45)
     anchors = rng.uniform(0.2, 0.8, size=(classes - 1, 2))
     lo = int(rng.integers(2, 4))
     n_range = (lo, lo + 1)
     size_lo = float(rng.uniform(0.12, 0.18))
+    centroid.flags.writeable = anchors.flags.writeable = False
     return centroid, anchors, n_range, (size_lo, size_lo + 0.1)
 
 

@@ -1,9 +1,14 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
 Values are 64-bit floats; image ops take (N, C, H, W) batches. A conv op
-reflect-pads its input and adds its bias itself, lowers each batch to one
-im2col matmul and, at stride > 1, scatters its input gradient back by
-col2im (Chellapilla, Puri & Simard 2006). Ops record onto the innermost
+reflect-pads its input and adds its bias itself. On a reflect-padded
+stride-1 input of at least 8 rows, ``conv2d`` and ``conv2d_dk`` gather each
+padded row's horizontal taps once and run one matmul per vertical tap over
+a view of that row matrix (MEC, Cho & Brand 2017); smaller planes and
+strided convs lower each batch to one im2col matmul. ``conv2d_dx`` sums
+``k^T g`` back onto the input pixels by one bincount (col2im, Chellapilla,
+Puri & Simard 2006) at every stride > 1 and wherever that moves fewer
+entries than correlating the padded gradient. Ops record onto the innermost
 active ``Tape``; with no active tape they evaluate eagerly. Every op's
 backward rule is itself written in terms of registry ops, so a tape opened
 in ``Tape.DIFFERENTIABLE`` mode can differentiate through gradients
@@ -234,6 +239,29 @@ def _patch_index(h, w, kh, kw, stride, pad):
     return (rows[:, None, :, None] * w + cols[None, :, None, :]).ravel(), oh, ow
 
 
+@functools.lru_cache(maxsize=None)
+def _row_index(h, w, kw, pad):
+    # flat source pixel in the unpadded (h, w) plane of horizontal tap b at
+    # output column j of every reflect-padded row r, (b, r, j) order
+    ow = w + 2 * pad - kw + 1
+    cols = _reflect_index(w, pad)[np.arange(kw)[:, None] + np.arange(ow)]
+    return (_reflect_index(h, pad)[None, :, None] * w + cols[:, None, :]).ravel(), ow
+
+
+@functools.lru_cache(maxsize=None)
+def _scatter_index(n, c, h, w, kh, kw, stride, pad):
+    # flat source pixel in the unpadded (n, c, h, w) batch of every patch
+    # entry, (n, c, a, b, i, j) order: the col2im target of each entry
+    idx, _, _ = _patch_index(h, w, kh, kw, stride, pad)
+    return (np.arange(n * c)[:, None] * (h * w) + idx).ravel()
+
+
+def _row_path(shape, stride, pad):
+    # row lowering measures faster than im2col on reflect-padded stride-1
+    # planes of at least 8 rows; smaller planes and strided convs gather
+    return stride == 1 and pad > 0 and shape[2] >= 8
+
+
 def _im2col(x, kh, kw, stride, pad):
     # (N, C, H, W) -> (N, C*kh*kw, oh*ow) patch matrices of x reflect-padded
     # by pad, one per sample: a strided view copied, or one gather when padded
@@ -247,6 +275,16 @@ def _im2col(x, kh, kw, stride, pad):
     win = as_strided(x, (n, c, kh, kw, oh, ow), (sn, sc, sh, sw, sh * stride, sw * stride),
                      writeable=False)
     return win.reshape(n, c * kh * kw, oh * ow), oh, ow
+
+
+def _row_lower(x, kw, pad):
+    # (N, C, H, W) -> (N, C*kw, (H+2*pad)*ow): the kw horizontal taps of every
+    # reflect-padded row, gathered once (MEC, Cho & Brand 2017). Vertical tap
+    # a's patch matrix is the column range [a*ow, (a+oh)*ow), a view.
+    n, c, h, w = x.shape
+    idx, ow = _row_index(h, w, kw, pad)
+    rows = np.take(x.reshape(n * c, h * w), idx, axis=1, mode="clip")
+    return rows.reshape(n, c * kw, -1), ow
 
 
 def _fold_reflect(g, p):
@@ -278,17 +316,25 @@ def _f_conv2d(attrs, x, k, b=None):
         raise _shape_err("conv2d", x.shape, k.shape)
     if b is not None and b.shape != (co, 1, 1):
         raise TensorError(f"conv2d: bias shape {b.shape} is not ({co}, 1, 1)")
-    cols, oh, ow = _im2col(x, kh, kw, s, p)
-    out = np.matmul(k.reshape(co, ci * kh * kw), cols).reshape(x.shape[0], co, oh, ow)
+    if _row_path(x.shape, s, p):
+        # one matmul per vertical tap over its view of the row matrix
+        rows, ow = _row_lower(x, kw, p)
+        oh = x.shape[2] + 2 * p - kh + 1
+        out = np.matmul(k[:, :, 0].reshape(co, ci * kw), rows[:, :, : oh * ow])
+        for a in range(1, kh):
+            out += np.matmul(k[:, :, a].reshape(co, ci * kw), rows[:, :, a * ow : (a + oh) * ow])
+    else:
+        cols, oh, ow = _im2col(x, kh, kw, s, p)
+        out = np.matmul(k.reshape(co, ci * kh * kw), cols)
+    out = out.reshape(x.shape[0], co, oh, ow)
     if b is not None:
         out += b
     return out
 
 
 def _f_conv2d_dx(attrs, g, k):
-    # adjoint of conv2d in its input: the gradient of the padded input, whose
-    # reflected border is then folded back. Trailing rows/cols unseen by any
-    # window get zero gradient.
+    # adjoint of conv2d in its input. Trailing rows/cols unseen by any window
+    # get zero gradient.
     s, p, h, w = attrs["stride"], attrs["pad"], attrs["h"], attrs["w"]
     co, ci, kh, kw = k.shape
     if g.ndim != 4 or g.shape[1] != co:
@@ -296,26 +342,22 @@ def _f_conv2d_dx(attrs, g, k):
     _check_pad("conv2d_dx", (0, 0, h, w), p)
     n, _, oh, ow = g.shape
     hp, wp = h + 2 * p, w + 2 * p
-    gd_h, gd_w = (oh - 1) * s + 1, (ow - 1) * s + 1
-    if gd_h + kh - 1 > hp or gd_w + kw - 1 > wp:
+    if (oh - 1) * s + kh > hp or (ow - 1) * s + kw > wp:
         raise _shape_err("conv2d_dx", g.shape, k.shape)
-    if s > 1:
-        # col2im: k^T g is every patch entry's gradient, scattered back with
-        # one strided slice-add per kernel tap
+    if s > 1 or ci * oh * ow <= co * hp * wp:
+        # col2im: k^T g is every patch entry's gradient, summed onto the pixel
+        # the forward gathered it from (reflected border included) by one
+        # bincount
         cols = np.matmul(k.reshape(co, ci * kh * kw).T, g.reshape(n, co, oh * ow))
-        cols = cols.reshape(n, ci, kh, kw, oh, ow)
-        gp = np.zeros((n, ci, hp, wp))
-        for a in range(kh):
-            for b in range(kw):
-                gp[:, :, a : a + gd_h : s, b : b + gd_w : s] += cols[:, :, a, b]
-    else:
-        # at stride 1 a scatter costs more than correlating the zero-padded
-        # g with the flipped kernel
-        gd = np.zeros((n, co, hp + kh - 1, wp + kw - 1))
-        gd[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow] = g
-        k_rot = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-        cols, _, _ = _im2col(gd, kh, kw, 1, 0)
-        gp = np.matmul(k_rot, cols).reshape(n, ci, hp, wp)
+        gx = np.bincount(_scatter_index(n, ci, h, w, kh, kw, s, p), cols.ravel(), n * ci * h * w)
+        return gx.reshape(n, ci, h, w)
+    # where the scatter would move more entries, correlate the zero-padded g
+    # with the flipped kernel, then fold the reflected border back
+    gd = np.zeros((n, co, hp + kh - 1, wp + kw - 1))
+    gd[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow] = g
+    k_rot = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
+    cols, _, _ = _im2col(gd, kh, kw, 1, 0)
+    gp = np.matmul(k_rot, cols).reshape(n, ci, hp, wp)
     return _fold_reflect(gp, p) if p else gp
 
 
@@ -325,13 +367,20 @@ def _f_conv2d_dk(attrs, x, g):
     if x.ndim != 4 or g.ndim != 4 or x.shape[0] != g.shape[0]:
         raise _shape_err("conv2d_dk", x.shape, g.shape)
     _check_pad("conv2d_dk", x.shape, p)
-    n, ci = x.shape[:2]
+    n, ci, h, w = x.shape
     co, oh, ow = g.shape[1:]
-    cols, ch, cw = _im2col(x, kh, kw, s, p)
-    if (ch, cw) != (oh, ow):
+    if (oh, ow) != ((h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1):
         raise _shape_err("conv2d_dk", x.shape, g.shape)
-    out = np.matmul(g.reshape(n, co, oh * ow), cols.transpose(0, 2, 1)).sum(axis=0)
-    return out.reshape(co, ci, kh, kw)
+    gm = g.reshape(n, co, oh * ow)
+    if _row_path(x.shape, s, p):
+        rows, _ = _row_lower(x, kw, p)
+        out = np.empty((co, ci, kh, kw))
+        for a in range(kh):
+            tap = np.matmul(gm, rows[:, :, a * ow : (a + oh) * ow].transpose(0, 2, 1))
+            out[:, :, a] = tap.sum(axis=0).reshape(co, ci, kw)
+        return out
+    cols, _, _ = _im2col(x, kh, kw, s, p)
+    return np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, kh, kw)
 
 
 def _f_upsample_nearest2(attrs, x):

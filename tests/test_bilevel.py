@@ -378,6 +378,27 @@ def test_eager_desk_step_op_count(monkeypatch):
     assert 0 < count[0] <= 297
 
 
+def test_eager_desk_step_patch_bytes(monkeypatch):
+    # the patch and row matrices that the conv kernels gather in one eager
+    # desk step: 23.6 MiB when every 3x3 conv copied its input nine times
+    state, ep = _desk_state_and_episode()
+    nbytes = [0]
+
+    def counting(lower):
+        def wrapped(*args):
+            out = lower(*args)
+            nbytes[0] += out[0].nbytes
+            return out
+        return wrapped
+
+    for name in ("_im2col", "_row_lower"):
+        monkeypatch.setattr(T, name, counting(getattr(T, name)))
+    step_g = bilevel._adam_rule(bilevel._adam(state.g_gp, DESK_NET), DESK_NET.alpha)
+    step_d = bilevel._adam_rule(bilevel._adam(state.d_gp, DESK_NET), DESK_NET.alpha)
+    alternating_step(state.objective, state.g_gp, state.d_gp, ep.train, step_g, step_d)
+    assert 0 < nbytes[0] <= 10 * 2**20
+
+
 def test_unrolled_desk_episode_tape_op_count(monkeypatch):
     # the episode tape is longest when the outer backward passes read it
     state, ep = _desk_state_and_episode()

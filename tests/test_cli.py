@@ -445,6 +445,24 @@ def test_cli_parallel_adapt_matches_serial(tmp_path):
         assert ppm.read_bytes() == (parallel / rel).read_bytes(), rel
 
 
+def test_adapt_job_loads_its_inputs_once_per_worker(tmp_path, monkeypatch):
+    cfg_file = tmp_path / "smoke.cfg"
+    cfg_file.write_text(SMOKE + f"\nout_dir = {tmp_path / 'run'}\n")
+    for sub in ("gen-data", "pretrain", "metatrain"):
+        assert run_cli(sub, "--config", str(cfg_file)) == 0
+    loads = []
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or load_checkpoint(path))
+    cfg_text = serialize_config(parse_config(cfg_file.read_text()))
+    rows = ["baseline", "bilevel_noaux"]
+    cli._worker_inputs.cache_clear()
+    try:
+        results = [cli._adapt_job((cfg_text, i, rows)) for i in range(2)]
+    finally:
+        cli._worker_inputs.cache_clear()
+    assert [i for i, _ in results] == [0, 1]
+    assert len(loads) == 2  # pretrain.ckpt and metatrain.ckpt, once each
+
+
 def test_cli_meta_mode_override_full_unrolled(tmp_path):
     cfg_file = tmp_path / "smoke.cfg"
     out = tmp_path / "run"

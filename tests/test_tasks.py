@@ -50,6 +50,48 @@ def test_cluster_palettes_closer_within_than_across():
     assert np.mean(within) < np.mean(across)
 
 
+def _pairwise_draw_distinct_colors(rng, classes, bound, min_dist):
+    # the palette draw checked pair by pair, as the oracle of the vectorised one
+    for _ in range(1000):
+        colors = rng.uniform(-bound, bound, size=(classes, 3))
+        ok = True
+        for i in range(classes):
+            for j in range(i + 1, classes):
+                if np.max(np.abs(colors[i] - colors[j])) < min_dist:
+                    ok = False
+        if ok:
+            return colors
+    raise TensorError("could not draw a distinct palette")
+
+
+def _scene_bytes(scene):
+    anchors = b"" if scene.anchors is None else scene.anchors.tobytes()
+    knobs = (scene.shade_freq, scene.shade_phase, scene.shade_amp, scene.n_shapes_range, scene.size_range)
+    return scene.colors.tobytes() + anchors + repr(knobs).encode()
+
+
+def test_memoised_vectorised_synthesis_matches_pairwise_loop(monkeypatch):
+    # 300 scenes over 20 clusters (and unclustered ones), at 3 to 6 classes
+    def args(i):
+        return 500 + i, (None if i % 5 == 0 else i % 20), 3 + i % 4
+
+    new = [synth_scene(seed, cluster, scene_id=i, classes=classes, cluster_space_seed=4)
+           for i, (seed, cluster, classes) in enumerate(map(args, range(300)))]
+    monkeypatch.setattr(tasks, "_draw_distinct_colors", _pairwise_draw_distinct_colors)
+    monkeypatch.setattr(tasks, "cluster_centroids", tasks.cluster_centroids.__wrapped__)
+    old = [synth_scene(seed, cluster, scene_id=i, classes=classes, cluster_space_seed=4)
+           for i, (seed, cluster, classes) in enumerate(map(args, range(300)))]
+    assert [_scene_bytes(s) for s in new] == [_scene_bytes(s) for s in old]
+
+
+def test_cluster_centroids_are_shared_and_read_only():
+    first = tasks.cluster_centroids(4, 2, 5)
+    assert tasks.cluster_centroids(4, 2, 5) is first
+    for arr in first[:2]:
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
 def test_render_deterministic():
     scene = synth_scene(7, scene_id=1)
     s1 = render(scene, layout_seed=5)

@@ -1,5 +1,7 @@
 """Autodiff core: forward values, tape semantics, gradients vs finite differences."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -114,14 +116,52 @@ def _dilated_conv2d_dx(g, k, stride, pad, h, w):
     return np.einsum("yi,ncij,xj->ncyx", fold(h), gp, fold(w))
 
 
-@pytest.mark.parametrize("x_shape, co", [((5, 8, 16, 16), 16), ((2, 3, 7, 8), 4), ((3, 16, 8, 8), 32)])
+@pytest.mark.parametrize("x_shape, co", [((5, 8, 16, 16), 16), ((2, 3, 7, 8), 4), ((3, 16, 8, 8), 32),
+                                         ((5, 24, 16, 16), 8)])
 def test_stride2_conv2d_dx_matches_dilated_formula(x_shape, co):
+    # stride 2 always scatters; stride 1 scatters too, except where 24 -> 8
+    # channels make correlating the padded gradient move fewer entries
     n, ci, h, w = x_shape
-    for pad in (0, 1):
-        oh, ow = (h + 2 * pad - 3) // 2 + 1, (w + 2 * pad - 3) // 2 + 1
+    for stride, pad in itertools.product((1, 2), (0, 1)):
+        oh, ow = (h + 2 * pad - 3) // stride + 1, (w + 2 * pad - 3) // stride + 1
         g, k = rand((n, co, oh, ow), 70 + pad), rand((co, ci, 3, 3), 71 + pad)
-        got = T._apply("conv2d_dx", [T.tensor(g), T.tensor(k)], {"stride": 2, "pad": pad, "h": h, "w": w}).data
-        ref = _dilated_conv2d_dx(g, k, 2, pad, h, w)
+        attrs = {"stride": stride, "pad": pad, "h": h, "w": w}
+        got = T._apply("conv2d_dx", [T.tensor(g), T.tensor(k)], attrs).data
+        ref = _dilated_conv2d_dx(g, k, stride, pad, h, w)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_row_lowered_conv_matches_loops_and_im2col(monkeypatch):
+    # an 8x9 plane at stride 1 takes the row path of conv2d and conv2d_dk;
+    # integer values keep every product and sum exact, so it must give the
+    # bits of direct loops over np.pad, and at any values it stays within
+    # rounding of the im2col path
+    rng = np.random.default_rng(9)
+    x = rng.integers(-4, 5, (2, 3, 8, 9)).astype(np.float64)
+    k = rng.integers(-4, 5, (4, 3, 3, 3)).astype(np.float64)
+    b = rng.integers(-4, 5, (4, 1, 1)).astype(np.float64)
+    g = rng.integers(-4, 5, (2, 4, 8, 9)).astype(np.float64)
+    assert T._row_path(x.shape, 1, 1)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="reflect")
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))  # (n, ci, i, j, a, b)
+    fwd, dk = np.zeros((2, 4, 8, 9)), np.zeros((4, 3, 3, 3))
+    for n, co, i, j in np.ndindex(fwd.shape):
+        fwd[n, co, i, j] = sum(win[n, ci, i, j, a, c] * k[co, ci, a, c] for ci, a, c in np.ndindex(3, 3, 3))
+    for co, ci, a, c in np.ndindex(dk.shape):
+        dk[co, ci, a, c] = sum(g[n, co, i, j] * win[n, ci, i, j, a, c] for n, i, j in np.ndindex(2, 8, 9))
+
+    def both(x, k, b, g):
+        out = T.conv2d(T.tensor(x), T.tensor(k), pad=1, bias=T.tensor(b)).data
+        attrs = {"stride": 1, "pad": 1, "kh": 3, "kw": 3}
+        return out, T._apply("conv2d_dk", [T.tensor(x), T.tensor(g)], attrs).data
+
+    got = both(x, k, b, g)
+    np.testing.assert_array_equal(got[0], fwd + b)
+    np.testing.assert_array_equal(got[1], dk)
+    xr, kr, br, gr = rand(x.shape, 10), rand(k.shape, 11), rand(b.shape, 12), rand(g.shape, 13)
+    rows = both(xr, kr, br, gr)
+    monkeypatch.setattr(T, "_row_path", lambda shape, stride, pad: False)
+    for got, ref in zip(rows, both(xr, kr, br, gr)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -280,32 +320,41 @@ def _broadcast_pair(name, n=1):
     return build
 
 
-def _conv_case(op, stride, pad, bias=False, n=1):
-    # a (n, 2, 7, 8) input and a (3, 2, 3, 3) kernel: conv2d takes both (and a
-    # bias), conv2d_dx an output gradient and the kernel, conv2d_dk the input
-    # and an output gradient
-    oh, ow = (7 + 2 * pad - 3) // stride + 1, (8 + 2 * pad - 3) // stride + 1
+def _conv_case(op, stride, pad, bias=False, n=1, plane=(7, 8), ci=2, co=3):
+    # an (n, ci, *plane) input and a (co, ci, 3, 3) kernel: conv2d takes both
+    # (and a bias), conv2d_dx an output gradient and the kernel, conv2d_dk the
+    # input and an output gradient
+    h, w = plane
+    oh, ow = (h + 2 * pad - 3) // stride + 1, (w + 2 * pad - 3) // stride + 1
 
     def build(seed):
-        x, k, g = rand((n, 2, 7, 8), seed), rand((3, 2, 3, 3), seed + 1), rand((n, 3, oh, ow), seed + 2)
+        x, k = rand((n, ci, h, w), seed), rand((co, ci, 3, 3), seed + 1)
+        g = rand((n, co, oh, ow), seed + 2)
         attrs = {"stride": stride, "pad": pad}
         if op == "conv2d":
-            return [x, k] + ([rand((3, 1, 1), seed + 3)] if bias else []), attrs
+            return [x, k] + ([rand((co, 1, 1), seed + 3)] if bias else []), attrs
         if op == "conv2d_dx":
-            return [g, k], {**attrs, "h": 7, "w": 8}
+            return [g, k], {**attrs, "h": h, "w": w}
         return [x, g], {**attrs, "kh": 3, "kw": 3}
 
     return build
 
 
 # the reflect-padded convolutions, with and without a bias, at both strides
-# and batch size n: case name -> (op name, input builder)
+# and batch size n, on a 7x8 plane (im2col) and on an 8x9 plane, whose
+# stride-1 convs are row-lowered; conv2d_dx also widening 4 -> 2 channels,
+# which correlates at stride 1 instead of scattering: case name -> (op name,
+# input builder)
 def _padded_conv_cases(n):
-    return {
-        f"{op}-pad1{'-bias' if bias else ''}-stride{s}": (op, _conv_case(op, s, 1, bias, n))
-        for op, bias in (("conv2d", False), ("conv2d", True), ("conv2d_dx", False), ("conv2d_dk", False))
-        for s in (1, 2)
-    }
+    cases = {}
+    for plane, tag in (((7, 8), ""), ((8, 9), "-8x9")):
+        for op, bias in (("conv2d", False), ("conv2d", True), ("conv2d_dx", False), ("conv2d_dk", False)):
+            for s in (1, 2):
+                name = f"{op}-pad1{'-bias' if bias else ''}-stride{s}{tag}"
+                cases[name] = (op, _conv_case(op, s, 1, bias, n, plane))
+    for s in (1, 2):
+        cases[f"conv2d_dx-pad1-stride{s}-8x9-4to2"] = ("conv2d_dx", _conv_case("conv2d_dx", s, 1, n=n, plane=(8, 9), ci=4, co=2))
+    return cases
 
 
 _CASES = {
@@ -549,6 +598,33 @@ def test_second_order_through_conv_net():
         norm = T.sum_to(T.square(g), ())
         g2 = backward(norm, [k])[k]
     assert rel_err(g2.data, fd["k"]) < 1e-5
+
+
+def test_second_order_through_row_lowered_conv():
+    # d/dtheta of ||dL/dtheta||^2 vs finite differences, with the input a
+    # parameter too, on an 8x9 plane whose stride-1 conv2d, conv2d_dk and
+    # their second-order conv2d calls take the row path
+    theta0 = {"x": rand((2, 2, 8, 9), 64), "k": rand((3, 2, 3, 3), 65), "b": rand((3, 1, 1), 66)}
+
+    def grad_norm_sq(leaves):
+        y = T.tanh(T.conv2d(leaves["x"], leaves["k"], pad=1, bias=leaves["b"]))
+        grads = backward(T.reduce_mean(T.square(y)), list(leaves.values()))
+        total = None
+        for t in leaves.values():
+            term = T.sum_to(T.square(grads[t]), ())
+            total = term if total is None else T.add(total, term)
+        return total
+
+    def f(theta):
+        with Tape(Tape.DIFFERENTIABLE):
+            return grad_norm_sq({n: leaf(v) for n, v in theta.items()}).item()
+
+    fd = finite_diff_gradient(f, theta0, eps=1e-5)
+    with Tape(Tape.DIFFERENTIABLE):
+        leaves = {n: leaf(v) for n, v in theta0.items()}
+        g2 = backward(grad_norm_sq(leaves), list(leaves.values()))
+    for n, t in leaves.items():
+        assert rel_err(g2[t].data, fd[n]) < 1e-5, n
 
 
 def test_second_order_through_batched_image_ops():

@@ -142,8 +142,7 @@ def _batch_for_iteration(samples, config: ExperimentConfig, rng):
     out = list(samples)
     while len(out) < config.inner_batch:
         base = samples[int(rng.integers(0, len(samples)))]
-        img2, lab2 = augment(base.y, base.x_struct.labels, int(rng.integers(0, 2**62)),
-                             flip=config.allow_flip)
+        img2, lab2 = augment(base.y, base.x_struct.labels, int(rng.integers(0, 2**62)))
         out.append(TranslationSample(SegMap(lab2, base.x_struct.classes), base.x_ref, img2))
     return stack_samples(out)
 
@@ -236,8 +235,7 @@ def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiL
         samples = []
         for _ in range(cfg.inner_batch):
             scene = scenes[int(rng.integers(0, len(scenes)))]
-            samples.append(render(scene, int(rng.integers(0, 2**62)), cfg.with_reference,
-                                  cfg.allow_flip))
+            samples.append(render(scene, int(rng.integers(0, 2**62)), cfg.with_reference))
         t0 = time.perf_counter()
         _, _, loss_g, loss_d = alternating_step(state.objective, state.g_gp, state.d_gp, samples,
                                                 step_g, step_d)
@@ -351,10 +349,7 @@ def metatrain(state: BiLevelState, scenes: list, mode: str = MetaMode.FIRST_ORDE
         for idx in sorted(int(i) for i in picks):
             scene = scenes[idx]
             ep_seed = substream_seed(state.seed, "metatrain-episode", it, scene.scene_id)
-            episodes.append(
-                sample_episode(scene, cfg.n_shot, cfg.n_test, ep_seed, cfg.with_reference,
-                               cfg.allow_flip)
-            )
+            episodes.append(sample_episode(scene, cfg.n_shot, cfg.n_test, ep_seed, cfg.with_reference))
         t0 = time.perf_counter()
         meta_update(state, episodes, mode)
         state.emit({"phase": "meta-wall", "iteration": state.meta_iteration,

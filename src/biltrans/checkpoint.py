@@ -5,16 +5,19 @@ then repeated named arrays: u64 name length, name bytes, u64 rank, u64
 dims, little-endian float64 values. Counters and seeds ride along as named
 1-element arrays so the container stays arrays-only.
 
-Version 2 holds only what a later stage reads: ``g_gp/*``, ``d_gp/*``, the
+Version 3 holds only what a later stage reads: ``g_gp/*``, ``d_gp/*``, the
 Adam pair of the stage in progress (``adam_g/{m,v,t}``, ``adam_d/{m,v,t}``)
 and ``meta/*`` (counters and seed halves). The header's ``phi_seed`` and
 ``phi_widths`` rebuild the feature extractor, and ``metatrain`` starts a
 fresh Adam pair, so neither phi nor pretraining moments past the hand-over
-are stored. A file of another version is rejected.
+are stored. The header holds ``out_dir`` at its default, so a checkpoint's
+bytes do not depend on where the run is written. A file of another version
+is rejected.
 """
 
 import os
 import struct
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -25,7 +28,7 @@ from .nets import init_params
 from .tensor import TensorError
 
 MAGIC = b"BILCKPT\x00"
-VERSION = 2
+VERSION = 3
 MAX_DIM = 2**32  # any larger single dimension is a corrupt file
 
 
@@ -57,7 +60,7 @@ def _sections(state: BiLevelState):
 
 def save_checkpoint(state: BiLevelState, cfg: ExperimentConfig, path: str):
     """Serialize the training state; see module docstring for the layout."""
-    config_text = serialize_config(cfg).encode()
+    config_text = serialize_config(replace(cfg, out_dir=ExperimentConfig.out_dir)).encode()
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(MAGIC)

@@ -29,7 +29,7 @@ from .tasks import (
     synth_scene,
     write_ppm,
 )
-from .tensor import TensorError
+from .tensor import NumericalError, TensorError
 
 ROWS = ("baseline", "baseline_shot", "bilevel_noaux", "bilevel")
 
@@ -80,7 +80,7 @@ def train_task_pool(cfg, scenes):
         LazyEpisode(
             s, cfg.n_shot, cfg.n_test,
             substream_seed(cfg.master_seed, "train-task", s.scene_id),
-            cfg.with_reference, cfg.allow_flip,
+            cfg.with_reference,
         )
         for s in scenes
     ]
@@ -90,7 +90,7 @@ def unseen_episode(cfg, scene):
     return sample_episode(
         scene, cfg.n_shot, cfg.n_test,
         substream_seed(cfg.master_seed, "unseen-episode", scene.scene_id),
-        cfg.with_reference, cfg.allow_flip,
+        cfg.with_reference,
     )
 
 
@@ -232,7 +232,7 @@ def _adapt_job(args):
     return scene_index, adapt_one_scene(cfg, scenes[scene_index], rows, inputs)
 
 
-def cmd_adapt(cfg, aux_on=True):
+def cmd_adapt(cfg, aux_on=True, jobs=1):
     p = _paths(cfg)
     _require(p["pretrain_ckpt"], "biltrans pretrain")
     rows = _rows_for(aux_on)
@@ -241,11 +241,11 @@ def cmd_adapt(cfg, aux_on=True):
     scenes = _load_scenes(cfg, "unseen")
     n = len(scenes)
     os.makedirs(p["results"], exist_ok=True)
-    if cfg.jobs > 1:
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for its import
 
         payload = [(serialize_config(cfg), i, rows) for i in range(n)]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
             results = dict(ex.map(_adapt_job, payload))
     else:
         inputs = _adapt_inputs(cfg, rows)
@@ -325,11 +325,11 @@ def cmd_retrieve(cfg, scene_index=0):
     return 0
 
 
-def cmd_full_run(cfg, aux_on=True):
+def cmd_full_run(cfg, aux_on=True, jobs=1):
     cmd_gen_data(cfg)
     cmd_pretrain(cfg)
     cmd_metatrain(cfg)
-    cmd_adapt(cfg, aux_on)
+    cmd_adapt(cfg, aux_on, jobs)
     cmd_eval(cfg, aux_on)
     return 0
 
@@ -347,7 +347,7 @@ def build_parser():
     p.add_argument("--shots", type=int, choices=[1, 5])
     p.add_argument("--aux", choices=["on", "off"], default="on")
     p.add_argument("--k", type=int, help="auxiliary task count override")
-    p.add_argument("--jobs", type=int, help="parallel per-scene adapt workers")
+    p.add_argument("--jobs", type=int, default=1, help="parallel per-scene adapt workers")
     p.add_argument("--iters", type=int, help="iteration target for pretrain/metatrain")
     p.add_argument("--scene", type=int, default=0, help="unseen scene index for retrieve")
     return p
@@ -356,6 +356,8 @@ def build_parser():
 def resolve_config(args):
     if args.iters is not None and args.iters < 0:
         raise ConfigError(f"--iters must be >= 0, got {args.iters}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     try:
         cfg = load_config(args.config) if args.config else default_config()
         overrides = {}
@@ -371,8 +373,6 @@ def resolve_config(args):
             overrides["n_shot"] = args.shots
         if args.k is not None:
             overrides["k_aux"] = args.k
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
         if overrides:
             from dataclasses import replace
 
@@ -402,19 +402,19 @@ def main(argv=None) -> int:
         if args.subcommand == "metatrain":
             return cmd_metatrain(cfg, iters=args.iters)
         if args.subcommand == "adapt":
-            return cmd_adapt(cfg, aux_on)
+            return cmd_adapt(cfg, aux_on, args.jobs)
         if args.subcommand == "eval":
             return cmd_eval(cfg, aux_on)
         if args.subcommand == "retrieve":
             return cmd_retrieve(cfg, args.scene)
-        return cmd_full_run(cfg, aux_on)
+        return cmd_full_run(cfg, aux_on, args.jobs)
     except MissingPrerequisite as e:
         print(f"missing prerequisite: {e}", file=sys.stderr)
         return 3
+    except NumericalError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 4
     except TensorError as e:
-        if "non-finite" in str(e):
-            print(f"numerical failure: {e}", file=sys.stderr)
-            return 4
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:  # a path of the wrong kind, e.g. a directory where a file belongs

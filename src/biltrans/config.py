@@ -53,10 +53,8 @@ class ExperimentConfig:
     clusters: int = _field(0)
     samples_per_scene: int = _field(4)  # accepted and validated; no stage reads it
     shade_amp_max: float = _field(0.3)
-    allow_flip: bool = _field(True)
     k_aux: int = _field(5)
     gp_finetune_iters: int = _field(50)
-    jobs: int = _field(1)
 
     def validate(self):
         if self.mode not in ("pg2", "pix2pix"):
@@ -66,7 +64,7 @@ class ExperimentConfig:
         if self.n_shot not in (1, 5):
             raise TensorError(f"config: n_shot must be 1 or 5, got {self.n_shot}")
         for name in ("image_size", "depth", "n_test", "inner_batch", "meta_batch",
-                     "n_train_scenes", "n_unseen_scenes", "samples_per_scene", "k_aux", "jobs"):
+                     "n_train_scenes", "n_unseen_scenes", "samples_per_scene", "k_aux"):
             if getattr(self, name) < 1:
                 raise TensorError(f"config: {name} must be positive")
         for name in ("inner_iters", "train_inner_iters", "pretrain_iters", "metatrain_iters",

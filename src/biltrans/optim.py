@@ -4,7 +4,7 @@ the meta update; SGD for the differentiable (unrolled) inner loop."""
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tape, TensorError, active_tape
+from .tensor import NumericalError, Tape, TensorError, active_tape
 
 
 class AdamState:
@@ -49,7 +49,7 @@ def adam_step(state: AdamState, params, grads: dict, rate: float):
     g = np.concatenate([np.ravel(grads[name]) for name in names], dtype=np.float64)
     if not np.isfinite(g).all():
         bad = next(name for name in names if not np.all(np.isfinite(grads[name])))
-        raise TensorError(f"adam_step: non-finite gradient for {bad!r}")
+        raise NumericalError(f"adam_step: non-finite gradient for {bad!r}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**state.t

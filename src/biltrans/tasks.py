@@ -190,8 +190,7 @@ def render_target(scene: SceneSpec, labels: np.ndarray) -> np.ndarray:
     return img + _shading(scene)[None, :, :]
 
 
-def render(scene: SceneSpec, layout_seed: int, with_reference: bool = True,
-           allow_flip: bool = True) -> TranslationSample:
+def render(scene: SceneSpec, layout_seed: int, with_reference: bool = True) -> TranslationSample:
     """One deterministic sample of the scene: structure, reference, target."""
     rng = stream(scene.seed, "render", layout_seed)
     labels = _paint_layout(scene, rng)
@@ -199,7 +198,7 @@ def render(scene: SceneSpec, layout_seed: int, with_reference: bool = True,
     x_ref = None
     if with_reference:
         ref_seed = int(rng.integers(0, 2**63 - 1))
-        x_ref, _ = augment(y, labels, ref_seed, flip=allow_flip)
+        x_ref, _ = augment(y, labels, ref_seed)
     return TranslationSample(x_struct=SegMap(labels, scene.classes), x_ref=x_ref, y=y)
 
 
@@ -238,22 +237,19 @@ def _crop_repad(img, labels, rng, min_scale=0.75):
     return img2, lab2
 
 
-def augment(img: np.ndarray, labels: np.ndarray, seed: int, *,
-            flip: bool = True, rotate: bool = True, crop: bool = True):
+def augment(img: np.ndarray, labels: np.ndarray, seed: int):
     """Random horizontal flip, small rotation and crop-repad, applied
     identically to the image and its structure map (nearest neighbor)."""
     if img.shape[1:] != labels.shape:
         raise TensorError(f"augment: image {img.shape} does not align with labels {labels.shape}")
     rng = stream(seed, "augment")
     out_img, out_lab = img, labels
-    if flip and rng.random() < 0.5:
+    if rng.random() < 0.5:
         out_img, out_lab = flip_horizontal(out_img, out_lab)
-    if rotate:
-        degrees = float(rng.choice([-10.0, 0.0, 10.0]))
-        if degrees != 0.0:
-            out_img, out_lab = _rotate_nn(out_img, out_lab, degrees)
-    if crop:
-        out_img, out_lab = _crop_repad(out_img, out_lab, rng)
+    degrees = float(rng.choice([-10.0, 0.0, 10.0]))
+    if degrees != 0.0:
+        out_img, out_lab = _rotate_nn(out_img, out_lab, degrees)
+    out_img, out_lab = _crop_repad(out_img, out_lab, rng)
     return np.ascontiguousarray(out_img), np.ascontiguousarray(out_lab)
 
 
@@ -262,15 +258,15 @@ def augment(img: np.ndarray, labels: np.ndarray, seed: int, *,
 
 
 def sample_episode(scene: SceneSpec, n_shot: int, n_test: int, seed: int,
-                   with_reference: bool = True, allow_flip: bool = True) -> TaskEpisode:
+                   with_reference: bool = True) -> TaskEpisode:
     """Disjoint train/test renders of one scene."""
     if n_shot not in (1, 5):
         raise TensorError(f"sample_episode: n_shot must be 1 or 5, got {n_shot}")
     if n_test < 1:
         raise TensorError("sample_episode: n_test must be >= 1")
     base = _episode_base(scene, seed)
-    train = [render(scene, base + 2 * i, with_reference, allow_flip) for i in range(n_shot)]
-    test = [render(scene, base + 2 * j + 1, with_reference, allow_flip) for j in range(n_test)]
+    train = [render(scene, base + 2 * i, with_reference) for i in range(n_shot)]
+    test = [render(scene, base + 2 * j + 1, with_reference) for j in range(n_test)]
     return TaskEpisode(scene=scene, train=train, test=test)
 
 
@@ -286,9 +282,9 @@ class LazyEpisode:
     structure map bitwise."""
 
     def __init__(self, scene: SceneSpec, n_shot: int, n_test: int, seed: int,
-                 with_reference: bool = True, allow_flip: bool = True):
+                 with_reference: bool = True):
         self.scene, self.scene_id = scene, scene.scene_id
-        self._args = (n_shot, n_test, seed, with_reference, allow_flip)
+        self._args = (n_shot, n_test, seed, with_reference)
         rng = stream(scene.seed, "render", _episode_base(scene, seed))
         self.key = SegMap(_paint_layout(scene, rng), scene.classes)
 

@@ -30,6 +30,10 @@ class TensorError(Exception):
     """Shape mismatch, non-finite value, or tape misuse."""
 
 
+class NumericalError(TensorError):
+    """A non-finite op output or gradient."""
+
+
 class Tensor:
     """An n-d float64 value, optionally bound to a node on a tape."""
 
@@ -178,10 +182,10 @@ def _shape_err(name, *shapes):
 
 
 def _apply(name, inputs, attrs=None) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out_data = _OPS[name][0](attrs, *[t.data for t in inputs])
     if not np.isfinite(out_data).all():
-        raise TensorError(f"{name}: non-finite value in output")
+        raise NumericalError(f"{name}: non-finite value in output")
     # kernels return float64 arrays (a 0-d result may come back as a scalar)
     out = Tensor.__new__(Tensor)
     out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)

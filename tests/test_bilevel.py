@@ -21,7 +21,7 @@ from biltrans.bilevel import (
 )
 from biltrans.config import default_config
 from biltrans.nets import ParameterSet, init_params
-from biltrans.tasks import TaskEpisode, augment, render, sample_episode, stack_samples, synth_scene
+from biltrans.tasks import TaskEpisode, render, sample_episode, stack_samples, synth_scene
 from biltrans.tensor import TensorError, finite_diff_gradient
 
 SMALL_NET = default_config(image_size=16, classes=3, mode="pg2", base_width=4, depth=1)
@@ -195,21 +195,6 @@ def test_one_shot_batches_filled_with_augmented_copies():
     g_is, d_is, _ = inner_adapt((state.g_gp, state.d_gp), ep.train, state.config,
                                 MetaMode.FIRST_ORDER, state.objective, seed=2, n_iters=2)
     assert g_is.digest() != state.g_gp.digest()
-
-
-def test_padded_batches_respect_allow_flip(monkeypatch):
-    state = small_state(4, n_shot=1, inner_batch=5, allow_flip=False)
-    ep = sample_episode(small_scene(12), 1, 2, 12, allow_flip=False)
-    flips = []
-
-    def spy(img, labels, seed, **kwargs):
-        flips.append(kwargs.get("flip", True))
-        return augment(img, labels, seed, **kwargs)
-
-    monkeypatch.setattr(bilevel, "augment", spy)
-    inner_adapt((state.g_gp, state.d_gp), ep.train, state.config,
-                MetaMode.FIRST_ORDER, state.objective, seed=2, n_iters=2)
-    assert flips and not any(flips), flips
 
 
 @pytest.mark.parametrize("k", [1, 2])

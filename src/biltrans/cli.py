@@ -145,7 +145,7 @@ def cmd_pretrain(cfg, iters=None):
         state = build_state(cfg)
     records = []
     _attach_logger(state, records)
-    pretrain(state, scenes, iters=iters)
+    pretrain(state, scenes, iters=cfg.pretrain_iters if iters is None else iters)
     save_checkpoint(state, cfg, p["pretrain_ckpt"])
     log_path = os.path.join(p["logs"], "pretrain_losses.csv")
     _append_loss_log(log_path, records)
@@ -164,7 +164,7 @@ def cmd_metatrain(cfg, iters=None):
     os.makedirs(p["logs"], exist_ok=True)
     records = []
     _attach_logger(state, records)
-    metatrain(state, scenes, cfg.meta_mode, iters=iters)
+    metatrain(state, scenes, cfg.meta_mode, iters=cfg.metatrain_iters if iters is None else iters)
     save_checkpoint(state, cfg, p["metatrain_ckpt"])
     _append_loss_log(os.path.join(p["logs"], "metatrain_losses.csv"), records)
     print(f"meta-trained to iteration {state.meta_iteration}")

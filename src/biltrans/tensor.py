@@ -1,17 +1,18 @@
 """Reverse-mode automatic differentiation on an explicit tape.
 
 Values are 64-bit floats; image ops take (N, C, H, W) batches. A conv op
-reflect-pads its input and adds its bias itself. On a reflect-padded
-stride-1 input of at least 8 rows, ``conv2d`` and ``conv2d_dk`` gather each
-padded row's horizontal taps once and run one matmul per vertical tap over
-a view of that row matrix (MEC, Cho & Brand 2017); smaller planes and
-strided convs lower each batch to one im2col matmul. ``conv2d_dx`` sums
-``k^T g`` back onto the input pixels by one bincount (col2im, Chellapilla,
-Puri & Simard 2006) at every stride > 1 and wherever that moves fewer
-entries than correlating the padded gradient. Ops record onto the innermost
-active ``Tape``; with no active tape they evaluate eagerly. Every op's
-backward rule is itself written in terms of registry ops, so a tape opened
-in ``Tape.DIFFERENTIABLE`` mode can differentiate through gradients
+reflect-pads its input and adds its bias itself. ``conv2d``, ``conv2d_dk``
+and ``conv2d_dx``'s correlation lower through one patch index and one
+gather from the unpadded input (im2col, Chellapilla, Puri & Simard 2006).
+On a reflect-padded stride-1 input of at least 8 rows the gathered kernel
+is 1 x kw: each padded row's horizontal taps, with one matmul per vertical
+tap over a view of that row matrix (MEC, Cho & Brand 2017). ``conv2d_dx``
+sums ``k^T g`` back onto the input pixels by one bincount (col2im) at every
+stride > 1 and wherever that moves fewer entries than correlating the
+padded gradient. Ops record onto the innermost active ``Tape``; with no
+active tape they evaluate eagerly. Every op's backward rule is itself
+written in terms of registry ops, so a tape opened in
+``Tape.DIFFERENTIABLE`` mode can differentiate through gradients
 (unrolled optimizer steps, gradient-of-gradient). The VJP ops of
 ``backward`` follow the same rule as every other op: they join a tape
 only while it is the active tape, and only if it is DIFFERENTIABLE.
@@ -23,7 +24,6 @@ import threading
 import weakref
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class TensorError(Exception):
@@ -244,15 +244,6 @@ def _patch_index(h, w, kh, kw, stride, pad):
 
 
 @functools.lru_cache(maxsize=None)
-def _row_index(h, w, kw, pad):
-    # flat source pixel in the unpadded (h, w) plane of horizontal tap b at
-    # output column j of every reflect-padded row r, (b, r, j) order
-    ow = w + 2 * pad - kw + 1
-    cols = _reflect_index(w, pad)[np.arange(kw)[:, None] + np.arange(ow)]
-    return (_reflect_index(h, pad)[None, :, None] * w + cols[:, None, :]).ravel(), ow
-
-
-@functools.lru_cache(maxsize=None)
 def _scatter_index(n, c, h, w, kh, kw, stride, pad):
     # flat source pixel in the unpadded (n, c, h, w) batch of every patch
     # entry, (n, c, a, b, i, j) order: the col2im target of each entry
@@ -261,34 +252,44 @@ def _scatter_index(n, c, h, w, kh, kw, stride, pad):
 
 
 def _row_path(shape, stride, pad):
-    # row lowering measures faster than im2col on reflect-padded stride-1
-    # planes of at least 8 rows; smaller planes and strided convs gather
+    # row lowering measures faster than im2col on stride-1 planes of at least
+    # 8 rows. pad > 0 keeps unpadded planes (the correlation's zero-padded
+    # gradient, the 1x1 head) on im2col: rows would sum their taps in
+    # another order, a rounding change
     return stride == 1 and pad > 0 and shape[2] >= 8
 
 
-def _im2col(x, kh, kw, stride, pad):
+def _gather(x, kh, kw, stride, pad):
     # (N, C, H, W) -> (N, C*kh*kw, oh*ow) patch matrices of x reflect-padded
-    # by pad, one per sample: a strided view copied, or one gather when padded
+    # by pad, one per sample, by one gather from the unpadded input (im2col)
     n, c, h, w = x.shape
-    if pad:
-        idx, oh, ow = _patch_index(h, w, kh, kw, stride, pad)
-        cols = np.take(x.reshape(n * c, h * w), idx, axis=1, mode="clip")
-        return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
-    win = as_strided(x, (n, c, kh, kw, oh, ow), (sn, sc, sh, sw, sh * stride, sw * stride),
-                     writeable=False)
-    return win.reshape(n, c * kh * kw, oh * ow), oh, ow
+    idx, oh, ow = _patch_index(h, w, kh, kw, stride, pad)
+    cols = np.take(x.reshape(n * c, h * w), idx, axis=1, mode="clip")
+    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
-def _row_lower(x, kw, pad):
-    # (N, C, H, W) -> (N, C*kw, (H+2*pad)*ow): the kw horizontal taps of every
-    # reflect-padded row, gathered once (MEC, Cho & Brand 2017). Vertical tap
-    # a's patch matrix is the column range [a*ow, (a+oh)*ow), a view.
-    n, c, h, w = x.shape
-    idx, ow = _row_index(h, w, kw, pad)
-    rows = np.take(x.reshape(n * c, h * w), idx, axis=1, mode="clip")
-    return rows.reshape(n, c * kw, -1), ow
+def _lowered(x, kh, kw, stride, pad):
+    # [(patch matrix, index of the kernel taps it meets)] whose matmuls sum
+    # to the conv, and the output plane. The row path gathers the kw horizontal taps of every
+    # padded row once, the im2col of a 1 x kw kernel (MEC, Cho & Brand
+    # 2017); vertical tap a's patch matrix is its view [a*ow, (a+oh)*ow).
+    if not _row_path(x.shape, stride, pad):
+        cols, oh, ow = _gather(x, kh, kw, stride, pad)
+        return [(cols, ...)], oh, ow
+    rows, hp, ow = _gather(x, 1, kw, 1, pad)
+    oh = hp - kh + 1
+    return [(rows[:, :, a * ow : (a + oh) * ow], np.s_[:, :, a]) for a in range(kh)], oh, ow
+
+
+def _correlate(x, k, stride, pad):
+    # (N, C, H, W) correlated with k (C_out, C, kh, kw), reflect-padded by
+    # pad: out = k_0 R_0, then out += k_a R_a over the lowering's pairs
+    co = k.shape[0]
+    ((cols, taps), *rest), oh, ow = _lowered(x, k.shape[2], k.shape[3], stride, pad)
+    out = np.matmul(k[taps].reshape(co, -1), cols)
+    for cols, taps in rest:
+        out += np.matmul(k[taps].reshape(co, -1), cols)
+    return out.reshape(x.shape[0], co, oh, ow)
 
 
 def _fold_reflect(g, p):
@@ -315,22 +316,12 @@ def _f_conv2d(attrs, x, k, b=None):
     if x.ndim != 4 or k.ndim != 4 or x.shape[1] != k.shape[1]:
         raise _shape_err("conv2d", x.shape, k.shape)
     _check_pad("conv2d", x.shape, p)
-    co, ci, kh, kw = k.shape
+    co, _, kh, kw = k.shape
     if x.shape[2] + 2 * p < kh or x.shape[3] + 2 * p < kw or s < 1:
         raise _shape_err("conv2d", x.shape, k.shape)
     if b is not None and b.shape != (co, 1, 1):
         raise TensorError(f"conv2d: bias shape {b.shape} is not ({co}, 1, 1)")
-    if _row_path(x.shape, s, p):
-        # one matmul per vertical tap over its view of the row matrix
-        rows, ow = _row_lower(x, kw, p)
-        oh = x.shape[2] + 2 * p - kh + 1
-        out = np.matmul(k[:, :, 0].reshape(co, ci * kw), rows[:, :, : oh * ow])
-        for a in range(1, kh):
-            out += np.matmul(k[:, :, a].reshape(co, ci * kw), rows[:, :, a * ow : (a + oh) * ow])
-    else:
-        cols, oh, ow = _im2col(x, kh, kw, s, p)
-        out = np.matmul(k.reshape(co, ci * kh * kw), cols)
-    out = out.reshape(x.shape[0], co, oh, ow)
+    out = _correlate(x, k, s, p)
     if b is not None:
         out += b
     return out
@@ -359,9 +350,7 @@ def _f_conv2d_dx(attrs, g, k):
     # with the flipped kernel, then fold the reflected border back
     gd = np.zeros((n, co, hp + kh - 1, wp + kw - 1))
     gd[:, :, kh - 1 : kh - 1 + oh, kw - 1 : kw - 1 + ow] = g
-    k_rot = k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * kh * kw)
-    cols, _, _ = _im2col(gd, kh, kw, 1, 0)
-    gp = np.matmul(k_rot, cols).reshape(n, ci, hp, wp)
+    gp = _correlate(gd, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, 0)
     return _fold_reflect(gp, p) if p else gp
 
 
@@ -376,15 +365,10 @@ def _f_conv2d_dk(attrs, x, g):
     if (oh, ow) != ((h + 2 * p - kh) // s + 1, (w + 2 * p - kw) // s + 1):
         raise _shape_err("conv2d_dk", x.shape, g.shape)
     gm = g.reshape(n, co, oh * ow)
-    if _row_path(x.shape, s, p):
-        rows, _ = _row_lower(x, kw, p)
-        out = np.empty((co, ci, kh, kw))
-        for a in range(kh):
-            tap = np.matmul(gm, rows[:, :, a * ow : (a + oh) * ow].transpose(0, 2, 1))
-            out[:, :, a] = tap.sum(axis=0).reshape(co, ci, kw)
-        return out
-    cols, _, _ = _im2col(x, kh, kw, s, p)
-    return np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(co, ci, kh, kw)
+    out = np.empty((co, ci, kh, kw))
+    for cols, taps in _lowered(x, kh, kw, s, p)[0]:
+        out[taps] = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(out[taps].shape)
+    return out
 
 
 def _f_upsample_nearest2(attrs, x):

@@ -163,6 +163,36 @@ def test_every_config_key_is_read_outside_config():
     assert not unread, f"config keys that no stage reads: {sorted(unread)}"
 
 
+def test_every_module_level_definition_is_used_in_src():
+    # a function or class that nothing in src/ names is dead code. A use is a
+    # Name, an Attribute or an import alias outside the definition itself;
+    # __init__.py's re-exports are not uses.
+    src = pathlib.Path(cli.__file__).parent
+    defined, used = set(), set()
+    for path in src.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.add(own)
+            elif path.name == "__init__.py" and isinstance(stmt, ast.ImportFrom):
+                continue
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name):
+                    name = n.id
+                elif isinstance(n, ast.Attribute):
+                    name = n.attr
+                elif isinstance(n, ast.alias):
+                    name = n.name
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    # the central-difference reference oracle that the gradient tests compare against
+    unused = defined - used - {"finite_diff_gradient"}
+    assert not unused, f"definitions that nothing in src/ names: {sorted(unused)}"
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -494,6 +524,31 @@ def test_adapt_job_loads_its_inputs_once_per_worker(tmp_path, monkeypatch):
         cli._worker_inputs.cache_clear()
     assert [i for i, _ in results] == [0, 1]
     assert len(loads) == 2  # pretrain.ckpt and metatrain.ckpt, once each
+
+
+def test_cli_resumed_stage_trains_to_the_given_config_target(tmp_path, capsys):
+    # a stage resumed under a config with a higher iteration target trains on
+    # to that target, not to the one saved in its checkpoint, and ends where
+    # a run straight to it ends
+    short, full = tmp_path / "short.cfg", tmp_path / "full.cfg"
+    short.write_text(SMOKE.replace("pretrain_iters = 6", "pretrain_iters = 2")
+                     .replace("metatrain_iters = 2", "metatrain_iters = 1"))
+    full.write_text(SMOKE.replace("pretrain_iters = 6", "pretrain_iters = 4"))
+    resumed, straight = tmp_path / "resumed", tmp_path / "straight"
+    assert run_cli("gen-data", "--config", str(full), "--out", str(resumed)) == 0
+    for stage, done, targets in (("pretrain", "pretrained to iteration", (2, 4)),
+                                 ("metatrain", "meta-trained to iteration", (1, 2))):
+        printed = []
+        for cfg_file in (short, full):
+            capsys.readouterr()
+            assert run_cli(stage, "--config", str(cfg_file), "--out", str(resumed)) == 0
+            printed.append(capsys.readouterr().out.strip())
+        assert printed == [f"{done} {n}" for n in targets]
+    for stage in ("gen-data", "pretrain", "metatrain"):
+        assert run_cli(stage, "--config", str(full), "--out", str(straight)) == 0
+    for name in ("pretrain.ckpt", "metatrain.ckpt"):
+        ckpt = pathlib.Path("checkpoints") / name
+        assert (resumed / ckpt).read_bytes() == (straight / ckpt).read_bytes(), name
 
 
 def test_cli_meta_mode_override_full_unrolled(tmp_path):

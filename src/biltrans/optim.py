@@ -55,9 +55,15 @@ def adam_step(state: AdamState, params, grads: dict, rate: float):
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     m, v = state.m_flat, state.v_flat
-    m[:] = b1 * m + (1.0 - b1) * g
-    v[:] = b2 * v + (1.0 - b2) * g * g
-    update = rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    # the expressions b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g and
+    # rate*(m/bc1) / (sqrt(v/bc2) + eps), operand for operand, evaluated into
+    # the moments, g and one scratch array instead of a temporary per operation
+    s = np.multiply(1.0 - b1, g)
+    np.add(np.multiply(b1, m, out=m), s, out=m)
+    np.multiply(np.multiply(1.0 - b2, g, out=s), g, out=s)
+    np.add(np.multiply(b2, v, out=v), s, out=v)
+    np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), state.eps, out=s)
+    update = np.divide(np.multiply(rate, np.divide(m, bc1, out=g), out=g), s, out=g)
     lo = 0
     for name in names:
         p = params[name].data

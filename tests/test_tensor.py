@@ -179,6 +179,9 @@ def test_shape_mismatch_rejected_with_op_name():
 def test_non_finite_output_rejected():
     with pytest.raises(TensorError, match="log"):
         T.log(T.tensor([0.0]))
+    # an overflow reaches the check too, not a numpy warning
+    with pytest.raises(TensorError, match="mul"):
+        T.mul(T.tensor([1e300]), T.tensor([1e300]))
 
 
 # ---------------------------------------------------------------------------

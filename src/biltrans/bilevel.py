@@ -9,8 +9,7 @@ FULL_UNROLLED records the inner SGD steps on a differentiable tape and
 backpropagates the episode-test loss through the whole adaptation.
 """
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -236,7 +235,6 @@ def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiL
         for _ in range(cfg.inner_batch):
             scene = scenes[int(rng.integers(0, len(scenes)))]
             samples.append(render(scene, int(rng.integers(0, 2**62)), cfg.with_reference))
-        t0 = time.perf_counter()
         _, _, loss_g, loss_d = alternating_step(state.objective, state.g_gp, state.d_gp, samples,
                                                 step_g, step_d)
         state.pretrain_iteration += 1
@@ -246,7 +244,6 @@ def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiL
                 "iteration": state.pretrain_iteration,
                 "loss_g_total": loss_g.item(),
                 "loss_d": loss_d.item(),
-                "wall": time.perf_counter() - t0,
             }
         )
     return state
@@ -311,10 +308,6 @@ def meta_update(state: BiLevelState, episodes: list, mode: str) -> BiLevelState:
     losses on the full test split are averaged across the batch and one
     Adam step (rate beta) is applied to each general network.
     """
-    if len(episodes) != state.config.meta_batch:
-        raise TensorError(
-            f"meta_update: expected {state.config.meta_batch} episodes, got {len(episodes)}"
-        )
     avg_g, avg_d, mean_lg, mean_ld = meta_gradients(state, episodes, mode)
     adam_step(state.adam_g, state.g_gp, avg_g, state.config.beta)
     adam_step(state.adam_d, state.d_gp, avg_d, state.config.beta)
@@ -350,21 +343,19 @@ def metatrain(state: BiLevelState, scenes: list, mode: str = MetaMode.FIRST_ORDE
             scene = scenes[idx]
             ep_seed = substream_seed(state.seed, "metatrain-episode", it, scene.scene_id)
             episodes.append(sample_episode(scene, cfg.n_shot, cfg.n_test, ep_seed, cfg.with_reference))
-        t0 = time.perf_counter()
         meta_update(state, episodes, mode)
-        state.emit({"phase": "meta-wall", "iteration": state.meta_iteration,
-                    "wall": time.perf_counter() - t0})
     return state
 
 
 def gp_finetune_on_aux(state: BiLevelState, aux_tasks: list, mode: str,
                        seed: int) -> BiLevelState:
-    """Continue the alternating loop on retrieved auxiliary tasks; acts on a
-    copy, the caller's state is untouched."""
+    """Continue the alternating loop on retrieved auxiliary tasks, at most
+    ``meta_batch`` of them per update; acts on a copy, the caller's state is
+    untouched."""
     k = len(aux_tasks)
     batch = min(state.config.meta_batch, k)
     tuned = BiLevelState(
-        config=replace(state.config, meta_batch=batch), objective=state.objective,
+        config=state.config, objective=state.objective,
         g_gp=state.g_gp.copy(), d_gp=state.d_gp.copy(), seed=seed,
         adam_g=state.adam_g.copy(), adam_d=state.adam_d.copy(),
     )
@@ -376,27 +367,28 @@ def gp_finetune_on_aux(state: BiLevelState, aux_tasks: list, mode: str,
     return tuned
 
 
-def test_adapt(state: BiLevelState, episode: TaskEpisode, train_tasks: list,
-               k: int = 0, seed: int = 0, finetune_mode: str = MetaMode.FIRST_ORDER):
+def test_adapt(state: BiLevelState, episode: TaskEpisode, train_tasks: list):
     """Adapt to an unseen scene and generate its test images.
 
-    With k >= 1, the k most similar training tasks first fine-tune a copy
-    of the general pair; k = 0 adapts straight from the general pair. The
-    caller's state is bitwise unchanged either way. Returns (g_is, d_is, images).
+    With training tasks, the config's ``k_aux`` most similar of them first
+    fine-tune a copy of the general pair under its ``meta_mode``; without,
+    adaptation starts straight from the general pair. The caller's state is
+    bitwise unchanged either way. Returns (g_is, d_is, images).
     """
     if not episode.train:
         raise TensorError("test_adapt: unseen episode has no training split")
-    if k:  # retrieve_topk rejects a k outside 1..len(train_tasks)
-        aux = retrieve_topk(episode.key, train_tasks, k)
-        tuned = gp_finetune_on_aux(state, aux, finetune_mode,
-                                   substream_seed(seed, "aux", episode.scene_id))
+    cfg = state.config
+    if train_tasks:  # retrieve_topk rejects a k_aux above len(train_tasks)
+        aux = retrieve_topk(episode.key, train_tasks, cfg.k_aux)
+        tuned = gp_finetune_on_aux(state, aux, cfg.meta_mode,
+                                   substream_seed(state.seed, "aux", episode.scene_id))
         gp_pair = (tuned.g_gp, tuned.d_gp)
     else:
         gp_pair = (state.g_gp, state.d_gp)
     g_is, d_is, _ = inner_adapt(
-        gp_pair, episode.train, state.config, MetaMode.FIRST_ORDER,
-        state.objective, substream_seed(seed, "test-adapt", episode.scene_id),
-        n_iters=state.config.inner_iters,
+        gp_pair, episode.train, cfg, MetaMode.FIRST_ORDER,
+        state.objective, substream_seed(state.seed, "test-adapt", episode.scene_id),
+        n_iters=cfg.inner_iters,
     )
     images = list(state.objective.generate(g_is, episode.test).data)
     return g_is, d_is, images

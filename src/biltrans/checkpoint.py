@@ -2,22 +2,23 @@
 
 Layout: 8-byte magic, u32 version, u64 config length + UTF-8 config text,
 then repeated named arrays: u64 name length, name bytes, u64 rank, u64
-dims, little-endian float64 values. Counters and seeds ride along as named
-1-element arrays so the container stays arrays-only.
+dims, little-endian float64 values. The two iteration counters ride along
+as named 1-element arrays so the container stays arrays-only.
 
-Version 3 holds only what a later stage reads: ``g_gp/*``, ``d_gp/*``, the
+Version 4 holds only what a later stage reads: ``g_gp/*``, ``d_gp/*``, the
 Adam pair of the stage in progress (``adam_g/{m,v,t}``, ``adam_d/{m,v,t}``)
-and ``meta/*`` (counters and seed halves). The header's ``phi_seed`` and
-``phi_widths`` rebuild the feature extractor, and ``metatrain`` starts a
-fresh Adam pair, so neither phi nor pretraining moments past the hand-over
-are stored. The header holds ``out_dir`` at its default, so a checkpoint's
+and ``meta/pretrain_iteration``, ``meta/meta_iteration``. The header's
+``phi_seed`` and ``phi_widths`` rebuild the feature extractor, its
+``master_seed`` is the state's seed, and ``metatrain`` starts a fresh Adam
+pair, so neither phi, a seed nor pretraining moments past the hand-over are
+stored. The header holds ``out_dir`` at its default, so a checkpoint's
 bytes do not depend on where the run is written. A file of another version
 is rejected.
 """
 
 import os
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -28,7 +29,7 @@ from .nets import init_params
 from .tensor import TensorError
 
 MAGIC = b"BILCKPT\x00"
-VERSION = 3
+VERSION = 4
 MAX_DIM = 2**32  # any larger single dimension is a corrupt file
 
 
@@ -51,16 +52,13 @@ def _sections(state: BiLevelState):
     return sections + [
         ("meta/pretrain_iteration", state.pretrain_iteration, restore(state, "pretrain_iteration")),
         ("meta/meta_iteration", state.meta_iteration, restore(state, "meta_iteration")),
-        # u64 seed split into exact 32-bit halves, restored low half first
-        ("meta/seed_lo", state.seed & 0xFFFFFFFF, restore(state, "seed")),
-        ("meta/seed_hi", (state.seed >> 32) & 0xFFFFFFFF,
-         lambda x: setattr(state, "seed", state.seed | int(x) << 32)),
     ]
 
 
-def save_checkpoint(state: BiLevelState, cfg: ExperimentConfig, path: str):
-    """Serialize the training state; see module docstring for the layout."""
-    config_text = serialize_config(replace(cfg, out_dir=ExperimentConfig.out_dir)).encode()
+def save_checkpoint(state: BiLevelState, path: str):
+    """Serialize the training state under its config; see module docstring
+    for the layout."""
+    config_text = serialize_config(replace(state.config, out_dir=ExperimentConfig.out_dir)).encode()
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(MAGIC)
@@ -127,14 +125,30 @@ def build_state(cfg: ExperimentConfig) -> BiLevelState:
     return BiLevelState(config=cfg, objective=Objective(cfg), g_gp=g, d_gp=d, seed=cfg.master_seed)
 
 
-def load_checkpoint(path: str):
-    """Reconstruct (state, config) exactly as saved; a malformed file raises
-    TensorError naming it."""
+def _contradictions(saved: ExperimentConfig, given: ExperimentConfig, meta_trained) -> list:
+    """Each identity key, and once meta-trained each meta key, on which the
+    given config differs from a checkpoint's saved one, with both values."""
+    classes = ("identity", "meta") if meta_trained else ("identity",)
+    return [f"{f.name} = {getattr(saved, f.name)!r} in the checkpoint, "
+            f"{getattr(given, f.name)!r} in the config"
+            for f in fields(ExperimentConfig)
+            if f.metadata["key_class"] in classes and getattr(saved, f.name) != getattr(given, f.name)]
+
+
+def load_checkpoint(path: str, cfg: ExperimentConfig | None = None):
+    """Reconstruct (state, saved config) from a checkpoint. The state runs
+    under ``cfg``, or under the saved config if none is given. A malformed
+    file, or a ``cfg`` that contradicts the saved config (see
+    ``_contradictions``), raises TensorError naming the file."""
     try:
         config_text, arrays = read_checkpoint_arrays(path)
-        cfg = parse_config(config_text)
+        saved = parse_config(config_text)
     except (TensorError, UnicodeDecodeError) as e:
         raise TensorError(f"{path}: {e}") from e
+    cfg = saved if cfg is None else cfg
+    wrong = _contradictions(saved, cfg, np.any(arrays.get("meta/meta_iteration", 0)))
+    if wrong:
+        raise TensorError(f"{path} contradicts the given config: {'; '.join(wrong)}")
     state = build_state(cfg)
     sections = _sections(state)
     extra = sorted(arrays.keys() - {key for key, _, _ in sections})
@@ -146,4 +160,4 @@ def load_checkpoint(path: str):
         if arrays[key].shape != np.shape(value):
             raise TensorError(f"checkpoint: shape mismatch for {key!r} in {path}")
         restore(arrays[key])
-    return state, cfg
+    return state, saved

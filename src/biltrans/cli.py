@@ -122,14 +122,13 @@ def _load_scenes(cfg, split):
 
 def _attach_logger(state, records):
     def log(rec):
-        if "loss_g_total" in rec:
-            records.append(rec)
-            if rec["iteration"] % 100 == 0:
-                print(
-                    f"[{rec['phase']}] iter {rec['iteration']} "
-                    f"loss_g={rec['loss_g_total']:.4f} loss_d={rec['loss_d']:.4f}",
-                    file=sys.stderr,
-                )
+        records.append(rec)
+        if rec["iteration"] % 100 == 0:
+            print(
+                f"[{rec['phase']}] iter {rec['iteration']} "
+                f"loss_g={rec['loss_g_total']:.4f} loss_d={rec['loss_d']:.4f}",
+                file=sys.stderr,
+            )
 
     state.log_fn = log
 
@@ -140,13 +139,13 @@ def cmd_pretrain(cfg, iters=None):
     os.makedirs(os.path.dirname(p["pretrain_ckpt"]), exist_ok=True)
     os.makedirs(p["logs"], exist_ok=True)
     if os.path.exists(p["pretrain_ckpt"]):
-        state, _ = load_checkpoint(p["pretrain_ckpt"])  # resume
+        state, _ = load_checkpoint(p["pretrain_ckpt"], cfg)  # resume
     else:
         state = build_state(cfg)
     records = []
     _attach_logger(state, records)
-    pretrain(state, scenes, iters=cfg.pretrain_iters if iters is None else iters)
-    save_checkpoint(state, cfg, p["pretrain_ckpt"])
+    pretrain(state, scenes, iters=iters)
+    save_checkpoint(state, p["pretrain_ckpt"])
     log_path = os.path.join(p["logs"], "pretrain_losses.csv")
     _append_loss_log(log_path, records)
     print(f"pretrained to iteration {state.pretrain_iteration}")
@@ -157,15 +156,15 @@ def cmd_metatrain(cfg, iters=None):
     p = _paths(cfg)
     scenes = _load_scenes(cfg, "train")
     if os.path.exists(p["metatrain_ckpt"]):
-        state, _ = load_checkpoint(p["metatrain_ckpt"])  # resume
+        state, _ = load_checkpoint(p["metatrain_ckpt"], cfg)  # resume
     else:
         _require(p["pretrain_ckpt"], "biltrans pretrain")
-        state, _ = load_checkpoint(p["pretrain_ckpt"])
+        state, _ = load_checkpoint(p["pretrain_ckpt"], cfg)
     os.makedirs(p["logs"], exist_ok=True)
     records = []
     _attach_logger(state, records)
-    metatrain(state, scenes, cfg.meta_mode, iters=cfg.metatrain_iters if iters is None else iters)
-    save_checkpoint(state, cfg, p["metatrain_ckpt"])
+    metatrain(state, scenes, cfg.meta_mode, iters=iters)
+    save_checkpoint(state, p["metatrain_ckpt"])
     _append_loss_log(os.path.join(p["logs"], "metatrain_losses.csv"), records)
     print(f"meta-trained to iteration {state.meta_iteration}")
     return 0
@@ -190,10 +189,10 @@ def _adapt_inputs(cfg, rows):
     state or None, auxiliary task pool or None). Adaptation leaves them
     unchanged, so one copy serves every scene."""
     p = _paths(cfg)
-    state_pre, _ = load_checkpoint(p["pretrain_ckpt"])
+    state_pre, _ = load_checkpoint(p["pretrain_ckpt"], cfg)
     state_meta = None
     if any(r.startswith("bilevel") for r in rows):
-        state_meta, _ = load_checkpoint(p["metatrain_ckpt"])
+        state_meta, _ = load_checkpoint(p["metatrain_ckpt"], cfg)
     pool = train_task_pool(cfg, _load_scenes(cfg, "train")) if "bilevel" in rows else None
     return state_pre, state_meta, pool
 
@@ -208,12 +207,11 @@ def adapt_one_scene(cfg, scene, rows, inputs):
         if row == "baseline":
             images = list(state_pre.objective.generate(state_pre.g_gp, episode.test).data)
         elif row == "baseline_shot":
-            _, _, images = test_adapt(state_pre, episode, [], seed=cfg.master_seed)
+            _, _, images = test_adapt(state_pre, episode, [])
         elif row == "bilevel_noaux":
-            _, _, images = test_adapt(state_meta, episode, [], seed=cfg.master_seed)
+            _, _, images = test_adapt(state_meta, episode, [])
         else:
-            _, _, images = test_adapt(state_meta, episode, pool, k=cfg.k_aux,
-                                      seed=cfg.master_seed, finetune_mode=cfg.meta_mode)
+            _, _, images = test_adapt(state_meta, episode, pool)
         out[row] = images
     return out
 

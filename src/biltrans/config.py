@@ -12,49 +12,54 @@ class MetaMode:
     ALL = (FIRST_ORDER, FULL_UNROLLED)
 
 
+# key_class: what a stage that reads a checkpoint requires of the key. An
+# "identity" key fixes what the checkpoint is (data, network shape, seeds,
+# loss and optimizer constants) and must equal the given config's; a "meta"
+# key must too once the checkpoint has meta-trained; a "free" key is the
+# given config's alone.
 # provenance: "recipe" marks values taken from the reference training recipe,
 # "repo" marks desk-scale defaults chosen here. The recipe's full-scale
 # iteration counts (50000 pretrain / 20000 metatrain) are accepted but the
 # shipped defaults are desk-scale.
-def _field(default, provenance="repo"):
-    return field(default=default, metadata={"provenance": provenance})
+def _field(default, key_class, provenance="repo"):
+    return field(default=default, metadata={"key_class": key_class, "provenance": provenance})
 
 
 @dataclass
 class ExperimentConfig:
-    mode: str = _field("pg2")
-    meta_mode: str = _field(MetaMode.FIRST_ORDER)
-    master_seed: int = _field(0)
-    out_dir: str = _field("runs/out")
-    image_size: int = _field(32)
-    classes: int = _field(5)
-    base_width: int = _field(16)
-    depth: int = _field(3)
-    n_shot: int = _field(5)
-    n_test: int = _field(5)
-    inner_iters: int = _field(20, "recipe")  # test-time adaptation steps per unseen scene
-    train_inner_iters: int = _field(2)  # adaptation steps inside meta-training
-    inner_batch: int = _field(5, "recipe")
-    meta_batch: int = _field(5, "recipe")
-    pretrain_iters: int = _field(2000)
-    metatrain_iters: int = _field(1000)
-    alpha: float = _field(1e-4, "recipe")  # scene-model step size
-    beta: float = _field(1e-4, "recipe")  # general-model step size
-    adam_beta1: float = _field(0.5, "recipe")
-    adam_beta2: float = _field(0.999, "recipe")
-    adam_eps: float = _field(1e-8)
-    lambda_adv: float = _field(10.0, "recipe")
-    lambda_perc: float = _field(2.0, "recipe")
-    nonsaturating: bool = _field(False)
-    phi_seed: int = _field(1789)
-    phi_widths: str = _field("8,16,32")
-    n_train_scenes: int = _field(100)
-    n_unseen_scenes: int = _field(20)
-    clusters: int = _field(0)
-    samples_per_scene: int = _field(4)  # accepted and validated; no stage reads it
-    shade_amp_max: float = _field(0.3)
-    k_aux: int = _field(5)
-    gp_finetune_iters: int = _field(50)
+    mode: str = _field("pg2", "identity")
+    meta_mode: str = _field(MetaMode.FIRST_ORDER, "meta")
+    master_seed: int = _field(0, "identity")
+    out_dir: str = _field("runs/out", "free")
+    image_size: int = _field(32, "identity")
+    classes: int = _field(5, "identity")
+    base_width: int = _field(16, "identity")
+    depth: int = _field(3, "identity")
+    n_shot: int = _field(5, "free")
+    n_test: int = _field(5, "free")
+    inner_iters: int = _field(20, "free", "recipe")  # test-time adaptation steps per unseen scene
+    train_inner_iters: int = _field(2, "meta")  # adaptation steps inside meta-training
+    inner_batch: int = _field(5, "free", "recipe")
+    meta_batch: int = _field(5, "meta", "recipe")
+    pretrain_iters: int = _field(2000, "free")
+    metatrain_iters: int = _field(1000, "free")
+    alpha: float = _field(1e-4, "free", "recipe")  # scene-model step size
+    beta: float = _field(1e-4, "meta", "recipe")  # general-model step size
+    adam_beta1: float = _field(0.5, "identity", "recipe")
+    adam_beta2: float = _field(0.999, "identity", "recipe")
+    adam_eps: float = _field(1e-8, "identity")
+    lambda_adv: float = _field(10.0, "identity", "recipe")
+    lambda_perc: float = _field(2.0, "identity", "recipe")
+    nonsaturating: bool = _field(False, "identity")
+    phi_seed: int = _field(1789, "identity")
+    phi_widths: str = _field("8,16,32", "identity")
+    n_train_scenes: int = _field(100, "identity")
+    n_unseen_scenes: int = _field(20, "identity")
+    clusters: int = _field(0, "identity")
+    samples_per_scene: int = _field(4, "free")  # accepted and validated; no stage reads it
+    shade_amp_max: float = _field(0.3, "identity")
+    k_aux: int = _field(5, "free")
+    gp_finetune_iters: int = _field(50, "free")
 
     def validate(self):
         if self.mode not in ("pg2", "pix2pix"):

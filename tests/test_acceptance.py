@@ -384,8 +384,8 @@ def test_criterion_6_alternation_contracts():
                 obj, seed=3, n_iters=1)
     pool = [sample_episode(s, 5, 2, seed=50 + i) for i, s in enumerate(scenes)]
     unseen = sample_episode(synth_scene(999, scene_id=99, height=16, width=16, classes=3), 5, 2, seed=9)
-    test_adapt(state, unseen, pool, k=2, seed=4)
-    test_adapt(state, unseen, pool, seed=4)
+    test_adapt(state, unseen, pool)
+    test_adapt(state, unseen, [])
     isolation_ok = (state.g_gp.digest(), state.d_gp.digest()) == digest_before
 
     ok = one_step_ok and isolation_ok

@@ -4,6 +4,7 @@ against end-to-end finite differences, isolation contracts."""
 import collections
 import hashlib
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -495,9 +496,8 @@ def test_unrolled_desk_episode_tape_op_count(monkeypatch):
 # meta update contracts
 
 
-def _episodes_for(state, base_seed, n=None):
-    n = state.config.meta_batch if n is None else n
-    return [small_episode(base_seed + i, scene_id=i) for i in range(n)]
+def _episodes_for(state, base_seed):
+    return [small_episode(base_seed + i, scene_id=i) for i in range(state.config.meta_batch)]
 
 
 def test_meta_update_single_adam_step_per_call():
@@ -509,12 +509,6 @@ def test_meta_update_single_adam_step_per_call():
     assert state.adam_d.t == t_d + 1
     meta_update(state, eps, MetaMode.FIRST_ORDER)
     assert state.adam_g.t == t_g + 2
-
-
-def test_meta_update_enforces_meta_batch_size():
-    state = small_state(6)
-    with pytest.raises(TensorError, match="episodes"):
-        meta_update(state, _episodes_for(state, 310, n=1), MetaMode.FIRST_ORDER)
 
 
 def test_meta_update_rejects_missing_split():
@@ -749,11 +743,11 @@ def _trained_tiny_world(seed=15):
 
 def test_test_adapt_without_aux_skips_finetune():
     state, train_tasks, unseen = _trained_tiny_world()
-    g1, _, imgs1 = test_adapt(state, unseen, train_tasks, seed=5)
+    g1, _, imgs1 = test_adapt(state, unseen, [])
     # no-aux path equals adapting straight from the general parameters
     g2, _, _ = inner_adapt((state.g_gp, state.d_gp), unseen.train, state.config,
                            MetaMode.FIRST_ORDER, state.objective,
-                           __import__("biltrans.rng", fromlist=["substream_seed"]).substream_seed(5, "test-adapt", unseen.scene_id),
+                           bilevel.substream_seed(state.seed, "test-adapt", unseen.scene_id),
                            n_iters=state.config.inner_iters)
     assert g1.digest() == g2.digest()
     assert len(imgs1) == len(unseen.test)
@@ -762,22 +756,32 @@ def test_test_adapt_without_aux_skips_finetune():
 def test_test_adapt_leaves_state_bitwise_unchanged():
     state, train_tasks, unseen = _trained_tiny_world(16)
     before = (state.g_gp.digest(), state.d_gp.digest(), state.adam_g.t, state.adam_d.t)
-    test_adapt(state, unseen, train_tasks, k=2, seed=6)
+    test_adapt(state, unseen, train_tasks)
     after = (state.g_gp.digest(), state.d_gp.digest(), state.adam_g.t, state.adam_d.t)
     assert before == after
 
 
 def test_test_adapt_aux_changes_initialization():
     state, train_tasks, unseen = _trained_tiny_world(17)
-    g_no, _, _ = test_adapt(state, unseen, train_tasks, seed=7)
-    g_yes, _, _ = test_adapt(state, unseen, train_tasks, k=2, seed=7)
+    g_no, _, _ = test_adapt(state, unseen, [])
+    g_yes, _, _ = test_adapt(state, unseen, train_tasks)
     assert g_no.digest() != g_yes.digest()
+
+
+def test_gp_finetune_runs_under_the_states_config_with_fewer_tasks_than_meta_batch():
+    state, train_tasks, _ = _trained_tiny_world(19)
+    assert state.config.meta_batch == 2
+    tuned = bilevel.gp_finetune_on_aux(state, train_tasks[:1], MetaMode.FIRST_ORDER, seed=3)
+    assert tuned.config is state.config
+    assert tuned.meta_iteration == tuned.adam_g.t == state.config.gp_finetune_iters
+    assert tuned.g_gp.digest() != state.g_gp.digest()
 
 
 def test_test_adapt_rejects_bad_k_and_empty_split():
     state, train_tasks, unseen = _trained_tiny_world(18)
+    state.config = replace(state.config, k_aux=10)
     with pytest.raises(TensorError, match="k="):
-        test_adapt(state, unseen, train_tasks, k=10)
+        test_adapt(state, unseen, train_tasks)
     hollow = TaskEpisode(scene=unseen.scene, train=[], test=unseen.test)
     with pytest.raises(TensorError, match="training split"):
         test_adapt(state, hollow, train_tasks)
@@ -829,14 +833,14 @@ def test_metatrain_rejects_fewer_scenes_than_meta_batch():
 
 
 def test_feature_extractor_untouched_by_training():
-    state = small_state(30)
+    state = small_state(30, k_aux=2)
     phi_digest = state.objective.phi.digest()
     scenes = [small_scene(3100 + i, i) for i in range(3)]
     pretrain(state, scenes, iters=3)
     metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=2)
     unseen = small_episode(3200, scene_id=50)
     pool = [small_episode(3300 + i, scene_id=i) for i in range(3)]
-    test_adapt(state, unseen, pool, k=2, seed=1)
+    test_adapt(state, unseen, pool)
     assert state.objective.phi.digest() == phi_digest
 
 

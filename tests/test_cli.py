@@ -163,6 +163,20 @@ def test_every_config_key_is_read_outside_config():
     assert not unread, f"config keys that no stage reads: {sorted(unread)}"
 
 
+def test_every_config_key_declares_its_class():
+    # a stage that reads a checkpoint requires identity keys to agree with it,
+    # meta keys too once it has meta-trained, and takes free keys as given
+    classes = {f.name: f.metadata.get("key_class") for f in dataclasses.fields(ExperimentConfig)}
+    undeclared = sorted(k for k, c in classes.items() if c not in ("identity", "meta", "free"))
+    assert not undeclared, f"config keys without a key class: {undeclared}"
+    assert {k for k, c in classes.items() if c == "identity"} == {
+        "mode", "master_seed", "image_size", "classes", "base_width", "depth", "n_train_scenes",
+        "n_unseen_scenes", "clusters", "shade_amp_max", "phi_seed", "phi_widths", "lambda_adv",
+        "lambda_perc", "nonsaturating", "adam_beta1", "adam_beta2", "adam_eps"}
+    assert {k for k, c in classes.items() if c == "meta"} == {
+        "meta_mode", "beta", "meta_batch", "train_inner_iters"}
+
+
 def test_every_module_level_definition_is_used_in_src():
     # a function or class that nothing in src/ names is dead code. A use is a
     # Name, an Attribute or an import alias outside the definition itself;
@@ -208,7 +222,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     cfg = smoke_cfg(tmp_path)
     state = build_state(cfg)
     path = str(tmp_path / "a.ckpt")
-    save_checkpoint(state, cfg, path)
+    save_checkpoint(state, path)
     loaded, cfg2 = load_checkpoint(path)
     assert cfg2 == replace(cfg, out_dir=ExperimentConfig.out_dir)  # a checkpoint holds no path
     assert loaded.g_gp.digest() == state.g_gp.digest()
@@ -216,7 +230,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     assert loaded.objective.phi.digest() == state.objective.phi.digest()
     # save -> load -> save produces byte-identical files
     path2 = str(tmp_path / "b.ckpt")
-    save_checkpoint(loaded, cfg2, path2)
+    save_checkpoint(loaded, path2)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
@@ -224,7 +238,7 @@ def test_checkpoint_corrupted_magic_rejected(tmp_path):
     cfg = smoke_cfg(tmp_path)
     state = build_state(cfg)
     path = str(tmp_path / "c.ckpt")
-    save_checkpoint(state, cfg, path)
+    save_checkpoint(state, path)
     blob = bytearray((tmp_path / "c.ckpt").read_bytes())
     blob[:8] = b"NOTCKPT\x00"
     (tmp_path / "c.ckpt").write_bytes(bytes(blob))
@@ -236,7 +250,7 @@ def test_checkpoint_truncation_rejected(tmp_path):
     cfg = smoke_cfg(tmp_path)
     state = build_state(cfg)
     path = str(tmp_path / "d.ckpt")
-    save_checkpoint(state, cfg, path)
+    save_checkpoint(state, path)
     blob = (tmp_path / "d.ckpt").read_bytes()
     (tmp_path / "d.ckpt").write_bytes(blob[: len(blob) - 17])
     with pytest.raises(TensorError, match="truncated"):
@@ -247,7 +261,7 @@ def test_checkpoint_with_an_unexpected_array_rejected(tmp_path):
     # a v1 pretraining moment in a v2 file: loading restores every array it holds
     cfg = smoke_cfg(tmp_path)
     path = tmp_path / "extra.ckpt"
-    save_checkpoint(build_state(cfg), cfg, str(path))
+    save_checkpoint(build_state(cfg), str(path))
     name = b"adam_g_pre/t"
     with open(path, "ab") as f:
         f.write(struct.pack("<Q", len(name)) + name + struct.pack("<Q", 0) + struct.pack("<d", 0.0))
@@ -282,12 +296,12 @@ def test_resume_equals_uninterrupted_training(tmp_path):
     resumed = build_state(cfg)
     pretrain(resumed, scenes, iters=2)
     path = str(tmp_path / "mid.ckpt")
-    save_checkpoint(resumed, cfg, path)
+    save_checkpoint(resumed, path)
     resumed2, _ = load_checkpoint(path)
     pretrain(resumed2, scenes, iters=4)
     metatrain(resumed2, scenes, cfg.meta_mode, iters=1)
     path2 = str(tmp_path / "mid2.ckpt")
-    save_checkpoint(resumed2, cfg, path2)
+    save_checkpoint(resumed2, path2)
     resumed3, _ = load_checkpoint(path2)
     metatrain(resumed3, scenes, cfg.meta_mode, iters=2)
 
@@ -514,7 +528,8 @@ def test_adapt_job_loads_its_inputs_once_per_worker(tmp_path, monkeypatch):
     for sub in ("gen-data", "pretrain", "metatrain"):
         assert run_cli(sub, "--config", str(cfg_file)) == 0
     loads = []
-    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or load_checkpoint(path))
+    monkeypatch.setattr(cli, "load_checkpoint",
+                        lambda path, cfg: loads.append(path) or load_checkpoint(path, cfg))
     cfg_text = serialize_config(parse_config(cfg_file.read_text()))
     rows = ["baseline", "bilevel_noaux"]
     cli._worker_inputs.cache_clear()
@@ -551,16 +566,85 @@ def test_cli_resumed_stage_trains_to_the_given_config_target(tmp_path, capsys):
         assert (resumed / ckpt).read_bytes() == (straight / ckpt).read_bytes(), name
 
 
-def test_cli_meta_mode_override_full_unrolled(tmp_path):
+def test_cli_adapt_runs_under_the_config_it_is_given(tmp_path):
+    # after a run at inner_iters = 3, adapt given inner_iters = 1 writes what a
+    # run straight at 1 writes, not the images of the run at 3
+    base = (SMOKE.replace("pretrain_iters = 6", "pretrain_iters = 4")
+            .replace("metatrain_iters = 2", "metatrain_iters = 1"))
+    at3, at1 = tmp_path / "at3.cfg", tmp_path / "at1.cfg"
+    at3.write_text(base)
+    at1.write_text(base.replace("\ninner_iters = 3", "\ninner_iters = 1"))
+    changed, straight = tmp_path / "changed", tmp_path / "straight"
+    assert run_cli("full-run", "--config", str(at3), "--out", str(changed)) == 0
+    images = sorted(p.relative_to(changed) for p in (changed / "results").rglob("*.ppm"))
+    at_3 = {rel: (changed / rel).read_bytes() for rel in images}
+    assert run_cli("adapt", "--config", str(at1), "--out", str(changed)) == 0
+    assert run_cli("full-run", "--config", str(at1), "--out", str(straight)) == 0
+    assert images == sorted(p.relative_to(straight) for p in (straight / "results").rglob("*.ppm"))
+    for rel in images:
+        assert (changed / rel).read_bytes() == (straight / rel).read_bytes(), rel
+    for row in ("baseline_shot", "bilevel_noaux", "bilevel"):
+        assert any(at_3[rel] != (changed / rel).read_bytes() for rel in images if rel.parts[1] == row)
+
+
+def test_cli_stage_given_another_seed_than_its_checkpoint_exits_2(tmp_path, capsys):
     cfg_file = tmp_path / "smoke.cfg"
     out = tmp_path / "run"
     cfg_file.write_text(SMOKE + f"\nout_dir = {out}\n")
-    argv = ["--config", str(cfg_file), "--meta-mode", "full-unrolled"]
-    assert run_cli("gen-data", *argv) == 0
-    assert run_cli("pretrain", *argv) == 0
-    assert run_cli("metatrain", *argv) == 0
+    for sub in ("gen-data", "pretrain"):
+        assert run_cli(sub, "--config", str(cfg_file), "--seed", "0") == 0
+    capsys.readouterr()
+    assert run_cli("metatrain", "--config", str(cfg_file), "--seed", "1") == 2
+    err = capsys.readouterr().err
+    assert str(out / "checkpoints" / "pretrain.ckpt") in err and "Traceback" not in err, err
+    assert "master_seed = 0 in the checkpoint, 1 in the config" in err, err
+    assert not (out / "checkpoints" / "metatrain.ckpt").exists()
+
+
+def test_cli_meta_keys_are_free_at_the_hand_over_and_fixed_after_it(tmp_path, capsys):
+    # metatrain may start under another beta than pretrain ran with, but a
+    # resumed metatrain must keep the beta it meta-trained under
+    pre, meta = tmp_path / "pre.cfg", tmp_path / "meta.cfg"
+    pre.write_text(SMOKE)
+    meta.write_text(SMOKE.replace("beta = 0.001", "beta = 0.002"))
+    out = str(tmp_path / "run")
+    for sub, cfg_file in (("gen-data", pre), ("pretrain", pre), ("metatrain", meta)):
+        assert run_cli(sub, "--config", str(cfg_file), "--out", out, "--iters", "1") == 0
+    capsys.readouterr()
+    assert run_cli("metatrain", "--config", str(pre), "--out", out) == 2
+    err = capsys.readouterr().err
+    assert os.path.join(out, "checkpoints", "metatrain.ckpt") in err, err
+    assert "beta = 0.002 in the checkpoint, 0.001 in the config" in err and "Traceback" not in err, err
+
+
+def test_cli_parallel_adapt_contradiction_exits_2_without_traceback(adapted_run, tmp_path, capsys):
+    import shutil
+
+    cfg_file, source = adapted_run
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    capsys.readouterr()
+    argv = ["adapt", "--config", str(cfg_file), "--out", str(out), "--jobs", "2", "--seed", "1"]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "master_seed = 0 in the checkpoint, 1 in the config" in err and "Traceback" not in err, err
+
+
+def test_cli_meta_mode_override_full_unrolled(tmp_path, capsys):
+    # metatrain may start in another meta mode than pretrain ran under; the
+    # meta-trained checkpoint then fixes it
+    cfg_file = tmp_path / "smoke.cfg"
+    out = tmp_path / "run"
+    cfg_file.write_text(SMOKE + f"\nout_dir = {out}\n")
+    assert run_cli("gen-data", "--config", str(cfg_file)) == 0
+    assert run_cli("pretrain", "--config", str(cfg_file)) == 0
+    assert run_cli("metatrain", "--config", str(cfg_file), "--meta-mode", "full-unrolled") == 0
     text, _ = read_checkpoint_arrays(str(out / "checkpoints" / "metatrain.ckpt"))
     assert "meta_mode = full-unrolled" in text
+    capsys.readouterr()
+    assert run_cli("adapt", "--config", str(cfg_file), "--aux", "off") == 2
+    err = capsys.readouterr().err
+    assert "meta_mode = 'full-unrolled' in the checkpoint, 'first-order' in the config" in err, err
 
 
 def test_cli_interrupt_and_resume_adapt_identical(tmp_path):
@@ -664,6 +748,12 @@ def _checkpoint_version(version):
     return damage
 
 
+def _checkpoint_header_says_seed_7(path):
+    # a same-length edit keeps the header's length prefix valid
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"\nmaster_seed = 0\n", b"\nmaster_seed = 7\n", 1))
+
+
 def _manifest_classes_not_a_number(path):
     path.write_text(path.read_text().replace("classes = 3", "classes = four"))
 
@@ -690,13 +780,18 @@ BAD_INPUTS = {
     "checkpoint-is-directory": ("pretrain", "checkpoints/pretrain.ckpt", _replace_with_directory, 2),
     "checkpoint-v1": ("metatrain", "checkpoints/metatrain.ckpt", _checkpoint_version(1), 2),
     "checkpoint-v2": ("adapt", "checkpoints/pretrain.ckpt", _checkpoint_version(2), 2),
+    "checkpoint-v3": ("pretrain", "checkpoints/pretrain.ckpt", _checkpoint_version(3), 2),
+    "checkpoint-contradicts-config": ("adapt", "checkpoints/pretrain.ckpt",
+                                      _checkpoint_header_says_seed_7, 2),
     # the run directory is named after the case: a path that says "non-finite"
     # is still a malformed file, not a numerical failure
     "non-finite": ("pretrain", "data/train/dataset.manifest", _manifest_classes_not_a_number, 2),
 }
 # what stderr must say besides the path, where a case names it
 BAD_INPUT_MESSAGES = {"checkpoint-v1": "unsupported version 1",
-                      "checkpoint-v2": "unsupported version 2"}
+                      "checkpoint-v2": "unsupported version 2",
+                      "checkpoint-v3": "unsupported version 3",
+                      "checkpoint-contradicts-config": "master_seed = 7 in the checkpoint, 0 in the config"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -720,3 +815,5 @@ def test_checkpoint_holds_only_what_the_next_stage_reads(stage, adapted_run):
     _, run = adapted_run
     _, arrays = read_checkpoint_arrays(str(run / "checkpoints" / f"{stage}.ckpt"))
     assert {name.split("/")[0] for name in arrays} == {"g_gp", "d_gp", "adam_g", "adam_d", "meta"}
+    assert {name for name in arrays if name.startswith("meta/")} == {"meta/pretrain_iteration",
+                                                                     "meta/meta_iteration"}

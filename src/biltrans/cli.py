@@ -57,20 +57,23 @@ def _require(path, hint):
         raise MissingPrerequisite(f"missing {path}; run `{hint}` first")
 
 
+def _manifest(cfg, split):
+    """(shared scene knobs, (scene id, seed, cluster) rows) of the "train" or
+    "unseen" manifest that ``gen-data`` writes for a config."""
+    n, first_id = (cfg.n_train_scenes, 0) if split == "train" else (cfg.n_unseen_scenes, 10_000)
+    knobs = {"classes": cfg.classes, "height": cfg.image_size, "width": cfg.image_size,
+             "shade_amp_max": cfg.shade_amp_max,
+             "cluster_space_seed": substream_seed(cfg.master_seed, "cluster-space")}
+    rows = [(first_id + i, substream_seed(cfg.master_seed, "data", split, i),
+             i % cfg.clusters if cfg.clusters > 0 else None) for i in range(n)]
+    return knobs, rows
+
+
 def _scenes(cfg, split):
     """The "train" or "unseen" scenes of a config, synthesized from their
     seeds; only ``gen-data`` calls this, every later stage reads the manifest."""
-    n, first_id = (cfg.n_train_scenes, 0) if split == "train" else (cfg.n_unseen_scenes, 10_000)
-    return [
-        synth_scene(
-            substream_seed(cfg.master_seed, "data", split, i),
-            i % cfg.clusters if cfg.clusters > 0 else None,
-            scene_id=first_id + i, height=cfg.image_size, width=cfg.image_size,
-            classes=cfg.classes, shade_amp_max=cfg.shade_amp_max,
-            cluster_space_seed=substream_seed(cfg.master_seed, "cluster-space"),
-        )
-        for i in range(n)
-    ]
+    knobs, rows = _manifest(cfg, split)
+    return [synth_scene(seed, cluster, scene_id=scene_id, **knobs) for scene_id, seed, cluster in rows]
 
 
 def train_task_pool(cfg, scenes):
@@ -108,15 +111,26 @@ def cmd_gen_data(cfg):
 
 def _load_scenes(cfg, split):
     """The "train" or "unseen" scenes that ``gen-data`` wrote to the split's
-    manifest; scenes of another shape than the config's are a config error."""
+    manifest; a manifest other than the one ``gen-data`` writes for the
+    config is a config error that lists each difference."""
     data_dir = _paths(cfg)[f"{split}_data"]
     path = os.path.join(data_dir, "dataset.manifest")
     _require(path, "biltrans gen-data")
-    scenes = load_manifest(data_dir)
-    want = (cfg.classes, cfg.image_size, cfg.image_size)
-    for got in {(s.classes, s.height, s.width) for s in scenes} - {want}:
-        raise TensorError(f"{path}: scenes are (classes, height, width) = {got}, "
-                          f"the config says {want}")
+    knobs, scenes = load_manifest(data_dir)
+    want_knobs, want_rows = _manifest(cfg, split)
+    wrong = [f"{key} = {knobs[key]!r} in the manifest, {want!r} for the config"
+             for key, want in want_knobs.items() if knobs[key] != want]
+    if len(scenes) != len(want_rows):
+        wrong.append(f"{len(scenes)} scenes in the manifest, n_{split}_scenes = {len(want_rows)} in the config")
+    rows = [(s.scene_id, s.seed, s.cluster) for s in scenes]
+    differ = [(got, want) for got, want in zip(rows, want_rows) if got != want]
+    if differ:
+        row = "scene {} seed={} cluster={}".format
+        got, want = differ[0]
+        wrong.append(f"{len(differ)} scene rows differ, first `{row(*got)}` in the manifest, "
+                     f"`{row(*want)}` for the config")
+    if wrong:
+        raise TensorError(f"{path} contradicts the given config: {'; '.join(wrong)}")
     return scenes
 
 

@@ -398,9 +398,10 @@ def export_dataset(out_dir: str, scenes: list, shade_amp_max: float = 0.3,
     return manifest
 
 
-def load_manifest(data_dir: str) -> list:
-    """The scenes of a split, re-synthesized from its manifest; unknown keys
-    are ignored, a missing or malformed one raises TensorError naming the file."""
+def load_manifest(data_dir: str):
+    """(shared scene knobs, scenes) of a split, the scenes re-synthesized from
+    its manifest; unknown keys are ignored, a missing or malformed one raises
+    TensorError naming the file."""
     path = os.path.join(data_dir, "dataset.manifest")
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -417,24 +418,18 @@ def load_manifest(data_dir: str) -> list:
                 else:
                     key, _, value = line.partition("=")
                     header[key.strip()] = value.strip()
-        classes = int(header["classes"])
-        height, width = int(header["height"]), int(header["width"])
-        amp = float(header["shade_amp_max"])
-        cseed = int(header["cluster_space_seed"])
+        knobs = {"classes": int(header["classes"]), "height": int(header["height"]),
+                 "width": int(header["width"]), "shade_amp_max": float(header["shade_amp_max"]),
+                 "cluster_space_seed": int(header["cluster_space_seed"])}
         scenes = []
         for row in scene_rows:
             parts = row.split()
             scene_id = int(parts[1])
             kv = dict(p.split("=", 1) for p in parts[2:])
             cluster = None if kv["cluster"] == "none" else int(kv["cluster"])
-            scenes.append(
-                synth_scene(
-                    int(kv["seed"]), cluster, scene_id=scene_id, height=height, width=width,
-                    classes=classes, shade_amp_max=amp, cluster_space_seed=cseed,
-                )
-            )
+            scenes.append(synth_scene(int(kv["seed"]), cluster, scene_id=scene_id, **knobs))
     except KeyError as e:
         raise TensorError(f"{path}: missing key {e.args[0]!r}") from e
     except (IndexError, ValueError) as e:
         raise TensorError(f"{path}: malformed manifest ({e})") from e
-    return scenes
+    return knobs, scenes

@@ -16,10 +16,16 @@ written in terms of registry ops, so a tape opened in
 (unrolled optimizer steps, gradient-of-gradient). The VJP ops of
 ``backward`` follow the same rule as every other op: they join a tape
 only while it is the active tape, and only if it is DIFFERENTIABLE.
+A tape keeps its leaves and, per op, only the values that op's backward
+rule reads (``_OPS``); of every other node it keeps the shape and
+``requires_grad``, so an op output nothing reads is freed with the
+caller's last reference to it. The relu and leaky_relu adjoints read
+their output (y > 0 exactly where x > 0) through ``relu_adjoint``.
 """
 
 import collections
 import functools
+import math
 import threading
 import weakref
 
@@ -49,9 +55,10 @@ class Tensor:
     def node(self):
         """(tape, node_index) once recorded, while that tape is alive.
 
-        The tape is held weakly: a tape owns its node tensors, so a strong
-        back-reference would make every tape a reference cycle that only
-        the cyclic garbage collector frees, with all its arrays.
+        The tape is held weakly: a tape owns its leaves and the values its
+        backward rules read, so a strong back-reference would make every
+        tape a reference cycle that only the cyclic garbage collector
+        frees, with all its arrays.
         """
         tape = self._tape() if self._tape is not None else None
         return None if tape is None else (tape, self._node_index)
@@ -77,7 +84,18 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-_Op = collections.namedtuple("_Op", "name input_ids output_id attrs")
+# one recorded op: its inputs' and output's node indices, and what its
+# backward rule is passed, each value it reads or else its node's _Shape
+_Op = collections.namedtuple("_Op", "name input_ids output_id attrs ins out")
+
+
+class _Shape:
+    """What a tape keeps of a node no backward rule reads."""
+
+    __slots__ = ("shape", "requires_grad")
+
+    def __init__(self, shape, requires_grad):
+        self.shape, self.requires_grad = shape, requires_grad
 
 
 _tls = threading.local()
@@ -125,7 +143,7 @@ class Tape:
         if mode not in (Tape.VALUES, Tape.DIFFERENTIABLE):
             raise TensorError(f"unknown tape mode: {mode!r}")
         self.mode = mode
-        self.nodes: list[Tensor] = []
+        self.nodes: list = []  # a leaf's Tensor, an op output's _Shape
         self.ops: list[_Op] = []
         self._leaf_ids: dict[int, int] = {}  # id(tensor) -> node index
         self._writer: int | None = None
@@ -147,7 +165,7 @@ class Tape:
         elif self._writer != me:
             raise TensorError("a Tape is single-writer; record from one thread only")
 
-    def _add_node(self, t: Tensor) -> int:
+    def _add_node(self, t) -> int:
         idx = len(self.nodes)
         self.nodes.append(t)
         return idx
@@ -168,12 +186,15 @@ class Tape:
 
     def record(self, name, inputs, output, attrs):
         self._check_writer()
-        ref = self._ref
+        ref, nodes = self._ref, self.nodes
         in_ids = [t._node_index if t._tape is ref else self.node_index(t, create=True)
                   for t in inputs]
-        out_id = self._add_node(output)
+        keep_in, keep_out = _SAVES[name]
+        ins = [t if keep else nodes[i] for t, i, keep in zip(inputs, in_ids, keep_in)]
+        shape = _Shape(output.data.shape, output.requires_grad)
+        out_id = self._add_node(shape)
         output._tape, output._node_index = ref, out_id
-        self.ops.append(_Op(name, in_ids, out_id, attrs))
+        self.ops.append(_Op(name, in_ids, out_id, attrs, ins, output if keep_out else shape))
 
 
 def _shape_err(name, *shapes):
@@ -406,6 +427,13 @@ def _f_leaky_relu(attrs, x):
     return np.where(x > 0, x, 0.2 * x)
 
 
+def _f_relu_adjoint(attrs, g, y):
+    # g where the activation's output y > 0, slope * g elsewhere
+    if g.shape != y.shape:
+        raise _shape_err("relu_adjoint", g.shape, y.shape)
+    return np.where(y > 0, g, g * attrs["slope"])
+
+
 def _f_tanh(attrs, x):
     return np.tanh(x)
 
@@ -592,7 +620,9 @@ def pad_channels(x, before, after):
 # ---------------------------------------------------------------------------
 # backward rules, each written with registry ops so they are differentiable.
 # ``need`` holds one flag per input; a rule may return None for an input
-# whose flag is false, and the ones with a costly adjoint do.
+# whose flag is false, and the ones with a costly adjoint do, and None for
+# an input it contributes nothing to. ``ins`` and ``out`` are the values
+# the op's ``_OPS`` entry declares, and a _Shape for every other one.
 
 
 def _ones_like(t):
@@ -652,14 +682,20 @@ def _v_avg_pool2(g, ins, out, attrs, need):
     return [scalar_mul(upsample_nearest2(g), 0.25)]
 
 
+_RELU, _LEAKY_RELU = {"slope": 0.0}, {"slope": 0.2}
+
+
 def _v_relu(g, ins, out, attrs, need):
-    mask = constant((ins[0].data > 0).astype(np.float64))
-    return [mul(g, mask)]
+    return [_apply("relu_adjoint", [g, out], _RELU)]
 
 
 def _v_leaky_relu(g, ins, out, attrs, need):
-    mask = constant(np.where(ins[0].data > 0, 1.0, 0.2))
-    return [mul(g, mask)]
+    return [_apply("relu_adjoint", [g, out], _LEAKY_RELU)]
+
+
+def _v_relu_adjoint(g, ins, out, attrs, need):
+    # linear in g; piecewise constant in y, so y gets no adjoint
+    return [_apply("relu_adjoint", [g, ins[1]], attrs) if need[0] else None, None]
 
 
 def _v_tanh(g, ins, out, attrs, need):
@@ -697,7 +733,7 @@ def _v_clamp(g, ins, out, attrs, need):
 
 
 def _v_reduce_mean(g, ins, out, attrs, need):
-    n = ins[0].data.size
+    n = math.prod(ins[0].shape)
     return [scalar_mul(broadcast_to(g, ins[0].shape), 1.0 / n)]
 
 
@@ -725,34 +761,41 @@ def _v_pad_channels(g, ins, out, attrs, need):
     return [slice_channels(g, b, b + ins[0].shape[1])]
 
 
-# every registry op: name -> (forward kernel, backward rule)
+# every registry op: name -> (forward kernel, backward rule, the inputs its
+# rule reads, whether it reads the output). A tape keeps only those values
 _OPS = {
-    "add": (_f_add, _v_add),
-    "sub": (_f_sub, _v_sub),
-    "mul": (_f_mul, _v_mul),
-    "scalar_mul": (_f_scalar_mul, _v_scalar_mul),
-    "conv2d": (_f_conv2d, _v_conv2d),
-    "conv2d_dx": (_f_conv2d_dx, _v_conv2d_dx),
-    "conv2d_dk": (_f_conv2d_dk, _v_conv2d_dk),
-    "upsample_nearest2": (_f_upsample_nearest2, _v_upsample_nearest2),
-    "avg_pool2": (_f_avg_pool2, _v_avg_pool2),
-    "relu": (_f_relu, _v_relu),
-    "leaky_relu": (_f_leaky_relu, _v_leaky_relu),
-    "tanh": (_f_tanh, _v_tanh),
-    "sigmoid": (_f_sigmoid, _v_sigmoid),
-    "log": (_f_log, _v_log),
-    "square": (_f_square, _v_square),
-    "abs": (_f_abs, _v_abs),
-    "sqrt": (_f_sqrt, _v_sqrt),
-    "reciprocal": (_f_reciprocal, _v_reciprocal),
-    "clamp": (_f_clamp, _v_clamp),
-    "reduce_mean": (_f_reduce_mean, _v_reduce_mean),
-    "broadcast_to": (_f_broadcast_to, _v_broadcast_to),
-    "sum_to": (_f_sum_to, _v_sum_to),
-    "concat_channels": (_f_concat_channels, _v_concat_channels),
-    "slice_channels": (_f_slice_channels, _v_slice_channels),
-    "pad_channels": (_f_pad_channels, _v_pad_channels),
+    "add": (_f_add, _v_add, (), False),
+    "sub": (_f_sub, _v_sub, (), False),
+    "mul": (_f_mul, _v_mul, (0, 1), False),
+    "scalar_mul": (_f_scalar_mul, _v_scalar_mul, (), False),
+    "conv2d": (_f_conv2d, _v_conv2d, (0, 1), False),
+    "conv2d_dx": (_f_conv2d_dx, _v_conv2d_dx, (0, 1), False),
+    "conv2d_dk": (_f_conv2d_dk, _v_conv2d_dk, (0, 1), False),
+    "upsample_nearest2": (_f_upsample_nearest2, _v_upsample_nearest2, (), False),
+    "avg_pool2": (_f_avg_pool2, _v_avg_pool2, (), False),
+    "relu": (_f_relu, _v_relu, (), True),
+    "leaky_relu": (_f_leaky_relu, _v_leaky_relu, (), True),
+    "relu_adjoint": (_f_relu_adjoint, _v_relu_adjoint, (1,), False),
+    "tanh": (_f_tanh, _v_tanh, (), True),
+    "sigmoid": (_f_sigmoid, _v_sigmoid, (), True),
+    "log": (_f_log, _v_log, (0,), False),
+    "square": (_f_square, _v_square, (0,), False),
+    "abs": (_f_abs, _v_abs, (0,), False),
+    "sqrt": (_f_sqrt, _v_sqrt, (), True),
+    "reciprocal": (_f_reciprocal, _v_reciprocal, (), True),
+    "clamp": (_f_clamp, _v_clamp, (0,), False),
+    "reduce_mean": (_f_reduce_mean, _v_reduce_mean, (), False),
+    "broadcast_to": (_f_broadcast_to, _v_broadcast_to, (), False),
+    "sum_to": (_f_sum_to, _v_sum_to, (), False),
+    "concat_channels": (_f_concat_channels, _v_concat_channels, (), False),
+    "slice_channels": (_f_slice_channels, _v_slice_channels, (), False),
+    "pad_channels": (_f_pad_channels, _v_pad_channels, (), False),
 }
+
+# name -> (a keep flag for each input position, whether to keep the output),
+# what Tape.record reads (a conv's bias is its third input)
+_SAVES = {name: (tuple(i in keep_in for i in range(3)), keep_out)
+          for name, (_, _, keep_in, keep_out) in _OPS.items()}
 
 ALL_OP_NAMES = frozenset(_OPS)
 
@@ -809,11 +852,10 @@ def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor
             g = adjoints.get(out_id) if out_id in keep else adjoints.pop(out_id, None)
             if g is None:
                 continue
-            ins = [tape.nodes[i] for i in op.input_ids]
-            need = [i in active and t.requires_grad for i, t in zip(op.input_ids, ins)]
-            contribs = _OPS[op.name][1](g, ins, tape.nodes[op.output_id], op.attrs, need)
+            need = [i in active and t.requires_grad for i, t in zip(op.input_ids, op.ins)]
+            contribs = _OPS[op.name][1](g, op.ins, op.out, op.attrs, need)
             for node_id, wanted, contrib in zip(op.input_ids, need, contribs):
-                if wanted:
+                if wanted and contrib is not None:
                     prev = adjoints.get(node_id)
                     adjoints[node_id] = contrib if prev is None else add(prev, contrib)
 

@@ -594,6 +594,13 @@ def test_cli_stage_given_another_seed_than_its_checkpoint_exits_2(tmp_path, caps
     for sub in ("gen-data", "pretrain"):
         assert run_cli(sub, "--config", str(cfg_file), "--seed", "0") == 0
     capsys.readouterr()
+    # the seed-0 manifest contradicts the seed first
+    assert run_cli("metatrain", "--config", str(cfg_file), "--seed", "1") == 2
+    err = capsys.readouterr().err
+    assert str(out / "data" / "train" / "dataset.manifest") in err and "Traceback" not in err, err
+    # and on data generated at seed 1, the checkpoint does
+    assert run_cli("gen-data", "--config", str(cfg_file), "--seed", "1") == 0
+    capsys.readouterr()
     assert run_cli("metatrain", "--config", str(cfg_file), "--seed", "1") == 2
     err = capsys.readouterr().err
     assert str(out / "checkpoints" / "pretrain.ckpt") in err and "Traceback" not in err, err
@@ -623,6 +630,8 @@ def test_cli_parallel_adapt_contradiction_exits_2_without_traceback(adapted_run,
     cfg_file, source = adapted_run
     out = tmp_path / "run"
     shutil.copytree(source, out)
+    # data that matches the seed, so the checkpoints are what contradicts it
+    assert run_cli("gen-data", "--config", str(cfg_file), "--out", str(out), "--seed", "1") == 0
     capsys.readouterr()
     argv = ["adapt", "--config", str(cfg_file), "--out", str(out), "--jobs", "2", "--seed", "1"]
     assert run_cli(*argv) == 2
@@ -758,6 +767,19 @@ def _manifest_classes_not_a_number(path):
     path.write_text(path.read_text().replace("classes = 3", "classes = four"))
 
 
+def _manifest_gen_data_writes(*argv, config=SMOKE):
+    # the train manifest that gen-data writes with these flags and config,
+    # in place of the run's own
+    def damage(path):
+        import shutil
+
+        cfg_file, other = path.parent / "other.cfg", path.parent / "other"
+        cfg_file.write_text(config)
+        assert run_cli("gen-data", "--config", str(cfg_file), "--out", str(other), *argv) == 0
+        shutil.copyfile(other / "data" / "train" / "dataset.manifest", path)
+    return damage
+
+
 def _replace_with_directory(path):
     path.unlink()
     path.mkdir()
@@ -771,6 +793,12 @@ BAD_INPUTS = {
     "truncated-ppm-payload": ("eval", "results/baseline/scene_10001/img_000.ppm", _truncate, 2),
     "checkpoint-cut-at-array-boundary": ("pretrain", "checkpoints/pretrain.ckpt", _cut_before_meta_arrays, 2),
     "manifest-shape-mismatch": ("pretrain", "data/train/dataset.manifest", _resize_manifest_scenes, 2),
+    "manifest-of-another-seed": ("pretrain", "data/train/dataset.manifest",
+                                 _manifest_gen_data_writes("--seed", "1"), 2),
+    "manifest-of-another-shade-amp": ("pretrain", "data/train/dataset.manifest",
+                                      _manifest_gen_data_writes(config=SMOKE + "shade_amp_max = 0.1\n"), 2),
+    "manifest-of-other-scene-counts": ("pretrain", "data/train/dataset.manifest", _manifest_gen_data_writes(
+        config=SMOKE.replace("n_train_scenes = 4", "n_train_scenes = 7") + "clusters = 3\n"), 2),
     "ppm-wrong-magic": ("eval", "results/baseline/scene_10001/img_001.ppm", _ppm_magic_p5, 2),
     "ppm-malformed-header": ("eval", "results/bilevel/scene_10000/img_000.ppm", _ppm_width(b"w"), 2),
     "ppm-negative-width": ("eval", "results/bilevel/scene_10001/img_000.ppm", _ppm_width(b"-16"), 2),
@@ -791,7 +819,11 @@ BAD_INPUTS = {
 BAD_INPUT_MESSAGES = {"checkpoint-v1": "unsupported version 1",
                       "checkpoint-v2": "unsupported version 2",
                       "checkpoint-v3": "unsupported version 3",
-                      "checkpoint-contradicts-config": "master_seed = 7 in the checkpoint, 0 in the config"}
+                      "checkpoint-contradicts-config": "master_seed = 7 in the checkpoint, 0 in the config",
+                      "manifest-shape-mismatch": "height = 32 in the manifest, 16 for the config",
+                      "manifest-of-another-seed": "4 scene rows differ",
+                      "manifest-of-another-shade-amp": "shade_amp_max = 0.1 in the manifest, 0.3 for the config",
+                      "manifest-of-other-scene-counts": "7 scenes in the manifest, n_train_scenes = 4 in the config"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

@@ -326,7 +326,9 @@ def test_dataset_export_and_manifest_reload(tmp_path):
     scenes = [synth_scene(500, None, scene_id=3, **kw), synth_scene(501, 2, scene_id=10_004, **kw)]
     assert scenes[0].anchors is None and scenes[1].anchors is not None
     tasks.export_dataset(str(tmp_path / "new"), scenes, shade_amp_max=0.2, cluster_space_seed=77)
-    _assert_same_scenes(scenes, tasks.load_manifest(str(tmp_path / "new")))
+    knobs, loaded = tasks.load_manifest(str(tmp_path / "new"))
+    assert knobs == kw
+    _assert_same_scenes(scenes, loaded)
 
     # a manifest in the earlier format, which listed exported sample files
     # and three more header keys, loads to the same scenes
@@ -342,4 +344,6 @@ def test_dataset_export_and_manifest_reload(tmp_path):
         "scene 10004 seed=501 cluster=2 files=scene_10004/s000.seg.pgm,"
         "scene_10004/s000.tgt.ppm,scene_10004/s000.ref.ppm\n"
     )
-    _assert_same_scenes(scenes, tasks.load_manifest(str(old)))
+    knobs, loaded = tasks.load_manifest(str(old))
+    assert knobs == kw
+    _assert_same_scenes(scenes, loaded)

@@ -1,6 +1,7 @@
 """Autodiff core: forward values, tape semantics, gradients vs finite differences."""
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -323,6 +324,15 @@ def _broadcast_pair(name, n=1):
     return build
 
 
+def _relu_adjoint_case(slope):
+    # an output gradient and an activation output kept off zero, where the
+    # op steps from slope * g to g
+    def build(seed):
+        return [_unary()(seed)[0][0], _unary(away_from=0.0)(seed + 1000)[0][0]], {"slope": slope}
+
+    return build
+
+
 def _conv_case(op, stride, pad, bias=False, n=1, plane=(7, 8), ci=2, co=3):
     # an (n, ci, *plane) input and a (co, ci, 3, 3) kernel: conv2d takes both
     # (and a bias), conv2d_dx an output gradient and the kernel, conv2d_dk the
@@ -372,6 +382,7 @@ _CASES = {
     "avg_pool2": _unary((1, 2, 6, 4)),
     "relu": _unary(away_from=0.0),
     "leaky_relu": _unary(away_from=0.0),
+    "relu_adjoint": _relu_adjoint_case(0.2),
     "tanh": _unary(),
     "sigmoid": _unary((1, 2, 6, 6), -3.0, 3.0),
     "log": _unary((1, 2, 6, 6), 0.1, 2.0),
@@ -391,7 +402,7 @@ _CASES = {
 # the broadcast and reduction patterns the networks and losses use, each
 # checked under its own name through broadcast_to/sum_to, and the padded
 # convolutions: (op name, input builder)
-_NAMED_CASES = _padded_conv_cases(1) | {
+_NAMED_CASES = _padded_conv_cases(1) | {"relu_adjoint-slope0": ("relu_adjoint", _relu_adjoint_case(0.0))} | {
     name: (op, _shape_pair(op, small, big))
     for name, op, small, big in [
         ("reduce_sum", "sum_to", (), (1, 2, 6, 6)),
@@ -451,6 +462,27 @@ def test_every_op_gradient_matches_finite_differences(name):
     op, build = _NAMED_CASES[name] if name in _NAMED_CASES else (name, _CASES[name])
     worst = max(analytic_and_fd(op, build, seed) for seed in range(5))
     assert worst < 1e-6, f"{name}: rel err {worst:.3e}"
+
+
+@pytest.mark.parametrize("name", sorted(T.ALL_OP_NAMES.union(_NAMED_CASES)))
+def test_backward_rules_read_only_the_values_their_op_declares(name):
+    # a tape keeps only the inputs and output an _OPS entry declares, and a
+    # _Shape of every other one: each rule must give the same adjoints from that
+    op, build = _NAMED_CASES[name] if name in _NAMED_CASES else (name, _CASES[name])
+    _, rule, keep_in, keep_out = T._OPS[op]
+    arrays, attrs = build(0)
+    ins = [leaf(a) for a in arrays]
+    out = T._apply(op, ins, attrs)
+    g = T.tensor(rand(out.shape, 1))
+    need = [True] * len(ins)
+    full = rule(g, ins, out, attrs, need)
+    kept = rule(g, [t if i in keep_in else T._Shape(t.shape, True) for i, t in enumerate(ins)],
+                out if keep_out else T._Shape(out.shape, True), attrs, need)
+    assert len(full) == len(kept) == len(ins)
+    for a, b in zip(full, kept):
+        assert (a is None) == (b is None)
+        if a is not None:
+            np.testing.assert_array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("case", sorted(_BATCH_CASES))
@@ -562,6 +594,45 @@ def test_backward_after_differentiable_block_records_nothing():
         np.testing.assert_array_equal(after[t].data, inside[t].data)
 
 
+def test_tape_frees_values_no_backward_rule_reads():
+    # relu's adjoint reads its output and conv2d's its inputs, so once the
+    # caller drops the conv output nothing holds its array
+    xv, kv = rand((1, 2, 6, 6), 70), rand((3, 2, 3, 3), 71)
+
+    def run(drop):
+        with Tape():
+            x, k = leaf(xv), leaf(kv)
+            z = T.conv2d(x, k, pad=1)
+            z_data = weakref.ref(z.data)
+            loss = T.reduce_mean(T.square(T.relu(z)))
+            if drop:
+                del z
+            freed = z_data() is None
+            grads = backward(loss, [x, k])
+        return freed, [grads[t].data for t in (x, k)]
+
+    freed, dropped = run(drop=True)
+    assert freed
+    held, kept = run(drop=False)
+    assert not held
+    for a, b in zip(dropped, kept):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("act", ["relu", "leaky_relu"])
+def test_differentiable_relu_adjoint_records_no_mask(act):
+    # the adjoint reads the activation's output, not a recorded float mask
+    with Tape(Tape.DIFFERENTIABLE) as tape:
+        x = leaf(rand((1, 2, 6, 6), 72))
+        y = getattr(T, act)(T.scalar_mul(x, 1.5))
+        loss = T.reduce_mean(T.square(y))
+        n_leaves = len(tape._leaf_ids)
+        backward(loss, [x])
+        added = [tape.nodes[i] for i in list(tape._leaf_ids.values())[n_leaves:]]
+    assert all(t.shape == () for t in added), [t.shape for t in added]
+    assert [op.name for op in tape.ops].count("relu_adjoint") == 1
+
+
 def test_backward_returns_adjoint_of_requested_op_output():
     # released adjoints must not include one that ``wrt`` names
     xv = rand((3, 4), 63)
@@ -627,6 +698,39 @@ def test_second_order_through_row_lowered_conv():
         leaves = {n: leaf(v) for n, v in theta0.items()}
         g2 = backward(grad_norm_sq(leaves), list(leaves.values()))
     for n, t in leaves.items():
+        assert rel_err(g2[t].data, fd[n]) < 1e-5, n
+
+
+@pytest.mark.parametrize("act", ["relu", "leaky_relu"])
+def test_second_order_through_relu_adjoint(act):
+    # d/dtheta of ||dL/dtheta||^2 vs finite differences of the gradient norm,
+    # where the recorded relu/leaky_relu adjoint is itself differentiated
+    xv = rand((1, 2, 6, 6), 67)
+    theta0 = {"k": rand((3, 2, 3, 3), 68), "b": rand((3, 1, 1), 69)}
+
+    def grad_norm_sq(leaves):
+        h = getattr(T, act)(T.conv2d(T.tensor(xv), leaves["k"], pad=1, bias=leaves["b"]))
+        grads = backward(T.reduce_mean(T.square(h)), list(leaves.values()))
+        total = None
+        for t in leaves.values():
+            term = T.sum_to(T.square(grads[t]), ())
+            total = term if total is None else T.add(total, term)
+        return total
+
+    def f(theta):
+        with Tape(Tape.DIFFERENTIABLE):
+            return grad_norm_sq({n: leaf(v) for n, v in theta.items()}).item()
+
+    z = T.conv2d(T.tensor(xv), T.tensor(theta0["k"]), pad=1, bias=T.tensor(theta0["b"]))
+    assert np.abs(z.data).min() > 1e-3  # no pre-activation within the FD step of the kink
+    fd = finite_diff_gradient(f, theta0, eps=1e-5)
+    with Tape(Tape.DIFFERENTIABLE) as tape:
+        leaves = {n: leaf(v) for n, v in theta0.items()}
+        loss = grad_norm_sq(leaves)
+        assert "relu_adjoint" in [op.name for op in tape.ops]
+        g2 = backward(loss, list(leaves.values()))
+    for n, t in leaves.items():
+        assert np.abs(fd[n]).max() > 1e-3  # the second-order term is not zero
         assert rel_err(g2[t].data, fd[n]) < 1e-5, n
 
 

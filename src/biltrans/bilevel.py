@@ -95,10 +95,6 @@ class Objective:
         return T.scalar_mul(T.add(T.reduce_mean(T.log(p_real)), log_one_minus_fake), -1.0)
 
 
-def _adam(params, config: ExperimentConfig) -> AdamState:
-    return AdamState.for_params(params, config.adam_beta1, config.adam_beta2, config.adam_eps)
-
-
 @dataclass
 class BiLevelState:
     """General-model parameters, the Adam pair of the stage in progress
@@ -117,9 +113,9 @@ class BiLevelState:
 
     def __post_init__(self):
         if self.adam_g is None:
-            self.adam_g = _adam(self.g_gp, self.config)
+            self.adam_g = AdamState(self.g_gp)
         if self.adam_d is None:
-            self.adam_d = _adam(self.d_gp, self.config)
+            self.adam_d = AdamState(self.d_gp)
 
     def emit(self, record: dict):
         if self.log_fn is not None:
@@ -186,9 +182,9 @@ def _sgd_rule(rate: float):
 
 
 def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
-                objective: Objective, seed: int, n_iters: int | None = None):
+                objective: Objective, seed: int, n_iters: int):
     """Adapt a copy of the general pair to one scene's training split with
-    ``alternating_step``.
+    ``n_iters`` of ``alternating_step``.
 
     Returns (g_is, d_is, tape). The general parameters are never touched.
     FIRST_ORDER runs Adam steps eagerly on copies and returns tape=None;
@@ -202,12 +198,12 @@ def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
     g, d = gp_pair
     if mode == MetaMode.FIRST_ORDER:
         g, d, tape = g.copy(), d.copy(), None
-        step_g = _adam_rule(_adam(g, config), config.alpha)
-        step_d = _adam_rule(_adam(d, config), config.alpha)
+        step_g = _adam_rule(AdamState(g), config.alpha)
+        step_d = _adam_rule(AdamState(d), config.alpha)
     else:
         tape = Tape(Tape.DIFFERENTIABLE)
         step_g = step_d = _sgd_rule(config.alpha)
-    for it in range(config.inner_iters if n_iters is None else n_iters):
+    for it in range(n_iters):
         batch = _batch_for_iteration(train_samples, config, stream(seed, "inner-batch", it))
         g, d, _, _ = alternating_step(objective, g, d, batch, step_g, step_d, tape)
     return g, d, tape
@@ -249,8 +245,9 @@ def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiL
     return state
 
 
-def meta_gradients(state: BiLevelState, episodes: list, mode: str):
-    """Episode-averaged general-model gradients after per-episode adaptation.
+def meta_gradients(state: BiLevelState, episodes: list):
+    """Episode-averaged general-model gradients after per-episode adaptation
+    in the config's ``meta_mode``.
 
     Both modes take the episode-test losses of the adapted pair on one
     tape; FIRST_ORDER differentiates them at the adapted parameters,
@@ -270,7 +267,7 @@ def meta_gradients(state: BiLevelState, episodes: list, mode: str):
     for ep in episodes:
         ep_seed = substream_seed(state.seed, "meta-inner", state.meta_iteration, ep.scene_id)
         g_is, d_is, tape = inner_adapt(
-            (state.g_gp, state.d_gp), ep.train, cfg, mode, state.objective,
+            (state.g_gp, state.d_gp), ep.train, cfg, cfg.meta_mode, state.objective,
             ep_seed, n_iters=cfg.train_inner_iters,
         )
         # first-order: at the adapted pair; unrolled: through the recorded steps
@@ -301,14 +298,14 @@ def meta_gradients(state: BiLevelState, episodes: list, mode: str):
     )
 
 
-def meta_update(state: BiLevelState, episodes: list, mode: str) -> BiLevelState:
+def meta_update(state: BiLevelState, episodes: list) -> BiLevelState:
     """One general-model update from a batch of episodes.
 
     Each episode is adapted on its training split; the post-adaptation
     losses on the full test split are averaged across the batch and one
     Adam step (rate beta) is applied to each general network.
     """
-    avg_g, avg_d, mean_lg, mean_ld = meta_gradients(state, episodes, mode)
+    avg_g, avg_d, mean_lg, mean_ld = meta_gradients(state, episodes)
     adam_step(state.adam_g, state.g_gp, avg_g, state.config.beta)
     adam_step(state.adam_d, state.d_gp, avg_d, state.config.beta)
     state.meta_iteration += 1
@@ -323,17 +320,17 @@ def meta_update(state: BiLevelState, episodes: list, mode: str) -> BiLevelState:
     return state
 
 
-def metatrain(state: BiLevelState, scenes: list, mode: str = MetaMode.FIRST_ORDER,
-              iters: int | None = None) -> BiLevelState:
-    """Alternating learning over episodes sampled from the training scenes;
-    a state that has not meta-trained yet first gets a fresh Adam pair."""
+def metatrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiLevelState:
+    """Alternating learning over episodes sampled from the training scenes,
+    in the config's ``meta_mode``; a state that has not meta-trained yet
+    first gets a fresh Adam pair."""
     cfg = state.config
     if len(scenes) < cfg.meta_batch:
         raise TensorError(f"metatrain: meta_batch = {cfg.meta_batch} exceeds the "
                           f"{len(scenes)} training scenes")
     total = cfg.metatrain_iters if iters is None else iters
     if state.meta_iteration == 0:
-        state.adam_g, state.adam_d = _adam(state.g_gp, cfg), _adam(state.d_gp, cfg)
+        state.adam_g, state.adam_d = AdamState(state.g_gp), AdamState(state.d_gp)
     while state.meta_iteration < total:
         it = state.meta_iteration
         rng = stream(state.seed, "metatrain-episodes", it)
@@ -343,15 +340,14 @@ def metatrain(state: BiLevelState, scenes: list, mode: str = MetaMode.FIRST_ORDE
             scene = scenes[idx]
             ep_seed = substream_seed(state.seed, "metatrain-episode", it, scene.scene_id)
             episodes.append(sample_episode(scene, cfg.n_shot, cfg.n_test, ep_seed, cfg.with_reference))
-        meta_update(state, episodes, mode)
+        meta_update(state, episodes)
     return state
 
 
-def gp_finetune_on_aux(state: BiLevelState, aux_tasks: list, mode: str,
-                       seed: int) -> BiLevelState:
-    """Continue the alternating loop on retrieved auxiliary tasks, at most
-    ``meta_batch`` of them per update; acts on a copy, the caller's state is
-    untouched."""
+def gp_finetune_on_aux(state: BiLevelState, aux_tasks: list, seed: int) -> BiLevelState:
+    """Continue the alternating loop on retrieved auxiliary tasks, in the
+    config's ``meta_mode`` and at most ``meta_batch`` of them per update;
+    acts on a copy, the caller's state is untouched."""
     k = len(aux_tasks)
     batch = min(state.config.meta_batch, k)
     tuned = BiLevelState(
@@ -363,7 +359,7 @@ def gp_finetune_on_aux(state: BiLevelState, aux_tasks: list, mode: str,
         rng = stream(seed, "gp-finetune", it)
         picks = rng.choice(k, size=batch, replace=False)
         episodes = [aux_tasks[int(i)] for i in sorted(picks)]
-        meta_update(tuned, episodes, mode)
+        meta_update(tuned, episodes)
     return tuned
 
 
@@ -380,8 +376,7 @@ def test_adapt(state: BiLevelState, episode: TaskEpisode, train_tasks: list):
     cfg = state.config
     if train_tasks:  # retrieve_topk rejects a k_aux above len(train_tasks)
         aux = retrieve_topk(episode.key, train_tasks, cfg.k_aux)
-        tuned = gp_finetune_on_aux(state, aux, cfg.meta_mode,
-                                   substream_seed(state.seed, "aux", episode.scene_id))
+        tuned = gp_finetune_on_aux(state, aux, substream_seed(state.seed, "aux", episode.scene_id))
         gp_pair = (tuned.g_gp, tuned.d_gp)
     else:
         gp_pair = (state.g_gp, state.d_gp)

@@ -5,15 +5,15 @@ then repeated named arrays: u64 name length, name bytes, u64 rank, u64
 dims, little-endian float64 values. The two iteration counters ride along
 as named 1-element arrays so the container stays arrays-only.
 
-Version 4 holds only what a later stage reads: ``g_gp/*``, ``d_gp/*``, the
+Version 5 holds only what a later stage reads: ``g_gp/*``, ``d_gp/*``, the
 Adam pair of the stage in progress (``adam_g/{m,v,t}``, ``adam_d/{m,v,t}``)
 and ``meta/pretrain_iteration``, ``meta/meta_iteration``. The header's
 ``phi_seed`` and ``phi_widths`` rebuild the feature extractor, its
 ``master_seed`` is the state's seed, and ``metatrain`` starts a fresh Adam
 pair, so neither phi, a seed nor pretraining moments past the hand-over are
 stored. The header holds ``out_dir`` at its default, so a checkpoint's
-bytes do not depend on where the run is written. A file of another version
-is rejected.
+bytes do not depend on where the run is written, and no Adam constants,
+which ``optim`` fixes. A file of another version is rejected.
 """
 
 import os
@@ -29,7 +29,7 @@ from .nets import init_params
 from .tensor import TensorError
 
 MAGIC = b"BILCKPT\x00"
-VERSION = 4
+VERSION = 5
 MAX_DIM = 2**32  # any larger single dimension is a corrupt file
 
 
@@ -78,10 +78,11 @@ def save_checkpoint(state: BiLevelState, path: str):
 
 
 def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
+    # a length past the end of the file is checked before reading, since
+    # ``f.read`` overflows on, or tries to allocate, the huge ones
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise TensorError(f"checkpoint: truncated while reading {what}")
-    return data
+    return f.read(n)
 
 
 def read_checkpoint_arrays(path: str):

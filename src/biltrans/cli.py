@@ -177,7 +177,7 @@ def cmd_metatrain(cfg, iters=None):
     os.makedirs(p["logs"], exist_ok=True)
     records = []
     _attach_logger(state, records)
-    metatrain(state, scenes, cfg.meta_mode, iters=iters)
+    metatrain(state, scenes, iters=iters)
     save_checkpoint(state, p["metatrain_ckpt"])
     _append_loss_log(os.path.join(p["logs"], "metatrain_losses.csv"), records)
     print(f"meta-trained to iteration {state.meta_iteration}")
@@ -253,11 +253,12 @@ def cmd_adapt(cfg, aux_on=True, jobs=1):
     scenes = _load_scenes(cfg, "unseen")
     n = len(scenes)
     os.makedirs(p["results"], exist_ok=True)
-    if jobs > 1:
+    workers = min(jobs, n)  # a pool starts every worker at once; one per scene is enough
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for its import
 
         payload = [(serialize_config(cfg), i, rows) for i in range(n)]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = dict(ex.map(_adapt_job, payload))
     else:
         inputs = _adapt_inputs(cfg, rows)
@@ -356,10 +357,8 @@ def build_parser():
     p.add_argument("--out", help="output directory override")
     p.add_argument("--mode", choices=["pg2", "pix2pix"])
     p.add_argument("--meta-mode", choices=list(MetaMode.ALL), dest="meta_mode")
-    p.add_argument("--shots", type=int, choices=[1, 5])
     p.add_argument("--aux", choices=["on", "off"], default="on")
-    p.add_argument("--k", type=int, help="auxiliary task count override")
-    p.add_argument("--jobs", type=int, default=1, help="parallel per-scene adapt workers")
+    p.add_argument("--jobs", type=int, default=1, help="adapt workers, at most one per unseen scene")
     p.add_argument("--iters", type=int, help="iteration target for pretrain/metatrain")
     p.add_argument("--scene", type=int, default=0, help="unseen scene index for retrieve")
     return p
@@ -381,10 +380,6 @@ def resolve_config(args):
             overrides["mode"] = args.mode
         if args.meta_mode is not None:
             overrides["meta_mode"] = args.meta_mode
-        if args.shots is not None:
-            overrides["n_shot"] = args.shots
-        if args.k is not None:
-            overrides["k_aux"] = args.k
         if overrides:
             from dataclasses import replace
 

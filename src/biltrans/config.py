@@ -14,9 +14,9 @@ class MetaMode:
 
 # key_class: what a stage that reads a checkpoint requires of the key. An
 # "identity" key fixes what the checkpoint is (data, network shape, seeds,
-# loss and optimizer constants) and must equal the given config's; a "meta"
-# key must too once the checkpoint has meta-trained; a "free" key is the
-# given config's alone.
+# loss settings) and must equal the given config's; a "meta" key must too
+# once the checkpoint has meta-trained; a "free" key is the given config's
+# alone.
 # provenance: "recipe" marks values taken from the reference training recipe,
 # "repo" marks desk-scale defaults chosen here. The recipe's full-scale
 # iteration counts (50000 pretrain / 20000 metatrain) are accepted but the
@@ -45,9 +45,6 @@ class ExperimentConfig:
     metatrain_iters: int = _field(1000, "free")
     alpha: float = _field(1e-4, "free", "recipe")  # scene-model step size
     beta: float = _field(1e-4, "meta", "recipe")  # general-model step size
-    adam_beta1: float = _field(0.5, "identity", "recipe")
-    adam_beta2: float = _field(0.999, "identity", "recipe")
-    adam_eps: float = _field(1e-8, "identity")
     lambda_adv: float = _field(10.0, "identity", "recipe")
     lambda_perc: float = _field(2.0, "identity", "recipe")
     nonsaturating: bool = _field(False, "identity")
@@ -76,12 +73,9 @@ class ExperimentConfig:
                      "gp_finetune_iters"):
             if getattr(self, name) < 0:
                 raise TensorError(f"config: {name} must be >= 0")
-        for name in ("alpha", "beta", "adam_eps"):
+        for name in ("alpha", "beta"):
             if not 0 < getattr(self, name) < math.inf:
                 raise TensorError(f"config: {name} must be finite and positive")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise TensorError(f"config: {name} must be in [0, 1)")
         if self.classes < 2:
             raise TensorError("config: classes must be >= 2")
         if self.base_width < 4:

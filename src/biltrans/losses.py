@@ -49,9 +49,6 @@ class FeatureExtractor:
             taps.append(h)
         return taps
 
-    def digest(self) -> str:
-        return self.params.digest()
-
 
 def l1_loss(pred: Tensor, target: Tensor) -> Tensor:
     if pred.shape != target.shape:

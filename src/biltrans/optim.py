@@ -7,28 +7,33 @@ from . import tensor as T
 from .tensor import NumericalError, Tape, TensorError, active_tape
 
 
+# Adam's constants are those of the recipe the paper trains with, Pix2Pix's
+# (Isola et al. 2017, arXiv:1611.07004): beta1 = 0.5, beta2 = 0.999, and the
+# usual eps = 1e-8 (Kingma & Ba 2015, arXiv:1412.6980).
+BETA1, BETA2, EPS = 0.5, 0.999, 1e-8
+
+
 class AdamState:
     """Moments and step counter for one network; the step size is the
     caller's, so one state serves any rate.
 
-    Each moment is one flat buffer over all parameters, in parameter order;
-    ``m`` and ``v`` map each parameter name to a view of its slice.
+    ``arrays`` maps each parameter name to something with a ``.shape``: a
+    ``ParameterSet``'s tensors or another state's moments. Each moment is
+    one flat buffer over all parameters, in that order; ``m`` and ``v`` map
+    each parameter name to a view of its slice.
     """
 
-    def __init__(self, shapes: dict, beta1=0.5, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps, self.t = beta1, beta2, eps, 0
+    def __init__(self, arrays):
+        self.t = 0
+        shapes = {name: a.shape for name, a in arrays.items()}
         ends = np.cumsum([0] + [int(np.prod(s)) for s in shapes.values()])
         self.m_flat, self.v_flat = np.zeros(ends[-1]), np.zeros(ends[-1])
         self.m, self.v = ({name: flat[lo:hi].reshape(shape) for (name, shape), lo, hi
                            in zip(shapes.items(), ends, ends[1:])} for flat in (self.m_flat, self.v_flat))
 
-    @classmethod
-    def for_params(cls, params, beta1=0.5, beta2=0.999, eps=1e-8):
-        return cls({name: p.data.shape for name, p in params.items()}, beta1, beta2, eps)
-
     def copy(self) -> "AdamState":
         """Deep copy of the moments."""
-        out = AdamState({n: a.shape for n, a in self.m.items()}, self.beta1, self.beta2, self.eps)
+        out = AdamState(self.m)
         out.t, out.m_flat[:], out.v_flat[:] = self.t, self.m_flat, self.v_flat
         return out
 
@@ -51,7 +56,7 @@ def adam_step(state: AdamState, params, grads: dict, rate: float):
         bad = next(name for name in names if not np.all(np.isfinite(grads[name])))
         raise NumericalError(f"adam_step: non-finite gradient for {bad!r}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     m, v = state.m_flat, state.v_flat
@@ -62,7 +67,7 @@ def adam_step(state: AdamState, params, grads: dict, rate: float):
     np.add(np.multiply(b1, m, out=m), s, out=m)
     np.multiply(np.multiply(1.0 - b2, g, out=s), g, out=s)
     np.add(np.multiply(b2, v, out=v), s, out=v)
-    np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), state.eps, out=s)
+    np.add(np.sqrt(np.divide(v, bc2, out=s), out=s), EPS, out=s)
     update = np.divide(np.multiply(rate, np.divide(m, bc1, out=g), out=g), s, out=g)
     lo = 0
     for name in names:

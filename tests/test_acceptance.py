@@ -9,6 +9,7 @@ import math
 import os
 import shutil
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,8 +180,9 @@ def test_criterion_2_meta_gradient_correctness():
 
     # mode equivalence at zero inner steps
     state, ep = tiny_world(40, 0)
-    g_f, d_f, _, _ = meta_gradients(state, [ep], MetaMode.FIRST_ORDER)
-    g_u, d_u, _, _ = meta_gradients(state, [ep], MetaMode.FULL_UNROLLED)
+    g_f, d_f, _, _ = meta_gradients(state, [ep])  # the config's first-order
+    state.config = replace(state.config, meta_mode=MetaMode.FULL_UNROLLED)
+    g_u, d_u, _, _ = meta_gradients(state, [ep])
     mode_gap = max(
         max(np.max(np.abs(g_f[n] - g_u[n])) for n in g_f),
         max(np.max(np.abs(d_f[n] - d_u[n])) for n in d_f),
@@ -245,7 +247,7 @@ def test_criterion_3_retrieval_exactness():
 def test_criterion_7_optimizer_and_metric_oracles():
     ps = ParameterSet("pg2")
     ps.add("w", np.asarray(0.0))
-    state = AdamState.for_params(ps)
+    state = AdamState(ps)
     for _ in range(5):
         g = 2.0 * (float(ps["w"].data) - 2.0)
         adam_step(state, ps, {"w": np.asarray(g)}, 0.1)
@@ -374,7 +376,7 @@ def test_criterion_6_alternation_contracts():
     one_step_ok = True
     for _ in range(3):
         t_g, t_d = state.adam_g.t, state.adam_d.t
-        meta_update(state, episodes, MetaMode.FIRST_ORDER)
+        meta_update(state, episodes)
         one_step_ok &= state.adam_g.t == t_g + 1 and state.adam_d.t == t_d + 1
 
     digest_before = (state.g_gp.digest(), state.d_gp.digest())

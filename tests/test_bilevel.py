@@ -24,6 +24,7 @@ from biltrans.bilevel import (
 )
 from biltrans.config import default_config
 from biltrans.nets import ParameterSet, init_params
+from biltrans.optim import BETA1, BETA2, EPS, AdamState
 from biltrans.tasks import TaskEpisode, render, sample_episode, stack_samples, synth_scene
 from biltrans.tensor import TensorError, finite_diff_gradient
 
@@ -101,6 +102,12 @@ def tiny_state(seed, **cfg_kwargs):
     return BiLevelState(config=cfg, objective=tiny_objective(), g_gp=g, d_gp=d, seed=seed)
 
 
+def in_mode(state, mode):
+    """``state``, its config's ``meta_mode`` set to ``mode``."""
+    state.config = replace(state.config, meta_mode=mode)
+    return state
+
+
 def rel_err(a, b):
     return np.max(np.abs(a - b) / np.maximum.reduce([np.abs(a), np.abs(b), np.ones_like(a)]))
 
@@ -123,7 +130,7 @@ def test_inner_adapt_rejects_empty_split():
     state = small_state(2)
     with pytest.raises(TensorError, match="empty"):
         inner_adapt((state.g_gp, state.d_gp), [], state.config,
-                    MetaMode.FIRST_ORDER, state.objective, seed=0)
+                    MetaMode.FIRST_ORDER, state.objective, seed=0, n_iters=1)
 
 
 def test_inner_adapt_leaves_general_params_untouched():
@@ -250,13 +257,13 @@ def test_one_generator_forward_per_step_and_per_episode(mode):
         tape, step_g, step_d = T.Tape(T.Tape.DIFFERENTIABLE), bilevel._sgd_rule(rate), bilevel._sgd_rule(rate)
     else:
         tape = None
-        step_g = bilevel._adam_rule(bilevel._adam(g, state.config), rate)
-        step_d = bilevel._adam_rule(bilevel._adam(d, state.config), rate)
+        step_g = bilevel._adam_rule(AdamState(g), rate)
+        step_d = bilevel._adam_rule(AdamState(d), rate)
     alternating_step(obj, g, d, ep.train, step_g, step_d, tape)
     assert len(calls) == 1
     calls.clear()
     episodes = [ep, tiny_episode(503)]
-    meta_gradients(state, episodes, mode)
+    meta_gradients(in_mode(state, mode), episodes)
     assert len(calls) == len(episodes) * (inner_steps + 1)
 
 
@@ -280,8 +287,8 @@ def test_alternating_step_equals_two_forward_step_bitwise():
 
     def run(step):
         g, d = state.g_gp.copy(), state.d_gp.copy()
-        step_g = bilevel._adam_rule(bilevel._adam(g, cfg), cfg.alpha)
-        step_d = bilevel._adam_rule(bilevel._adam(d, cfg), cfg.alpha)
+        step_g = bilevel._adam_rule(AdamState(g), cfg.alpha)
+        step_d = bilevel._adam_rule(AdamState(d), cfg.alpha)
         losses = []
         for _ in range(3):
             g, d, loss_g, loss_d = step(g, d, step_g, step_d)
@@ -360,8 +367,8 @@ def test_eager_desk_step_op_count(monkeypatch):
         return apply(name, inputs, attrs)
 
     monkeypatch.setattr(T, "_apply", counting)
-    step_g = bilevel._adam_rule(bilevel._adam(state.g_gp, DESK_NET), DESK_NET.alpha)
-    step_d = bilevel._adam_rule(bilevel._adam(state.d_gp, DESK_NET), DESK_NET.alpha)
+    step_g = bilevel._adam_rule(AdamState(state.g_gp), DESK_NET.alpha)
+    step_d = bilevel._adam_rule(AdamState(state.d_gp), DESK_NET.alpha)
     alternating_step(state.objective, state.g_gp, state.d_gp, ep.train, step_g, step_d)
     assert 0 < count[0] <= 297
 
@@ -380,8 +387,8 @@ def test_eager_desk_step_patch_bytes(monkeypatch):
         return out
 
     monkeypatch.setattr(T, "_lowered", counting)
-    step_g = bilevel._adam_rule(bilevel._adam(state.g_gp, DESK_NET), DESK_NET.alpha)
-    step_d = bilevel._adam_rule(bilevel._adam(state.d_gp, DESK_NET), DESK_NET.alpha)
+    step_g = bilevel._adam_rule(AdamState(state.g_gp), DESK_NET.alpha)
+    step_d = bilevel._adam_rule(AdamState(state.d_gp), DESK_NET.alpha)
     alternating_step(state.objective, state.g_gp, state.d_gp, ep.train, step_g, step_d)
     assert 0 < nbytes[0] <= 10 * 2**20
 
@@ -390,11 +397,11 @@ def _desk_steps_then_meta_gradients(modes, steps=3):
     # eager Adam steps on the 5-shot train split, then meta-gradients that
     # adapt a fresh Adam pair and score the 3-image test split
     state, ep = _desk_state_and_episode()
-    step_g = bilevel._adam_rule(bilevel._adam(state.g_gp, DESK_NET), DESK_NET.alpha)
-    step_d = bilevel._adam_rule(bilevel._adam(state.d_gp, DESK_NET), DESK_NET.alpha)
+    step_g = bilevel._adam_rule(AdamState(state.g_gp), DESK_NET.alpha)
+    step_d = bilevel._adam_rule(AdamState(state.d_gp), DESK_NET.alpha)
     for _ in range(steps):
         alternating_step(state.objective, state.g_gp, state.d_gp, ep.train, step_g, step_d)
-    return state, [meta_gradients(state, [ep], mode) for mode in modes]
+    return state, [meta_gradients(in_mode(state, mode), [ep]) for mode in modes]
 
 
 def _grads_digest(grads):
@@ -417,13 +424,13 @@ def _adam_step_by_plain_expressions(state, params, grads, rate):
     names = list(state.m)
     g = np.concatenate([np.ravel(grads[name]) for name in names], dtype=np.float64)
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = BETA1, BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     m, v = state.m_flat, state.v_flat
     m[:] = b1 * m + (1.0 - b1) * g
     v[:] = b2 * v + (1.0 - b2) * g * g
-    update = rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    update = rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     lo = 0
     for name in names:
         p = params[name].data
@@ -488,7 +495,7 @@ def test_unrolled_desk_episode_tape_op_count(monkeypatch):
         return run_backward(loss, wrt, tape)
 
     monkeypatch.setattr(bilevel, "backward", sizing)
-    meta_gradients(state, [ep], MetaMode.FULL_UNROLLED)
+    meta_gradients(in_mode(state, MetaMode.FULL_UNROLLED), [ep])
     assert 0 < max(sizes) <= 560
 
 
@@ -504,10 +511,10 @@ def test_meta_update_single_adam_step_per_call():
     state = small_state(5)
     eps = _episodes_for(state, 300)
     t_g, t_d = state.adam_g.t, state.adam_d.t
-    meta_update(state, eps, MetaMode.FIRST_ORDER)
+    meta_update(state, eps)
     assert state.adam_g.t == t_g + 1
     assert state.adam_d.t == t_d + 1
-    meta_update(state, eps, MetaMode.FIRST_ORDER)
+    meta_update(state, eps)
     assert state.adam_g.t == t_g + 2
 
 
@@ -516,15 +523,15 @@ def test_meta_update_rejects_missing_split():
     eps = _episodes_for(state, 320)
     eps[0] = TaskEpisode(scene=eps[0].scene, train=[], test=eps[0].test)
     with pytest.raises(TensorError, match="split"):
-        meta_update(state, eps, MetaMode.FIRST_ORDER)
+        meta_update(state, eps)
 
 
 def test_modes_collapse_at_zero_inner_steps():
     for seed in (8, 9):
         state = tiny_state(seed, train_inner_iters=0)
         eps = [tiny_episode(400 + seed)]
-        g_first, d_first, _, _ = meta_gradients(state, eps, MetaMode.FIRST_ORDER)
-        g_unrolled, d_unrolled, _, _ = meta_gradients(state, eps, MetaMode.FULL_UNROLLED)
+        g_first, d_first, _, _ = meta_gradients(in_mode(state, MetaMode.FIRST_ORDER), eps)
+        g_unrolled, d_unrolled, _, _ = meta_gradients(in_mode(state, MetaMode.FULL_UNROLLED), eps)
         for n in g_first:
             assert np.max(np.abs(g_first[n] - g_unrolled[n])) < 1e-10
         for n in d_first:
@@ -628,7 +635,7 @@ def test_unrolled_outer_passes_record_nothing_and_match_recording_reference(monk
         return out
 
     monkeypatch.setattr(bilevel, "backward", spy_backward)
-    g_grads, d_grads, _, _ = meta_gradients(state, episodes, MetaMode.FULL_UNROLLED)
+    g_grads, d_grads, _, _ = meta_gradients(in_mode(state, MetaMode.FULL_UNROLLED), episodes)
     assert len(tapes) == len(episodes) and len(outer) == 2 * len(episodes)
     for tape, (before_g, after_g), (before_d, after_d) in zip(tapes, outer[::2], outer[1::2]):
         assert before_g == after_g == before_d == after_d == len(tape.ops)
@@ -652,7 +659,7 @@ def test_each_episode_tape_is_freed_before_the_next_adapts(mode, monkeypatch):
 
     _spy_inner_adapt(monkeypatch, on_start=lambda: alive_at_start.append(
         sum(ref() is not None for ref in seen)))
-    meta_gradients(state, episodes, mode)
+    meta_gradients(in_mode(state, mode), episodes)
     assert len(alive_at_start) == len(episodes) and len(seen) >= 2 * len(episodes)
     assert alive_at_start == [0] * len(episodes)
 
@@ -707,7 +714,7 @@ def test_metatrain_interleaving_and_determinism():
         state = small_state(13)
         scenes = [small_scene(800 + i, i) for i in range(4)]
         hashes = []
-        metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=3)
+        metatrain(state, scenes, iters=3)
         hashes.append((state.g_gp.digest(), state.d_gp.digest()))
         return hashes[-1]
 
@@ -725,7 +732,7 @@ def test_metatrain_changes_params_only_at_update_boundaries():
             seen.append((rec["iteration"], state.g_gp.digest()))
 
     state.log_fn = spy
-    metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=3)
+    metatrain(state, scenes, iters=3)
     # hash recorded right after each update differs across updates
     assert len({h for _, h in seen}) == len(seen) == 3
 
@@ -771,10 +778,29 @@ def test_test_adapt_aux_changes_initialization():
 def test_gp_finetune_runs_under_the_states_config_with_fewer_tasks_than_meta_batch():
     state, train_tasks, _ = _trained_tiny_world(19)
     assert state.config.meta_batch == 2
-    tuned = bilevel.gp_finetune_on_aux(state, train_tasks[:1], MetaMode.FIRST_ORDER, seed=3)
+    tuned = bilevel.gp_finetune_on_aux(state, train_tasks[:1], seed=3)
     assert tuned.config is state.config
     assert tuned.meta_iteration == tuned.adam_g.t == state.config.gp_finetune_iters
     assert tuned.g_gp.digest() != state.g_gp.digest()
+
+
+@pytest.mark.parametrize("mode", MetaMode.ALL)
+def test_meta_training_adapts_in_the_configs_meta_mode(mode, monkeypatch):
+    state, train_tasks, _ = _trained_tiny_world(20)
+    in_mode(state, mode)
+    adapted_in = []
+    real = bilevel.inner_adapt
+
+    def spy(pair, samples, config, adapt_mode, *rest, **kwargs):
+        adapted_in.append(adapt_mode)
+        return real(pair, samples, config, adapt_mode, *rest, **kwargs)
+
+    monkeypatch.setattr(bilevel, "inner_adapt", spy)
+    metatrain(state, [small_scene(3190 + i, i) for i in range(2)], iters=1)
+    assert adapted_in == [mode] * state.config.meta_batch
+    adapted_in.clear()
+    bilevel.gp_finetune_on_aux(state, train_tasks[:2], seed=4)
+    assert adapted_in == [mode] * state.config.meta_batch * state.config.gp_finetune_iters
 
 
 def test_test_adapt_rejects_bad_k_and_empty_split():
@@ -803,7 +829,7 @@ def test_pretrain_steps_at_alpha_and_the_first_meta_update_at_beta():
     first = _moves(state, lambda: pretrain(state, scenes, iters=1))
     assert alpha / 2 < first.max() <= alpha * (1 + 1e-9)
     pretrain(state, scenes, iters=3)
-    meta = _moves(state, lambda: metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=1))
+    meta = _moves(state, lambda: metatrain(state, scenes, iters=1))
     assert beta / 2 < meta.max() <= beta * (1 + 1e-9)
 
 
@@ -812,7 +838,7 @@ def test_metatrain_hands_over_a_fresh_adam_pair_even_at_zero_iterations():
     scenes = [small_scene(3160 + i, i) for i in range(3)]
     pretrain(state, scenes, iters=2)
     assert state.adam_g.t == state.adam_d.t == 2  # pretraining steps the one pair
-    metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=0)
+    metatrain(state, scenes, iters=0)
     for adam in (state.adam_g, state.adam_d):
         assert adam.t == 0
         assert not any(a.any() for a in (*adam.m.values(), *adam.v.values()))
@@ -821,7 +847,7 @@ def test_metatrain_hands_over_a_fresh_adam_pair_even_at_zero_iterations():
 def test_pretrain_refuses_a_state_that_has_meta_trained():
     state = small_state(33)
     scenes = [small_scene(3170 + i, i) for i in range(3)]
-    metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=1)
+    metatrain(state, scenes, iters=1)
     with pytest.raises(TensorError, match="meta-trained"):
         pretrain(state, scenes, iters=1)
 
@@ -829,19 +855,19 @@ def test_pretrain_refuses_a_state_that_has_meta_trained():
 def test_metatrain_rejects_fewer_scenes_than_meta_batch():
     state = small_state(34)
     with pytest.raises(TensorError, match="meta_batch = 2 exceeds the 1 training scenes"):
-        metatrain(state, [small_scene(3180)], MetaMode.FIRST_ORDER, iters=1)
+        metatrain(state, [small_scene(3180)], iters=1)
 
 
 def test_feature_extractor_untouched_by_training():
     state = small_state(30, k_aux=2)
-    phi_digest = state.objective.phi.digest()
+    phi_digest = state.objective.phi.params.digest()
     scenes = [small_scene(3100 + i, i) for i in range(3)]
     pretrain(state, scenes, iters=3)
-    metatrain(state, scenes, MetaMode.FIRST_ORDER, iters=2)
+    metatrain(state, scenes, iters=2)
     unseen = small_episode(3200, scene_id=50)
     pool = [small_episode(3300 + i, scene_id=i) for i in range(3)]
     test_adapt(state, unseen, pool)
-    assert state.objective.phi.digest() == phi_digest
+    assert state.objective.phi.params.digest() == phi_digest
 
 
 # ---------------------------------------------------------------------------

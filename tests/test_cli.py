@@ -62,7 +62,6 @@ def test_empty_config_gives_recipe_defaults():
     assert cfg.alpha == 1e-4
     assert cfg.inner_iters == 20
     assert cfg.meta_batch == 5
-    assert cfg.adam_beta1 == 0.5
 
 
 def test_unknown_key_rejected_with_line_number():
@@ -118,9 +117,6 @@ pretrain_iters = 2000  # repo
 metatrain_iters = 1000  # repo
 alpha = 0.0001  # recipe
 beta = 0.0001  # recipe
-adam_beta1 = 0.5  # recipe
-adam_beta2 = 0.999  # recipe
-adam_eps = 1e-08  # repo
 lambda_adv = 10.0  # recipe
 lambda_perc = 2.0  # recipe
 nonsaturating = false  # repo
@@ -172,9 +168,24 @@ def test_every_config_key_declares_its_class():
     assert {k for k, c in classes.items() if c == "identity"} == {
         "mode", "master_seed", "image_size", "classes", "base_width", "depth", "n_train_scenes",
         "n_unseen_scenes", "clusters", "shade_amp_max", "phi_seed", "phi_widths", "lambda_adv",
-        "lambda_perc", "nonsaturating", "adam_beta1", "adam_beta2", "adam_eps"}
+        "lambda_perc", "nonsaturating"}
     assert {k for k, c in classes.items() if c == "meta"} == {
         "meta_mode", "beta", "meta_batch", "train_inner_iters"}
+
+
+def test_knobs_are_pinned():
+    # a new config key or CLI option is a decision, made by editing this list
+    assert {f.name for f in dataclasses.fields(ExperimentConfig)} == {
+        "mode", "meta_mode", "master_seed", "out_dir", "image_size", "classes", "base_width",
+        "depth", "n_shot", "n_test", "inner_iters", "train_inner_iters", "inner_batch",
+        "meta_batch", "pretrain_iters", "metatrain_iters", "alpha", "beta", "lambda_adv",
+        "lambda_perc", "nonsaturating", "phi_seed", "phi_widths", "n_train_scenes",
+        "n_unseen_scenes", "clusters", "samples_per_scene", "shade_amp_max", "k_aux",
+        "gp_finetune_iters"}
+    options = {o for action in cli.build_parser()._actions for o in action.option_strings}
+    assert options - {"-h", "--help"} == {
+        "--config", "--seed", "--out", "--mode", "--meta-mode", "--aux", "--jobs", "--iters",
+        "--scene"}
 
 
 def test_every_module_level_definition_is_used_in_src():
@@ -227,7 +238,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     assert cfg2 == replace(cfg, out_dir=ExperimentConfig.out_dir)  # a checkpoint holds no path
     assert loaded.g_gp.digest() == state.g_gp.digest()
     assert loaded.d_gp.digest() == state.d_gp.digest()
-    assert loaded.objective.phi.digest() == state.objective.phi.digest()
+    assert loaded.objective.phi.params.digest() == state.objective.phi.params.digest()
     # save -> load -> save produces byte-identical files
     path2 = str(tmp_path / "b.ckpt")
     save_checkpoint(loaded, path2)
@@ -291,7 +302,7 @@ def test_resume_equals_uninterrupted_training(tmp_path):
 
     straight = build_state(cfg)
     pretrain(straight, scenes, iters=4)
-    metatrain(straight, scenes, cfg.meta_mode, iters=2)
+    metatrain(straight, scenes, iters=2)
 
     resumed = build_state(cfg)
     pretrain(resumed, scenes, iters=2)
@@ -299,11 +310,11 @@ def test_resume_equals_uninterrupted_training(tmp_path):
     save_checkpoint(resumed, path)
     resumed2, _ = load_checkpoint(path)
     pretrain(resumed2, scenes, iters=4)
-    metatrain(resumed2, scenes, cfg.meta_mode, iters=1)
+    metatrain(resumed2, scenes, iters=1)
     path2 = str(tmp_path / "mid2.ckpt")
     save_checkpoint(resumed2, path2)
     resumed3, _ = load_checkpoint(path2)
-    metatrain(resumed3, scenes, cfg.meta_mode, iters=2)
+    metatrain(resumed3, scenes, iters=2)
 
     assert resumed3.g_gp.digest() == straight.g_gp.digest()
     assert resumed3.d_gp.digest() == straight.d_gp.digest()
@@ -325,10 +336,9 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 BAD_VALUES = [
-    ("adam_eps", "0"), ("adam_eps", "nan"), ("adam_beta1", "1.0"), ("adam_beta1", "-0.1"),
-    ("adam_beta2", "1.0"), ("alpha", "0"), ("beta", "-1"), ("pretrain_iters", "-1"),
+    ("alpha", "0"), ("beta", "-1"), ("pretrain_iters", "-1"),
     ("gp_finetune_iters", "-3"), ("classes", "1"), ("base_width", "2"), ("lambda_adv", "nan"),
-    ("lambda_perc", "-1"), ("alpha", "inf"), ("beta", "inf"), ("adam_eps", "inf"),
+    ("lambda_perc", "-1"), ("alpha", "inf"), ("beta", "inf"),
     ("phi_widths", "-4"), ("phi_widths", "8,0"), ("clusters", "-1"), ("depth", "4"),
     ("phi_widths", "4,4,4,4,4"), ("image_size", "6"), ("meta_batch", "5"),
 ]
@@ -520,6 +530,39 @@ def test_cli_parallel_adapt_matches_serial(tmp_path):
     for ppm in sorted((serial / "results").rglob("*.ppm")):
         rel = ppm.relative_to(serial)
         assert ppm.read_bytes() == (parallel / rel).read_bytes(), rel
+
+
+def test_cli_adapt_starts_at_most_one_worker_per_unseen_scene(adapted_run, tmp_path, monkeypatch):
+    # a process pool starts every worker on its first submit; this stand-in
+    # records how many and adapts in-process
+    import concurrent.futures
+    import shutil
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg_file, source = adapted_run
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    cli._worker_inputs.cache_clear()
+    try:
+        assert run_cli("adapt", "--config", str(cfg_file), "--out", str(out), "--jobs", "64") == 0
+    finally:
+        cli._worker_inputs.cache_clear()
+    assert started == [2]  # the run's two unseen scenes
 
 
 def test_adapt_job_loads_its_inputs_once_per_worker(tmp_path, monkeypatch):
@@ -757,6 +800,21 @@ def _checkpoint_version(version):
     return damage
 
 
+def _checkpoint_config_length(length):
+    def damage(path):
+        blob = path.read_bytes()
+        path.write_bytes(blob[:12] + struct.pack("<Q", length) + blob[20:])
+    return damage
+
+
+def _checkpoint_appends_array_of_dims(*dims):
+    def damage(path):
+        with open(path, "ab") as f:
+            f.write(struct.pack("<Q", 4) + b"huge" + struct.pack("<Q", len(dims))
+                    + b"".join(struct.pack("<Q", d) for d in dims))
+    return damage
+
+
 def _checkpoint_header_says_seed_7(path):
     # a same-length edit keeps the header's length prefix valid
     blob = path.read_bytes()
@@ -809,6 +867,12 @@ BAD_INPUTS = {
     "checkpoint-v1": ("metatrain", "checkpoints/metatrain.ckpt", _checkpoint_version(1), 2),
     "checkpoint-v2": ("adapt", "checkpoints/pretrain.ckpt", _checkpoint_version(2), 2),
     "checkpoint-v3": ("pretrain", "checkpoints/pretrain.ckpt", _checkpoint_version(3), 2),
+    "checkpoint-v4": ("pretrain", "checkpoints/pretrain.ckpt", _checkpoint_version(4), 2),
+    # lengths past the end of the file, too large for one read
+    "checkpoint-config-length-overflow": ("pretrain", "checkpoints/pretrain.ckpt",
+                                          _checkpoint_config_length(2**63), 2),
+    "checkpoint-array-size-overflow": ("metatrain", "checkpoints/metatrain.ckpt",
+                                       _checkpoint_appends_array_of_dims(2**31, 2**31), 2),
     "checkpoint-contradicts-config": ("adapt", "checkpoints/pretrain.ckpt",
                                       _checkpoint_header_says_seed_7, 2),
     # the run directory is named after the case: a path that says "non-finite"
@@ -819,6 +883,9 @@ BAD_INPUTS = {
 BAD_INPUT_MESSAGES = {"checkpoint-v1": "unsupported version 1",
                       "checkpoint-v2": "unsupported version 2",
                       "checkpoint-v3": "unsupported version 3",
+                      "checkpoint-v4": "unsupported version 4",
+                      "checkpoint-config-length-overflow": "truncated while reading config",
+                      "checkpoint-array-size-overflow": "truncated while reading values of 'huge'",
                       "checkpoint-contradicts-config": "master_seed = 7 in the checkpoint, 0 in the config",
                       "manifest-shape-mismatch": "height = 32 in the manifest, 16 for the config",
                       "manifest-of-another-seed": "4 scene rows differ",

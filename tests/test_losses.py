@@ -156,9 +156,9 @@ def test_perceptual_matches_naive_recomputation():
 
 def test_feature_extractor_frozen_and_seeded():
     before = FeatureExtractor(seed=13)
-    digest = before.digest()
-    assert FeatureExtractor(seed=13).digest() == digest
-    assert FeatureExtractor(seed=14).digest() != digest
+    digest = before.params.digest()
+    assert FeatureExtractor(seed=13).params.digest() == digest
+    assert FeatureExtractor(seed=14).params.digest() != digest
     assert all(not p.requires_grad for p in before.params.values())
 
 

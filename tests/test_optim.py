@@ -19,7 +19,7 @@ def make_params(values: dict) -> ParameterSet:
 
 def test_zero_gradient_is_fixed_point():
     ps = make_params({"w": [1.0, -2.0, 3.0]})
-    state = AdamState.for_params(ps)
+    state = AdamState(ps)
     before = ps["w"].data.copy()
     adam_step(state, ps, {"w": np.zeros(3)}, 0.1)
     assert state.t == 1
@@ -28,7 +28,7 @@ def test_zero_gradient_is_fixed_point():
 
 def test_first_step_closed_form():
     ps = make_params({"w": 0.0})
-    state = AdamState.for_params(ps)
+    state = AdamState(ps)
     adam_step(state, ps, {"w": np.asarray(0.3)}, 0.1)
     # fresh state: m_hat = g, v_hat = g^2, update = -rate * g / (|g| + eps)
     expect = -0.1 * 0.3 / (0.3 + 1e-8)
@@ -39,7 +39,7 @@ def test_first_step_closed_form():
 def test_five_steps_match_independent_recomputation():
     # optimize f(theta) = (theta - 2)^2 from theta = 0
     ps = make_params({"w": 0.0})
-    state = AdamState.for_params(ps)
+    state = AdamState(ps)
     for _ in range(5):
         g = 2.0 * (float(ps["w"].data) - 2.0)
         adam_step(state, ps, {"w": np.asarray(g)}, 0.1)
@@ -58,9 +58,21 @@ def test_five_steps_match_independent_recomputation():
     assert state.t == 5
 
 
+def test_copy_takes_its_layout_from_the_moments():
+    ps = make_params({"w": np.ones((2, 3)), "b": 0.0})
+    state = AdamState(ps)
+    adam_step(state, ps, {"w": np.ones((2, 3)), "b": np.asarray(2.0)}, 0.1)
+    twin = state.copy()
+    assert twin.t == 1 and list(twin.m) == ["w", "b"]
+    assert {n: a.shape for n, a in twin.v.items()} == {"w": (2, 3), "b": ()}
+    np.testing.assert_array_equal(twin.m_flat, state.m_flat)
+    np.testing.assert_array_equal(twin.v_flat, state.v_flat)
+    assert not np.shares_memory(twin.m_flat, state.m_flat)
+
+
 def test_grad_key_mismatch_rejected():
     ps = make_params({"w": 0.0, "b": 0.0})
-    state = AdamState.for_params(ps)
+    state = AdamState(ps)
     with pytest.raises(TensorError, match="mismatch"):
         adam_step(state, ps, {"w": np.asarray(1.0)}, 0.1)
     with pytest.raises(TensorError, match="mismatch"):
@@ -69,7 +81,7 @@ def test_grad_key_mismatch_rejected():
 
 def test_non_finite_grad_rejected():
     ps = make_params({"w": 0.0})
-    state = AdamState.for_params(ps)
+    state = AdamState(ps)
     with pytest.raises(TensorError, match="non-finite"):
         adam_step(state, ps, {"w": np.asarray(np.nan)}, 0.1)
 
@@ -77,7 +89,7 @@ def test_non_finite_grad_rejected():
 def test_adam_deterministic_and_state_pure():
     def run():
         ps = make_params({"w": np.ones(4)})
-        state = AdamState.for_params(ps)
+        state = AdamState(ps)
         rng = np.random.default_rng(3)
         for _ in range(10):
             adam_step(state, ps, {"w": rng.standard_normal(4)}, 0.05)
@@ -89,7 +101,7 @@ def test_adam_deterministic_and_state_pure():
 def test_adam_step_magnitude_bounded_by_rate():
     rng = np.random.default_rng(4)
     ps = make_params({"w": np.zeros(16)})
-    state = AdamState.for_params(ps)
+    state = AdamState(ps)
     prev = ps["w"].data.copy()
     for _ in range(50):
         adam_step(state, ps, {"w": rng.standard_normal(16) * 10}, 0.01)
@@ -161,7 +173,7 @@ def test_first_step_moves_each_entry_by_at_most_the_rate(rate):
     rng = np.random.default_rng(6)
     ps = make_params({"w": rng.standard_normal((4, 3)), "b": rng.standard_normal(3)})
     before = {n: p.data.copy() for n, p in ps.items()}
-    adam_step(AdamState.for_params(ps), ps, {n: rng.standard_normal(p.data.shape) for n, p in ps.items()}, rate)
+    adam_step(AdamState(ps), ps, {n: rng.standard_normal(p.data.shape) for n, p in ps.items()}, rate)
     for n, p in ps.items():
         step = np.abs(p.data - before[n])
         assert np.all(step <= rate * (1 + 1e-9)) and np.all(step > rate / 2), n

@@ -72,7 +72,7 @@ class Objective:
             adv_g = (
                 T.scalar_mul(T.reduce_mean(T.log(p_fake)), -1.0)
                 if cfg.nonsaturating
-                else T.reduce_mean(T.log(T.sub(T.constant(np.ones(p_fake.shape)), p_fake)))
+                else T.reduce_mean(T.log(T.sub(T.tensor(np.ones(p_fake.shape)), p_fake)))
             )
             loss_g = T.add(loss_g, T.scalar_mul(adv_g, cfg.lambda_adv))
         if cfg.lambda_perc != 0.0:
@@ -90,7 +90,7 @@ class Objective:
         this method by name, so a rename waits for a benchmark change.)"""
         xs, _, y = stack_samples(batch)
         p_fake = self._prob(d, xs, fake)
-        log_one_minus_fake = T.reduce_mean(T.log(T.sub(T.constant(np.ones(p_fake.shape)), p_fake)))
+        log_one_minus_fake = T.reduce_mean(T.log(T.sub(T.tensor(np.ones(p_fake.shape)), p_fake)))
         p_real = self._prob(d, xs, y)
         return T.scalar_mul(T.add(T.reduce_mean(T.log(p_real)), log_one_minus_fake), -1.0)
 

@@ -70,8 +70,8 @@ def _manifest(cfg, split):
 
 
 def _scenes(cfg, split):
-    """The "train" or "unseen" scenes of a config, synthesized from their
-    seeds; only ``gen-data`` calls this, every later stage reads the manifest."""
+    """The "train" or "unseen" scenes of a config, synthesized from the
+    rows of its ``_manifest``."""
     knobs, rows = _manifest(cfg, split)
     return [synth_scene(seed, cluster, scene_id=scene_id, **knobs) for scene_id, seed, cluster in rows]
 
@@ -103,26 +103,24 @@ def cmd_gen_data(cfg):
         f.write(serialize_config(cfg, with_provenance=True))
     p = _paths(cfg)
     for split in ("train", "unseen"):
-        export_dataset(p[f"{split}_data"], _scenes(cfg, split), cfg.shade_amp_max,
-                       substream_seed(cfg.master_seed, "cluster-space"))
+        export_dataset(p[f"{split}_data"], *_manifest(cfg, split))
     print(f"wrote scene manifests under {os.path.join(cfg.out_dir, 'data')}")
     return 0
 
 
 def _load_scenes(cfg, split):
-    """The "train" or "unseen" scenes that ``gen-data`` wrote to the split's
-    manifest; a manifest other than the one ``gen-data`` writes for the
-    config is a config error that lists each difference."""
+    """The "train" or "unseen" scenes of the config, once the split's
+    manifest is checked: a manifest other than the one ``gen-data`` writes
+    for the config is a config error that lists each difference."""
     data_dir = _paths(cfg)[f"{split}_data"]
     path = os.path.join(data_dir, "dataset.manifest")
     _require(path, "biltrans gen-data")
-    knobs, scenes = load_manifest(data_dir)
+    knobs, rows = load_manifest(data_dir)
     want_knobs, want_rows = _manifest(cfg, split)
     wrong = [f"{key} = {knobs[key]!r} in the manifest, {want!r} for the config"
              for key, want in want_knobs.items() if knobs[key] != want]
-    if len(scenes) != len(want_rows):
-        wrong.append(f"{len(scenes)} scenes in the manifest, n_{split}_scenes = {len(want_rows)} in the config")
-    rows = [(s.scene_id, s.seed, s.cluster) for s in scenes]
+    if len(rows) != len(want_rows):
+        wrong.append(f"{len(rows)} scenes in the manifest, n_{split}_scenes = {len(want_rows)} in the config")
     differ = [(got, want) for got, want in zip(rows, want_rows) if got != want]
     if differ:
         row = "scene {} seed={} cluster={}".format
@@ -131,7 +129,7 @@ def _load_scenes(cfg, split):
                      f"`{row(*want)}` for the config")
     if wrong:
         raise TensorError(f"{path} contradicts the given config: {'; '.join(wrong)}")
-    return scenes
+    return _scenes(cfg, split)
 
 
 def _attach_logger(state, records):

@@ -37,8 +37,6 @@ class FeatureExtractor:
             std = np.sqrt(2.0 / (cin * 9))
             ps.add(f"stage{i}.w", rng.normal(0.0, std, size=(cout, cin, 3, 3)))
             cin = cout
-        for p in ps.values():
-            p.requires_grad = False  # never trained
         self.params = ps
 
     def features(self, img: Tensor) -> list[Tensor]:
@@ -60,7 +58,7 @@ def _unit_normalize(feat: Tensor) -> Tensor:
     # divide by the per-location channel L2 norm
     n, _, h, w = feat.shape
     sum_sq = T.sum_to(T.square(feat), (n, 1, h, w))
-    eps = T.constant(np.full(sum_sq.shape, NORM_EPS))
+    eps = T.tensor(np.full(sum_sq.shape, NORM_EPS))
     inv_norm = T.reciprocal(T.sqrt(T.add(sum_sq, eps)))
     return T.mul(feat, T.broadcast_to(inv_norm, feat.shape))
 

@@ -91,7 +91,7 @@ def ssim(pred, target) -> float:
 
 def proxy_lpips(phi: FeatureExtractor, pred, target) -> float:
     """Perceptual distance under the shared frozen extractor."""
-    return perceptual_loss(phi, T.constant(pred[None]), T.constant(target[None])).item()
+    return perceptual_loss(phi, T.tensor(pred[None]), T.tensor(target[None])).item()
 
 
 @dataclass

@@ -27,7 +27,7 @@ class ParameterSet:
     def add(self, name: str, value: np.ndarray):
         if name in self._params:
             raise TensorError(f"duplicate parameter name {name!r}")
-        self._params[name] = T.tensor(value, requires_grad=True)
+        self._params[name] = T.tensor(value)
 
     def __getitem__(self, name) -> Tensor:
         return self._params[name]

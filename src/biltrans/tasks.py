@@ -75,7 +75,7 @@ def stack_samples(samples):
         return samples
 
     def cat(arrays):
-        return T.constant(np.stack(arrays))
+        return T.tensor(np.stack(arrays))
 
     xr = None if samples[0].x_ref is None else cat([s.x_ref for s in samples])
     return cat([s.x_struct.one_hot() for s in samples]), xr, cat([s.y for s in samples])
@@ -332,6 +332,10 @@ def retrieve_topk(x_uns: SegMap, train_tasks: list, k: int) -> list:
 # ---------------------------------------------------------------------------
 # result images (8-bit P6) and the dataset manifest
 
+# the manifest header, in order: each shared scene knob and its type
+_MANIFEST_HEADER = {"classes": int, "height": int, "width": int, "shade_amp_max": float,
+                    "cluster_space_seed": int}
+
 
 def write_ppm(path: str, img: np.ndarray):
     """Image in [-1, 1], channels-first, stored as 8-bit P6."""
@@ -377,31 +381,22 @@ def read_ppm(path: str) -> np.ndarray:
     return arr.astype(np.float64).transpose(2, 0, 1) / 127.5 - 1.0
 
 
-def export_dataset(out_dir: str, scenes: list, shade_amp_max: float = 0.3,
-                   cluster_space_seed: int = 0) -> str:
+def export_dataset(out_dir: str, knobs: dict, rows: list):
     """Write the manifest that defines a split: the shared scene knobs, then
-    one row per scene with the seed and cluster it is synthesized from."""
+    one row per (scene id, seed, cluster or None) it is synthesized from."""
     os.makedirs(out_dir, exist_ok=True)
     lines = ["# scene translation dataset, format v2"]
-    first = scenes[0]
-    lines.append(f"classes = {first.classes}")
-    lines.append(f"height = {first.height}")
-    lines.append(f"width = {first.width}")
-    lines.append(f"shade_amp_max = {shade_amp_max!r}")
-    lines.append(f"cluster_space_seed = {cluster_space_seed}")
-    for scene in scenes:
-        cluster = "none" if scene.cluster is None else str(scene.cluster)
-        lines.append(f"scene {scene.scene_id} seed={scene.seed} cluster={cluster}")
-    manifest = os.path.join(out_dir, "dataset.manifest")
-    with open(manifest, "w") as f:
+    lines += [f"{key} = {knobs[key]!r}" for key in _MANIFEST_HEADER]
+    for scene_id, seed, cluster in rows:
+        lines.append(f"scene {scene_id} seed={seed} cluster={'none' if cluster is None else cluster}")
+    with open(os.path.join(out_dir, "dataset.manifest"), "w") as f:
         f.write("\n".join(lines) + "\n")
-    return manifest
 
 
 def load_manifest(data_dir: str):
-    """(shared scene knobs, scenes) of a split, the scenes re-synthesized from
-    its manifest; unknown keys are ignored, a missing or malformed one raises
-    TensorError naming the file."""
+    """(shared scene knobs, (scene id, seed, cluster or None) rows) of a
+    split's manifest; unknown keys are ignored, a missing or malformed one
+    raises TensorError naming the file."""
     path = os.path.join(data_dir, "dataset.manifest")
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -418,18 +413,15 @@ def load_manifest(data_dir: str):
                 else:
                     key, _, value = line.partition("=")
                     header[key.strip()] = value.strip()
-        knobs = {"classes": int(header["classes"]), "height": int(header["height"]),
-                 "width": int(header["width"]), "shade_amp_max": float(header["shade_amp_max"]),
-                 "cluster_space_seed": int(header["cluster_space_seed"])}
-        scenes = []
+        knobs = {key: kind(header[key]) for key, kind in _MANIFEST_HEADER.items()}
+        rows = []
         for row in scene_rows:
             parts = row.split()
-            scene_id = int(parts[1])
             kv = dict(p.split("=", 1) for p in parts[2:])
             cluster = None if kv["cluster"] == "none" else int(kv["cluster"])
-            scenes.append(synth_scene(int(kv["seed"]), cluster, scene_id=scene_id, **knobs))
+            rows.append((int(parts[1]), int(kv["seed"]), cluster))
     except KeyError as e:
         raise TensorError(f"{path}: missing key {e.args[0]!r}") from e
     except (IndexError, ValueError) as e:
         raise TensorError(f"{path}: malformed manifest ({e})") from e
-    return knobs, scenes
+    return knobs, rows

@@ -16,10 +16,11 @@ written in terms of registry ops, so a tape opened in
 (unrolled optimizer steps, gradient-of-gradient). The VJP ops of
 ``backward`` follow the same rule as every other op: they join a tape
 only while it is the active tape, and only if it is DIFFERENTIABLE.
-A tape keeps its leaves and, per op, only the values that op's backward
-rule reads (``_OPS``); of every other node it keeps the shape and
-``requires_grad``, so an op output nothing reads is freed with the
-caller's last reference to it. The relu and leaky_relu adjoints read
+Which nodes get adjoints is decided by ``backward``'s ``wrt`` alone; a
+tensor carries no gradient flag. A tape keeps its leaves and, per op,
+only the values that op's backward rule reads (``_OPS``); of every other
+node it keeps only the shape, so an op output nothing reads is freed with
+the caller's last reference to it. The relu and leaky_relu adjoints read
 their output (y > 0 exactly where x > 0) through ``relu_adjoint``.
 """
 
@@ -43,13 +44,11 @@ class NumericalError(TensorError):
 class Tensor:
     """An n-d float64 value, optionally bound to a node on a tape."""
 
-    __slots__ = ("data", "_tape", "_node_index", "requires_grad")
+    __slots__ = ("data", "_tape", "_node_index")
 
-    def __init__(self, data, requires_grad=False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
         self._tape = None
-        self.requires_grad = bool(requires_grad)
 
     @property
     def node(self):
@@ -73,15 +72,11 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
-def tensor(data, requires_grad=False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
+def tensor(data) -> Tensor:
+    return Tensor(data)
 
 
 # one recorded op: its inputs' and output's node indices, and what its
@@ -89,13 +84,8 @@ def constant(data) -> Tensor:
 _Op = collections.namedtuple("_Op", "name input_ids output_id attrs ins out")
 
 
-class _Shape:
-    """What a tape keeps of a node no backward rule reads."""
-
-    __slots__ = ("shape", "requires_grad")
-
-    def __init__(self, shape, requires_grad):
-        self.shape, self.requires_grad = shape, requires_grad
+# what a tape keeps of a node no backward rule reads
+_Shape = collections.namedtuple("_Shape", "shape")
 
 
 _tls = threading.local()
@@ -191,7 +181,7 @@ class Tape:
                   for t in inputs]
         keep_in, keep_out = _SAVES[name]
         ins = [t if keep else nodes[i] for t, i, keep in zip(inputs, in_ids, keep_in)]
-        shape = _Shape(output.data.shape, output.requires_grad)
+        shape = _Shape(output.data.shape)
         out_id = self._add_node(shape)
         output._tape, output._node_index = ref, out_id
         self.ops.append(_Op(name, in_ids, out_id, attrs, ins, output if keep_out else shape))
@@ -210,11 +200,7 @@ def _apply(name, inputs, attrs=None) -> Tensor:
     # kernels return float64 arrays (a 0-d result may come back as a scalar)
     out = Tensor.__new__(Tensor)
     out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
-    out._tape, out.requires_grad = None, False
-    for t in inputs:
-        if t.requires_grad:
-            out.requires_grad = True
-            break
+    out._tape = None
     tape = active_tape()
     if tape is not None:
         tape.record(name, inputs, out, attrs)
@@ -619,14 +605,14 @@ def pad_channels(x, before, after):
 
 # ---------------------------------------------------------------------------
 # backward rules, each written with registry ops so they are differentiable.
-# ``need`` holds one flag per input; a rule may return None for an input
-# whose flag is false, and the ones with a costly adjoint do, and None for
-# an input it contributes nothing to. ``ins`` and ``out`` are the values
+# ``need`` holds one flag per input, true where it depends on ``wrt``; a
+# rule may return None for an input whose flag is false, and the ones with
+# a costly adjoint do, and None for an input it contributes nothing to. ``ins`` and ``out`` are the values
 # the op's ``_OPS`` entry declares, and a _Shape for every other one.
 
 
 def _ones_like(t):
-    return constant(np.ones_like(t.data))
+    return tensor(np.ones_like(t.data))
 
 
 def _v_add(g, ins, out, attrs, need):
@@ -715,7 +701,7 @@ def _v_square(g, ins, out, attrs, need):
 
 
 def _v_abs(g, ins, out, attrs, need):
-    return [mul(g, constant(np.sign(ins[0].data)))]
+    return [mul(g, tensor(np.sign(ins[0].data)))]
 
 
 def _v_sqrt(g, ins, out, attrs, need):
@@ -728,7 +714,7 @@ def _v_reciprocal(g, ins, out, attrs, need):
 
 def _v_clamp(g, ins, out, attrs, need):
     x = ins[0].data
-    mask = constant(((x > attrs["lo"]) & (x < attrs["hi"])).astype(np.float64))
+    mask = tensor(((x > attrs["lo"]) & (x < attrs["hi"])).astype(np.float64))
     return [mul(g, mask)]
 
 
@@ -797,8 +783,6 @@ _OPS = {
 _SAVES = {name: (tuple(i in keep_in for i in range(3)), keep_out)
           for name, (_, _, keep_in, keep_out) in _OPS.items()}
 
-ALL_OP_NAMES = frozenset(_OPS)
-
 
 def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor]:
     """Gradients of a scalar ``loss`` with respect to each tensor in ``wrt``.
@@ -827,8 +811,6 @@ def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor
         idx = tape.node_index(t)
         if idx is None:
             raise TensorError("backward: requested tensor is not on the tape")
-        if not t.requires_grad:
-            raise TensorError("backward: requested tensor does not require grad")
         wrt_ids.append(idx)
 
     # mark every node that depends on a wrt tensor, up to the loss
@@ -841,7 +823,7 @@ def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor
             active.add(op.output_id)
             live.append(op)
 
-    adjoints: dict[int, Tensor] = {loss_id: constant(1.0)}
+    adjoints: dict[int, Tensor] = {loss_id: tensor(1.0)}
     keep = set(wrt_ids)
     # VJP arithmetic joins the tape only when gradients must stay differentiable
     recording = tape.mode == Tape.DIFFERENTIABLE and active_tape() is tape
@@ -852,7 +834,7 @@ def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor
             g = adjoints.get(out_id) if out_id in keep else adjoints.pop(out_id, None)
             if g is None:
                 continue
-            need = [i in active and t.requires_grad for i, t in zip(op.input_ids, op.ins)]
+            need = [i in active for i in op.input_ids]
             contribs = _OPS[op.name][1](g, op.ins, op.out, op.attrs, need)
             for node_id, wanted, contrib in zip(op.input_ids, need, contribs):
                 if wanted and contrib is not None:
@@ -863,36 +845,7 @@ def backward(loss: Tensor, wrt, tape: Tape | None = None) -> dict[Tensor, Tensor
     for t, idx in zip(wrt, wrt_ids):
         g = adjoints.get(idx)
         if g is None:
-            g = constant(np.zeros_like(t.data))
+            g = tensor(np.zeros_like(t.data))
         out[t] = g
     return out
 
-
-def finite_diff_gradient(f, theta, eps=1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradient of ``f`` over a name -> array mapping.
-
-    ``f`` takes the mapping and returns a float; it must be deterministic
-    (checked by evaluating twice at the base point).
-    """
-    if eps <= 0:
-        raise TensorError("finite_diff_gradient: eps must be positive")
-    items = list(theta.items())
-    base = {k: np.array(v, dtype=np.float64, copy=True) for k, v in items}
-    v0, v1 = float(f(base)), float(f(base))
-    if v0 != v1:
-        raise TensorError("finite_diff_gradient: f is not deterministic")
-    grads = {}
-    for name, arr in base.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            fp = float(f(base))
-            flat[i] = orig - eps
-            fm = float(f(base))
-            flat[i] = orig
-            gflat[i] = (fp - fm) / (2.0 * eps)
-        grads[name] = g
-    return grads

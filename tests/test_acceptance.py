@@ -32,9 +32,9 @@ from biltrans.nets import ParameterSet, init_params
 from biltrans.optim import AdamState, adam_step
 from biltrans.rng import substream_seed
 from biltrans.tasks import SegMap, TaskEpisode, render, retrieve_topk, sample_episode, similarity, synth_scene
-from biltrans.tensor import Tape, backward, finite_diff_gradient
+from biltrans.tensor import Tape, backward
 
-from test_tensor import _CASES, analytic_and_fd
+from test_tensor import _CASES, analytic_and_fd, finite_diff_gradient
 
 
 def report(criterion, passed, detail=""):
@@ -54,7 +54,7 @@ def rel_err(a, b):
 def test_criterion_1_gradient_correctness():
     t0 = time.perf_counter()
     worst_by_op = {}
-    for name in sorted(T.ALL_OP_NAMES):
+    for name in sorted(T._OPS):
         build = _CASES[name]
         worst_by_op[name] = max(analytic_and_fd(name, build, seed) for seed in range(50))
     worst_primitive = max(worst_by_op.values())

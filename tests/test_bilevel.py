@@ -26,7 +26,9 @@ from biltrans.config import default_config
 from biltrans.nets import ParameterSet, init_params
 from biltrans.optim import BETA1, BETA2, EPS, AdamState
 from biltrans.tasks import TaskEpisode, render, sample_episode, stack_samples, synth_scene
-from biltrans.tensor import TensorError, finite_diff_gradient
+from biltrans.tensor import TensorError
+
+from test_tensor import finite_diff_gradient
 
 SMALL_NET = default_config(image_size=16, classes=3, mode="pg2", base_width=4, depth=1)
 
@@ -223,12 +225,12 @@ def test_alternating_step_tape_changes_connectivity_not_values(k):
         return g, d
 
     def eager(params, grads):
-        return params.with_tensors({n: T.tensor(p.data - rate * grads[p].data, requires_grad=True)
+        return params.with_tensors({n: T.tensor(p.data - rate * grads[p].data)
                                     for n, p in params.items()})
 
     def taped_then_cut(params, grads):
         assert all(grads[p].node[0] is tape for p in params.values())  # gradients are tape nodes
-        return params.with_tensors({n: T.tensor(t.data, requires_grad=True)
+        return params.with_tensors({n: T.tensor(t.data)
                                     for n, t in taped(params, grads).items()})
 
     tape = T.Tape(T.Tape.DIFFERENTIABLE)
@@ -277,7 +279,7 @@ def test_alternating_step_equals_two_forward_step_bitwise():
     def two_forward_step(g, d, step_g, step_d):
         with T.Tape():
             with T.no_tape():
-                fake = T.constant(obj.generate(g, batch).data)
+                fake = T.tensor(obj.generate(g, batch).data)
             loss_d = obj.disc_loss_detached(d, batch, fake)
             d = step_d(d, T.backward(loss_d, d.tensors()))
         with T.Tape():
@@ -331,7 +333,7 @@ def test_generator_step_backward_skips_discriminator_kernels():
 
     def step_d(d, grads):
         seen["after_d"] = len(tape.ops)
-        return d.with_tensors({n: T.tensor(p.data - 1e-3 * grads[p].data, requires_grad=True)
+        return d.with_tensors({n: T.tensor(p.data - 1e-3 * grads[p].data)
                                for n, p in d.items()})
 
     def step_g(g, grads):

@@ -24,7 +24,7 @@ from biltrans.checkpoint import (
 from biltrans.config import ExperimentConfig, default_config, parse_config, serialize_config
 from biltrans.bilevel import metatrain, pretrain
 from biltrans.rng import substream_seed
-from biltrans.tasks import render, retrieve_topk, sample_episode, similarity
+from biltrans.tasks import render, retrieve_topk, sample_episode, similarity, synth_scene
 from biltrans.tensor import TensorError
 
 SMOKE = """
@@ -213,8 +213,7 @@ def test_every_module_level_definition_is_used_in_src():
                     continue
                 if name != own:
                     used.add(name)
-    # the central-difference reference oracle that the gradient tests compare against
-    unused = defined - used - {"finite_diff_gradient"}
+    unused = defined - used
     assert not unused, f"definitions that nothing in src/ names: {sorted(unused)}"
 
 
@@ -434,6 +433,18 @@ def test_cli_gen_data_writes_only_the_scene_manifests(tmp_path):
     written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
     assert written == ["config.resolved", "data/train/dataset.manifest",
                        "data/unseen/dataset.manifest"]
+
+
+def test_cli_gen_data_synthesizes_no_scene(tmp_path, monkeypatch):
+    # a split is its config's manifest rows; scenes are synthesized by the
+    # stages that read them
+    calls = []
+    spy = lambda *a, **kw: calls.append(a) or synth_scene(*a, **kw)
+    monkeypatch.setattr(cli, "synth_scene", spy)
+    monkeypatch.setattr(tasks, "synth_scene", spy)
+    assert cli.cmd_gen_data(smoke_cfg(tmp_path)) == 0
+    assert calls == []
+    assert len(cli._load_scenes(smoke_cfg(tmp_path), "train")) == 4 and len(calls) == 4
 
 
 def test_cli_retrieve_ranks_duplicate_first(tmp_path, capsys):
@@ -821,8 +832,10 @@ def _checkpoint_header_says_seed_7(path):
     path.write_bytes(blob.replace(b"\nmaster_seed = 0\n", b"\nmaster_seed = 7\n", 1))
 
 
-def _manifest_classes_not_a_number(path):
-    path.write_text(path.read_text().replace("classes = 3", "classes = four"))
+def _manifest_classes(value):
+    def damage(path):
+        path.write_text(path.read_text().replace("classes = 3", f"classes = {value}"))
+    return damage
 
 
 def _manifest_gen_data_writes(*argv, config=SMOKE):
@@ -851,6 +864,10 @@ BAD_INPUTS = {
     "truncated-ppm-payload": ("eval", "results/baseline/scene_10001/img_000.ppm", _truncate, 2),
     "checkpoint-cut-at-array-boundary": ("pretrain", "checkpoints/pretrain.ckpt", _cut_before_meta_arrays, 2),
     "manifest-shape-mismatch": ("pretrain", "data/train/dataset.manifest", _resize_manifest_scenes, 2),
+    # checked before any scene is synthesized: a palette of this many classes
+    # is far too large to allocate
+    "manifest-of-a-billion-classes": ("pretrain", "data/train/dataset.manifest",
+                                      _manifest_classes("1000000000"), 2),
     "manifest-of-another-seed": ("pretrain", "data/train/dataset.manifest",
                                  _manifest_gen_data_writes("--seed", "1"), 2),
     "manifest-of-another-shade-amp": ("pretrain", "data/train/dataset.manifest",
@@ -877,7 +894,7 @@ BAD_INPUTS = {
                                       _checkpoint_header_says_seed_7, 2),
     # the run directory is named after the case: a path that says "non-finite"
     # is still a malformed file, not a numerical failure
-    "non-finite": ("pretrain", "data/train/dataset.manifest", _manifest_classes_not_a_number, 2),
+    "non-finite": ("pretrain", "data/train/dataset.manifest", _manifest_classes("four"), 2),
 }
 # what stderr must say besides the path, where a case names it
 BAD_INPUT_MESSAGES = {"checkpoint-v1": "unsupported version 1",
@@ -888,6 +905,7 @@ BAD_INPUT_MESSAGES = {"checkpoint-v1": "unsupported version 1",
                       "checkpoint-array-size-overflow": "truncated while reading values of 'huge'",
                       "checkpoint-contradicts-config": "master_seed = 7 in the checkpoint, 0 in the config",
                       "manifest-shape-mismatch": "height = 32 in the manifest, 16 for the config",
+                      "manifest-of-a-billion-classes": "classes = 1000000000 in the manifest, 3 for the config",
                       "manifest-of-another-seed": "4 scene rows differ",
                       "manifest-of-another-shade-amp": "shade_amp_max = 0.1 in the manifest, 0.3 for the config",
                       "manifest-of-other-scene-counts": "7 scenes in the manifest, n_train_scenes = 4 in the config"}

@@ -1,16 +1,21 @@
 """Loss components and the assembled objective against closed forms and
 independent recomputations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from biltrans import losses, tensor as T
-from biltrans.bilevel import Objective
+from biltrans.bilevel import Objective, pretrain
+from biltrans.checkpoint import build_state
 from biltrans.config import default_config
 from biltrans.losses import FeatureExtractor, l1_loss, perceptual_loss
 from biltrans.nets import init_params, discriminator_forward, generator_forward
 from biltrans.tasks import render, stack_samples, synth_scene
-from biltrans.tensor import Tape, TensorError, backward, finite_diff_gradient
+from biltrans.tensor import Tape, TensorError, backward
+
+from test_tensor import finite_diff_gradient
 
 CFG = default_config(image_size=8, classes=2, mode="pg2", base_width=4, depth=1)
 ADV_ONLY = default_config(phi_seed=10, lambda_adv=1.0, lambda_perc=0.0)
@@ -51,7 +56,7 @@ def _fixed_batch(seed):
 def test_adversarial_symmetric_uncertainty():
     # p = 0.5 on every patch; the generator reproduces its target, so L1 is 0
     batch = _fixed_batch(0)
-    obj = Objective(ADV_ONLY, d_forward=lambda d, xs, img: T.constant(np.zeros((1, 1, 2, 2))))
+    obj = Objective(ADV_ONLY, d_forward=lambda d, xs, img: T.tensor(np.zeros((1, 1, 2, 2))))
     fake = T.tensor(batch[2].data)
     loss_g, loss_d = obj.pair_losses(None, batch, fake), obj.disc_loss_detached(None, batch, fake)
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
@@ -63,7 +68,7 @@ def test_adversarial_perfect_discriminator_limit():
     batch = _fixed_batch(1)
     y = batch[2]
     obj = Objective(ADV_ONLY,
-                    d_forward=lambda d, xs, img: T.constant(np.full((1, 1, 2, 2), 30.0 if img is y else -30.0)))
+                    d_forward=lambda d, xs, img: T.tensor(np.full((1, 1, 2, 2), 30.0 if img is y else -30.0)))
     fake = T.tensor(batch[1].data)
     with Tape(Tape.DIFFERENTIABLE):  # generated images stay connected
         loss_d = obj.disc_loss_detached(None, batch, fake)
@@ -159,7 +164,13 @@ def test_feature_extractor_frozen_and_seeded():
     digest = before.params.digest()
     assert FeatureExtractor(seed=13).params.digest() == digest
     assert FeatureExtractor(seed=14).params.digest() != digest
-    assert all(not p.requires_grad for p in before.params.values())
+    # frozen: the perceptual term reaches phi, but no training step asks for its gradient
+    state = build_state(replace(CFG, phi_seed=13))
+    assert state.config.lambda_perc > 0 and state.objective.phi.params.digest() == digest
+    g_digest = state.g_gp.digest()
+    pretrain(state, [synth_scene(1300 + i, scene_id=i, height=8, width=8, classes=2) for i in range(2)], iters=2)
+    assert state.g_gp.digest() != g_digest
+    assert state.objective.phi.params.digest() == digest
 
 
 def _sample(seed, with_reference=True):

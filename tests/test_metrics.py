@@ -115,7 +115,7 @@ def test_proxy_lpips_identity_symmetry_and_single_source():
     a, b = rand_img(9), rand_img(10)
     assert proxy_lpips(phi, a, a) == 0.0
     assert proxy_lpips(phi, a, b) == proxy_lpips(phi, b, a)
-    direct = perceptual_loss(phi, T.constant(a[None]), T.constant(b[None])).item()
+    direct = perceptual_loss(phi, T.tensor(a[None]), T.tensor(b[None])).item()
     assert proxy_lpips(phi, a, b) == direct  # bit-for-bit, same definition
 
 

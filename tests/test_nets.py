@@ -6,7 +6,9 @@ import pytest
 from biltrans import tensor as T
 from biltrans.config import default_config
 from biltrans.nets import generator_forward, discriminator_forward, init_params
-from biltrans.tensor import Tape, TensorError, backward, finite_diff_gradient
+from biltrans.tensor import Tape, TensorError, backward
+
+from test_tensor import finite_diff_gradient
 
 TINY = default_config(image_size=8, classes=2, mode="pg2", base_width=4, depth=1)
 TINY_PIX = default_config(image_size=8, classes=2, mode="pix2pix", base_width=4, depth=1)

@@ -118,14 +118,14 @@ def test_sgd_config_validation():
 
 
 def test_sgd_zero_rate_not_allowed_but_zero_alpha_step_identity():
-    params = {"w": T.tensor([1.0, 2.0], requires_grad=True)}
+    params = {"w": T.tensor([1.0, 2.0])}
     grads = {"w": T.tensor([5.0, -5.0])}
     out = sgd_step_differentiable(params, grads, rate=0.0)
     np.testing.assert_array_equal(out["w"].data, params["w"].data)
 
 
 def test_sgd_arithmetic():
-    params = {"w": T.tensor(1.0, requires_grad=True)}
+    params = {"w": T.tensor(1.0)}
     grads = {"w": T.tensor(2.0)}
     out = sgd_step_differentiable(params, grads, rate=0.1)
     assert float(out["w"].data) == pytest.approx(0.8)
@@ -133,7 +133,7 @@ def test_sgd_arithmetic():
 
 def test_sgd_rejects_values_mode_tape():
     with Tape(Tape.VALUES):
-        params = {"w": T.tensor(1.0, requires_grad=True)}
+        params = {"w": T.tensor(1.0)}
         grads = {"w": T.tensor(2.0)}
         with pytest.raises(TensorError, match="record-differentiably"):
             sgd_step_differentiable(params, grads, rate=0.1)
@@ -143,7 +143,7 @@ def test_unrolled_derivative_matches_hand_derivation():
     # L(theta) = theta^2, one step: theta' = theta - a * 2 theta = (1 - 2a) theta
     alpha = 0.1
     with Tape(Tape.DIFFERENTIABLE):
-        theta = T.tensor(1.0, requires_grad=True)
+        theta = T.tensor(1.0)
         loss = T.square(theta)
         g = backward(loss, [theta])[theta]
         new = sgd_step_differentiable({"w": theta}, {"w": g}, rate=alpha)
@@ -157,7 +157,7 @@ def test_k_step_unrolled_quadratic_matches_analytic(k):
     # repeated steps on L = theta^2 give theta_k = (1 - 2a)^k theta_0
     alpha = 0.07
     with Tape(Tape.DIFFERENTIABLE):
-        theta0 = T.tensor(0.9, requires_grad=True)
+        theta0 = T.tensor(0.9)
         cur = {"w": theta0}
         for _ in range(k):
             loss = T.square(cur["w"])

@@ -7,16 +7,47 @@ import numpy as np
 import pytest
 
 from biltrans import tensor as T
-from biltrans.tensor import Tape, Tensor, TensorError, backward, finite_diff_gradient
+from biltrans.tensor import Tape, Tensor, TensorError, backward
 
 
 def leaf(arr):
-    return T.tensor(arr, requires_grad=True)
+    return T.tensor(arr)
 
 
 def rand(shape, seed, lo=-1.0, hi=1.0):
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, size=shape)
+
+
+# the reference oracle every gradient test compares against
+def finite_diff_gradient(f, theta, eps=1e-5) -> dict[str, np.ndarray]:
+    """Central-difference gradient of ``f`` over a name -> array mapping.
+
+    ``f`` takes the mapping and returns a float; it must be deterministic
+    (checked by evaluating twice at the base point).
+    """
+    if eps <= 0:
+        raise TensorError("finite_diff_gradient: eps must be positive")
+    items = list(theta.items())
+    base = {k: np.array(v, dtype=np.float64, copy=True) for k, v in items}
+    v0, v1 = float(f(base)), float(f(base))
+    if v0 != v1:
+        raise TensorError("finite_diff_gradient: f is not deterministic")
+    grads = {}
+    for name, arr in base.items():
+        g = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        gflat = g.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            fp = float(f(base))
+            flat[i] = orig - eps
+            fm = float(f(base))
+            flat[i] = orig
+            gflat[i] = (fp - fm) / (2.0 * eps)
+        grads[name] = g
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +469,7 @@ def analytic_and_fd(name, build, seed, n_checks=1):
     with Tape():
         leaves = [leaf(a) for a in arrays]
         out = T._apply(name, leaves, attrs)
-        proj = T.constant(rand(out.shape, seed + 7000))
+        proj = T.tensor(rand(out.shape, seed + 7000))
         loss = T.sum_to(T.mul(out, proj), ()) if out.shape != () else T.mul(out, proj)
         loss = T.scalar_mul(loss, float(weights))
         grads = backward(loss, leaves)
@@ -446,7 +477,7 @@ def analytic_and_fd(name, build, seed, n_checks=1):
     def f(theta):
         ins = [T.tensor(theta[f"x{i}"]) for i in range(len(arrays))]
         o = T._apply(name, ins, attrs)
-        p = T.constant(rand(o.shape, seed + 7000))
+        p = T.tensor(rand(o.shape, seed + 7000))
         l = T.sum_to(T.mul(o, p), ()) if o.shape != () else T.mul(o, p)
         return float(weights) * l.item()
 
@@ -457,14 +488,14 @@ def analytic_and_fd(name, build, seed, n_checks=1):
     return worst
 
 
-@pytest.mark.parametrize("name", sorted(T.ALL_OP_NAMES.union(_NAMED_CASES)))
+@pytest.mark.parametrize("name", sorted(set(T._OPS).union(_NAMED_CASES)))
 def test_every_op_gradient_matches_finite_differences(name):
     op, build = _NAMED_CASES[name] if name in _NAMED_CASES else (name, _CASES[name])
     worst = max(analytic_and_fd(op, build, seed) for seed in range(5))
     assert worst < 1e-6, f"{name}: rel err {worst:.3e}"
 
 
-@pytest.mark.parametrize("name", sorted(T.ALL_OP_NAMES.union(_NAMED_CASES)))
+@pytest.mark.parametrize("name", sorted(set(T._OPS).union(_NAMED_CASES)))
 def test_backward_rules_read_only_the_values_their_op_declares(name):
     # a tape keeps only the inputs and output an _OPS entry declares, and a
     # _Shape of every other one: each rule must give the same adjoints from that
@@ -476,8 +507,8 @@ def test_backward_rules_read_only_the_values_their_op_declares(name):
     g = T.tensor(rand(out.shape, 1))
     need = [True] * len(ins)
     full = rule(g, ins, out, attrs, need)
-    kept = rule(g, [t if i in keep_in else T._Shape(t.shape, True) for i, t in enumerate(ins)],
-                out if keep_out else T._Shape(out.shape, True), attrs, need)
+    kept = rule(g, [t if i in keep_in else T._Shape(t.shape) for i, t in enumerate(ins)],
+                out if keep_out else T._Shape(out.shape), attrs, need)
     assert len(full) == len(kept) == len(ins)
     for a, b in zip(full, kept):
         assert (a is None) == (b is None)

@@ -607,8 +607,9 @@ def pad_channels(x, before, after):
 # backward rules, each written with registry ops so they are differentiable.
 # ``need`` holds one flag per input, true where it depends on ``wrt``; a
 # rule may return None for an input whose flag is false, and the ones with
-# a costly adjoint do, and None for an input it contributes nothing to. ``ins`` and ``out`` are the values
-# the op's ``_OPS`` entry declares, and a _Shape for every other one.
+# a costly adjoint do, and None for an input it contributes nothing to.
+# ``ins`` and ``out`` are the values the op's ``_OPS`` entry declares, and
+# a _Shape for every other one.
 
 
 def _ones_like(t):

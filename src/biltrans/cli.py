@@ -8,14 +8,13 @@ failure.
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
 
 from .bilevel import MetaMode, metatrain, pretrain, test_adapt
 from .checkpoint import build_state, load_checkpoint, save_checkpoint
-from .config import default_config, load_config, parse_config, serialize_config
+from .config import default_config, load_config, serialize_config
 from .metrics import MetricReport, score_pair
 from .rng import substream_seed
 from .tasks import (
@@ -67,13 +66,6 @@ def _manifest(cfg, split):
     rows = [(first_id + i, substream_seed(cfg.master_seed, "data", split, i),
              i % cfg.clusters if cfg.clusters > 0 else None) for i in range(n)]
     return knobs, rows
-
-
-def _scenes(cfg, split):
-    """The "train" or "unseen" scenes of a config, synthesized from the
-    rows of its ``_manifest``."""
-    knobs, rows = _manifest(cfg, split)
-    return [synth_scene(seed, cluster, scene_id=scene_id, **knobs) for scene_id, seed, cluster in rows]
 
 
 def train_task_pool(cfg, scenes):
@@ -129,7 +121,8 @@ def _load_scenes(cfg, split):
                      f"`{row(*want)}` for the config")
     if wrong:
         raise TensorError(f"{path} contradicts the given config: {'; '.join(wrong)}")
-    return _scenes(cfg, split)
+    return [synth_scene(seed, cluster, scene_id=scene_id, **want_knobs)
+            for scene_id, seed, cluster in want_rows]
 
 
 def _attach_logger(state, records):
@@ -228,46 +221,46 @@ def adapt_one_scene(cfg, scene, rows, inputs):
     return out
 
 
-@functools.lru_cache(maxsize=1)
-def _worker_inputs(cfg_text, rows):
-    # what a worker process reads, loaded once however many scenes it adapts
-    cfg = parse_config(cfg_text)
-    return cfg, _load_scenes(cfg, "unseen"), _adapt_inputs(cfg, rows)
+_worker_payload = None  # (cfg, rows, inputs) of an adapt pool worker
 
 
-def _adapt_job(args):
-    # runs in a worker process
-    cfg_text, scene_index, rows = args
-    cfg, scenes, inputs = _worker_inputs(cfg_text, tuple(rows))
-    return scene_index, adapt_one_scene(cfg, scenes[scene_index], rows, inputs)
+def _init_worker(*payload):
+    global _worker_payload
+    _worker_payload = payload
 
 
-def cmd_adapt(cfg, aux_on=True, jobs=1):
+def _adapt_in_worker(scene):
+    cfg, rows, inputs = _worker_payload
+    return adapt_one_scene(cfg, scene, rows, inputs)
+
+
+def cmd_adapt(cfg, aux_on=True):
+    """Adapt every unseen scene, one worker per CPU this process may run on
+    and at most one per scene; with one worker no pool is started."""
     p = _paths(cfg)
     _require(p["pretrain_ckpt"], "biltrans pretrain")
     rows = _rows_for(aux_on)
     if any(r.startswith("bilevel") for r in rows):
         _require(p["metatrain_ckpt"], "biltrans metatrain")
     scenes = _load_scenes(cfg, "unseen")
-    n = len(scenes)
+    inputs = _adapt_inputs(cfg, rows)
     os.makedirs(p["results"], exist_ok=True)
-    workers = min(jobs, n)  # a pool starts every worker at once; one per scene is enough
+    workers = min(len(os.sched_getaffinity(0)), len(scenes))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays for its import
 
-        payload = [(serialize_config(cfg), i, rows) for i in range(n)]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = dict(ex.map(_adapt_job, payload))
+        with ProcessPoolExecutor(workers, initializer=_init_worker,
+                                 initargs=(cfg, rows, inputs)) as ex:
+            results = list(ex.map(_adapt_in_worker, scenes))
     else:
-        inputs = _adapt_inputs(cfg, rows)
-        results = {i: adapt_one_scene(cfg, scenes[i], rows, inputs) for i in range(n)}
-    for i in range(n):
-        for row, images in results[i].items():
-            row_dir = os.path.join(p["results"], row, f"scene_{scenes[i].scene_id:05d}")
+        results = [adapt_one_scene(cfg, scene, rows, inputs) for scene in scenes]
+    for scene, images_by_row in zip(scenes, results):
+        for row, images in images_by_row.items():
+            row_dir = os.path.join(p["results"], row, f"scene_{scene.scene_id:05d}")
             os.makedirs(row_dir, exist_ok=True)
             for j, img in enumerate(images):
                 write_ppm(os.path.join(row_dir, f"img_{j:03d}.ppm"), img)
-    print(f"adapted {n} unseen scenes for rows: {', '.join(rows)}")
+    print(f"adapted {len(scenes)} unseen scenes for rows: {', '.join(rows)}")
     return 0
 
 
@@ -321,7 +314,7 @@ def _write_comparison(results_dir, summaries):
         f.write("\n")
 
 
-def cmd_retrieve(cfg, scene_index=0):
+def cmd_retrieve(cfg, scene_index):
     unseen = _load_scenes(cfg, "unseen")
     if not 0 <= scene_index < len(unseen):
         raise TensorError(f"--scene {scene_index} is out of range: there are {len(unseen)} "
@@ -336,11 +329,11 @@ def cmd_retrieve(cfg, scene_index=0):
     return 0
 
 
-def cmd_full_run(cfg, aux_on=True, jobs=1):
+def cmd_full_run(cfg, aux_on=True):
     cmd_gen_data(cfg)
     cmd_pretrain(cfg)
     cmd_metatrain(cfg)
-    cmd_adapt(cfg, aux_on, jobs)
+    cmd_adapt(cfg, aux_on)
     cmd_eval(cfg, aux_on)
     return 0
 
@@ -356,17 +349,18 @@ def build_parser():
     p.add_argument("--mode", choices=["pg2", "pix2pix"])
     p.add_argument("--meta-mode", choices=list(MetaMode.ALL), dest="meta_mode")
     p.add_argument("--aux", choices=["on", "off"], default="on")
-    p.add_argument("--jobs", type=int, default=1, help="adapt workers, at most one per unseen scene")
     p.add_argument("--iters", type=int, help="iteration target for pretrain/metatrain")
-    p.add_argument("--scene", type=int, default=0, help="unseen scene index for retrieve")
+    p.add_argument("--scene", type=int, help="unseen scene index for retrieve (default 0)")
     return p
 
 
 def resolve_config(args):
     if args.iters is not None and args.iters < 0:
         raise ConfigError(f"--iters must be >= 0, got {args.iters}")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    for option, value, readers in (("--iters", args.iters, ("pretrain", "metatrain")),
+                                   ("--scene", args.scene, ("retrieve",))):
+        if value is not None and args.subcommand not in readers:
+            raise ConfigError(f"{option} is read only by {' and '.join(readers)}, not by {args.subcommand}")
     try:
         cfg = load_config(args.config) if args.config else default_config()
         overrides = {}
@@ -407,12 +401,12 @@ def main(argv=None) -> int:
         if args.subcommand == "metatrain":
             return cmd_metatrain(cfg, iters=args.iters)
         if args.subcommand == "adapt":
-            return cmd_adapt(cfg, aux_on, args.jobs)
+            return cmd_adapt(cfg, aux_on)
         if args.subcommand == "eval":
             return cmd_eval(cfg, aux_on)
         if args.subcommand == "retrieve":
-            return cmd_retrieve(cfg, args.scene)
-        return cmd_full_run(cfg, aux_on, args.jobs)
+            return cmd_retrieve(cfg, args.scene or 0)
+        return cmd_full_run(cfg, aux_on)
     except MissingPrerequisite as e:
         print(f"missing prerequisite: {e}", file=sys.stderr)
         return 3

@@ -38,9 +38,6 @@ class ParameterSet:
     def items(self):
         return self._params.items()
 
-    def values(self):
-        return self._params.values()
-
     def tensors(self):
         return list(self._params.values())
 

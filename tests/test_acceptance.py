@@ -127,7 +127,7 @@ def tiny_world(seed, inner_steps):
     d = ParameterSet("pg2")
     d.add("d1.w", rng.normal(0, 0.3, (2, 5, 3, 3)))
     d.add("d2.w", rng.normal(0, 0.3, (1, 2, 1, 1)))
-    assert sum(p.data.size for ps in (g, d) for p in ps.values()) <= 200
+    assert sum(p.data.size for ps in (g, d) for p in ps.tensors()) <= 200
     obj = Objective(
         default_config(phi_seed=9, phi_widths="4,4", lambda_adv=1.0, lambda_perc=1.0),
         g_forward=tiny_g_forward,

@@ -77,7 +77,7 @@ def tiny_pair(seed):
     d = ParameterSet("pg2")
     d.add("d1.w", rng.normal(0, 0.3, (2, 5, 3, 3)))
     d.add("d2.w", rng.normal(0, 0.3, (1, 2, 1, 1)))
-    assert sum(p.data.size for ps in (g, d) for p in ps.values()) <= 200
+    assert sum(p.data.size for ps in (g, d) for p in ps.tensors()) <= 200
     return g, d
 
 
@@ -229,7 +229,7 @@ def test_alternating_step_tape_changes_connectivity_not_values(k):
                                     for n, p in params.items()})
 
     def taped_then_cut(params, grads):
-        assert all(grads[p].node[0] is tape for p in params.values())  # gradients are tape nodes
+        assert all(grads[p].node[0] is tape for p in params.tensors())  # gradients are tape nodes
         return params.with_tensors({n: T.tensor(t.data)
                                     for n, t in taped(params, grads).items()})
 

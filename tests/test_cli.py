@@ -184,8 +184,7 @@ def test_knobs_are_pinned():
         "gp_finetune_iters"}
     options = {o for action in cli.build_parser()._actions for o in action.option_strings}
     assert options - {"-h", "--help"} == {
-        "--config", "--seed", "--out", "--mode", "--meta-mode", "--aux", "--jobs", "--iters",
-        "--scene"}
+        "--config", "--seed", "--out", "--mode", "--meta-mode", "--aux", "--iters", "--scene"}
 
 
 def test_every_module_level_definition_is_used_in_src():
@@ -226,6 +225,12 @@ def smoke_cfg(tmp_path, **over):
     from dataclasses import replace
 
     return replace(cfg, out_dir=str(tmp_path / "run"), **over).validate()
+
+
+def manifest_scenes(cfg, split):
+    # the scenes of a split, synthesized from the config's manifest rows
+    knobs, rows = cli._manifest(cfg, split)
+    return [synth_scene(seed, cluster, scene_id=scene_id, **knobs) for scene_id, seed, cluster in rows]
 
 
 def test_checkpoint_round_trip_bit_identical(tmp_path):
@@ -297,7 +302,7 @@ def test_checkpoint_dimension_overflow_rejected(tmp_path):
 
 def test_resume_equals_uninterrupted_training(tmp_path):
     cfg = smoke_cfg(tmp_path)
-    scenes = cli._scenes(cfg, "train")
+    scenes = manifest_scenes(cfg, "train")
 
     straight = build_state(cfg)
     pretrain(straight, scenes, iters=4)
@@ -369,6 +374,16 @@ def test_cli_rejects_negative_iters(stage, tmp_path, capsys):
     assert sorted(p for p in out.rglob("*")) == before
 
 
+@pytest.mark.parametrize("stage,option", [("full-run", "--iters"), ("adapt", "--scene")])
+def test_cli_rejects_an_option_its_stage_does_not_read(stage, option, tmp_path, capsys):
+    cfg_file = tmp_path / "smoke.cfg"
+    cfg_file.write_text(SMOKE + f"\nout_dir = {tmp_path / 'run'}\n")
+    assert run_cli(stage, "--config", str(cfg_file), option, "1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and option in err and stage in err, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_config_not_utf8_exits_2_naming_it(tmp_path, capsys):
     cfg_file = tmp_path / "latin1.cfg"
     cfg_file.write_bytes(SMOKE.encode() + b"# caf\xe9\n" + f"out_dir = {tmp_path / 'run'}\n".encode())
@@ -390,7 +405,7 @@ def test_cli_gen_data_out_is_a_file_exits_2_naming_it(tmp_path, capsys):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # ``adapt`` imports the pool only for jobs > 1; every other stage skips its cost
+    # ``adapt`` imports the pool only when it starts one; every other stage skips its cost
     code = ("import sys, biltrans.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -462,7 +477,7 @@ def test_cli_retrieve_ranks_duplicate_first(tmp_path, capsys):
 def test_lazy_task_pool_retrieves_and_renders_like_the_eager_pool(mode, monkeypatch):
     cfg = replace(parse_config(SMOKE), mode=mode, n_train_scenes=12, n_unseen_scenes=4,
                   clusters=3, k_aux=3)
-    scenes = cli._scenes(cfg, "train")
+    scenes = manifest_scenes(cfg, "train")
     eager = [sample_episode(s, cfg.n_shot, cfg.n_test,
                             substream_seed(cfg.master_seed, "train-task", s.scene_id),
                             cfg.with_reference) for s in scenes]
@@ -473,7 +488,7 @@ def test_lazy_task_pool_retrieves_and_renders_like_the_eager_pool(mode, monkeypa
     lazy = cli.train_task_pool(cfg, scenes)
     assert rendered == []  # building the pool renders nothing
     retrieved = set()
-    for scene in cli._scenes(cfg, "unseen"):
+    for scene in manifest_scenes(cfg, "unseen"):
         query = cli.unseen_episode(cfg, scene).key
         got = retrieve_topk(query, lazy, cfg.k_aux)
         retrieved |= {t.scene_id for t in got}
@@ -520,40 +535,45 @@ def test_cli_numerical_failure_exit_code(tmp_path, capsys):
     assert err.startswith("numerical failure:") and "non-finite" in err and "Traceback" not in err, err
 
 
-def test_cli_rejects_jobs_below_one(tmp_path, capsys):
-    cfg_file = tmp_path / "smoke.cfg"
-    cfg_file.write_text(SMOKE + f"\nout_dir = {tmp_path / 'run'}\n")
-    assert run_cli("adapt", "--config", str(cfg_file), "--jobs", "0") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "--jobs" in err, err
-    assert not (tmp_path / "run").exists()
+def _cpus(monkeypatch, n):
+    # the CPUs adapt may run on, which set its worker count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-def test_cli_parallel_adapt_matches_serial(tmp_path):
-    cfg_file = tmp_path / "smoke.cfg"
-    cfg_file.write_text(SMOKE)
-    serial = tmp_path / "serial"
-    parallel = tmp_path / "parallel"
-    for out, jobs in ((serial, "1"), (parallel, "2")):
-        argv = ["--config", str(cfg_file), "--out", str(out), "--jobs", jobs]
-        for sub in ("gen-data", "pretrain", "metatrain", "adapt"):
-            assert run_cli(sub, *argv) == 0
-    for ppm in sorted((serial / "results").rglob("*.ppm")):
-        rel = ppm.relative_to(serial)
-        assert ppm.read_bytes() == (parallel / rel).read_bytes(), rel
-
-
-def test_cli_adapt_starts_at_most_one_worker_per_unseen_scene(adapted_run, tmp_path, monkeypatch):
-    # a process pool starts every worker on its first submit; this stand-in
-    # records how many and adapts in-process
-    import concurrent.futures
+def _fresh_copy(adapted_run, out):
+    # the adapted run without its results
     import shutil
+
+    shutil.copytree(adapted_run[1], out, ignore=shutil.ignore_patterns("results"))
+    return out
+
+
+def test_cli_parallel_adapt_matches_serial(adapted_run, tmp_path, monkeypatch):
+    import multiprocessing
+
+    serial, parallel = (_fresh_copy(adapted_run, tmp_path / name) for name in ("serial", "parallel"))
+    for out, cpus in ((serial, 1), (parallel, 2)):
+        _cpus(monkeypatch, cpus)
+        assert run_cli("adapt", "--config", str(adapted_run[0]), "--out", str(out)) == 0
+    assert multiprocessing.active_children() == []  # the pool's workers are gone
+    ppms = sorted(p.relative_to(serial) for p in (serial / "results").rglob("*.ppm"))
+    assert len(ppms) == 4 * 2 * 2  # rows x unseen scenes x test samples
+    assert ppms == sorted(p.relative_to(parallel) for p in (parallel / "results").rglob("*.ppm"))
+    for rel in ppms:
+        assert (serial / rel).read_bytes() == (parallel / rel).read_bytes(), rel
+
+
+def _stand_in_pool(monkeypatch):
+    # in place of ProcessPoolExecutor: records the worker count of each pool
+    # started, then runs its initializer and jobs in-process
+    import concurrent.futures
 
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             started.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -565,34 +585,67 @@ def test_cli_adapt_starts_at_most_one_worker_per_unseen_scene(adapted_run, tmp_p
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    cfg_file, source = adapted_run
-    out = tmp_path / "run"
-    shutil.copytree(source, out)
-    cli._worker_inputs.cache_clear()
-    try:
-        assert run_cli("adapt", "--config", str(cfg_file), "--out", str(out), "--jobs", "64") == 0
-    finally:
-        cli._worker_inputs.cache_clear()
+    monkeypatch.setattr(cli, "_worker_payload", None)
+    return started
+
+
+def test_cli_adapt_starts_one_worker_per_unseen_scene_at_most(adapted_run, tmp_path, monkeypatch):
+    started = _stand_in_pool(monkeypatch)
+    _cpus(monkeypatch, 64)
+    out = _fresh_copy(adapted_run, tmp_path / "run")
+    assert run_cli("adapt", "--config", str(adapted_run[0]), "--out", str(out)) == 0
     assert started == [2]  # the run's two unseen scenes
 
 
-def test_adapt_job_loads_its_inputs_once_per_worker(tmp_path, monkeypatch):
-    cfg_file = tmp_path / "smoke.cfg"
-    cfg_file.write_text(SMOKE + f"\nout_dir = {tmp_path / 'run'}\n")
-    for sub in ("gen-data", "pretrain", "metatrain"):
-        assert run_cli(sub, "--config", str(cfg_file)) == 0
-    loads = []
-    monkeypatch.setattr(cli, "load_checkpoint",
-                        lambda path, cfg: loads.append(path) or load_checkpoint(path, cfg))
-    cfg_text = serialize_config(parse_config(cfg_file.read_text()))
-    rows = ["baseline", "bilevel_noaux"]
-    cli._worker_inputs.cache_clear()
-    try:
-        results = [cli._adapt_job((cfg_text, i, rows)) for i in range(2)]
-    finally:
-        cli._worker_inputs.cache_clear()
-    assert [i for i, _ in results] == [0, 1]
-    assert len(loads) == 2  # pretrain.ckpt and metatrain.ckpt, once each
+def test_cli_adapt_on_one_cpu_starts_no_pool(adapted_run, tmp_path):
+    # the benchmark's path: a process pinned to one CPU adapts in-process and
+    # never imports the pool
+    out = _fresh_copy(adapted_run, tmp_path / "run")
+    code = ("import os, sys; from biltrans import cli; "
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            f"rc = cli.main(['adapt', '--config', {str(adapted_run[0])!r}, '--out', {str(out)!r}]); "
+            "print(rc, sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert got.stdout.strip().splitlines()[-1] == "0 []", got.stdout
+    assert len(list((out / "results").rglob("*.ppm"))) == 4 * 2 * 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_adapt_loads_each_checkpoint_once(cpus, adapted_run, tmp_path, monkeypatch):
+    # the parent loads the inputs and the workers inherit them; forked
+    # workers run the spy too, so a load in one would show in the file
+    loads = tmp_path / "loads"
+    loads.write_text("")
+
+    def spy(path, cfg):
+        with open(loads, "a") as f:
+            f.write(os.path.basename(path) + "\n")
+        return load_checkpoint(path, cfg)
+
+    monkeypatch.setattr(cli, "load_checkpoint", spy)
+    _cpus(monkeypatch, cpus)
+    out = _fresh_copy(adapted_run, tmp_path / "run")
+    assert run_cli("adapt", "--config", str(adapted_run[0]), "--out", str(out)) == 0
+    assert sorted(loads.read_text().split()) == ["metatrain.ckpt", "pretrain.ckpt"]
+
+
+def test_adapt_worker_payload_survives_pickling(adapted_run, monkeypatch):
+    # a forkserver or spawn pool pickles the initializer's arguments and each scene
+    import pickle
+
+    cfg = replace(parse_config(adapted_run[0].read_text()), out_dir=str(adapted_run[1]))
+    rows = cli._rows_for(True)
+    inputs = cli._adapt_inputs(cfg, rows)
+    scene = cli._load_scenes(cfg, "unseen")[1]
+    want = cli.adapt_one_scene(cfg, scene, rows, inputs)
+    monkeypatch.setattr(cli, "_worker_payload", None)
+    cli._init_worker(*pickle.loads(pickle.dumps((cfg, rows, inputs))))
+    got = cli._adapt_in_worker(pickle.loads(pickle.dumps(scene)))
+    assert list(got) == rows
+    for row in rows:
+        assert [img.tobytes() for img in got[row]] == [img.tobytes() for img in want[row]], row
 
 
 def test_cli_resumed_stage_trains_to_the_given_config_target(tmp_path, capsys):
@@ -669,7 +722,8 @@ def test_cli_meta_keys_are_free_at_the_hand_over_and_fixed_after_it(tmp_path, ca
     pre.write_text(SMOKE)
     meta.write_text(SMOKE.replace("beta = 0.001", "beta = 0.002"))
     out = str(tmp_path / "run")
-    for sub, cfg_file in (("gen-data", pre), ("pretrain", pre), ("metatrain", meta)):
+    assert run_cli("gen-data", "--config", str(pre), "--out", out) == 0
+    for sub, cfg_file in (("pretrain", pre), ("metatrain", meta)):
         assert run_cli(sub, "--config", str(cfg_file), "--out", out, "--iters", "1") == 0
     capsys.readouterr()
     assert run_cli("metatrain", "--config", str(pre), "--out", out) == 2
@@ -678,19 +732,23 @@ def test_cli_meta_keys_are_free_at_the_hand_over_and_fixed_after_it(tmp_path, ca
     assert "beta = 0.002 in the checkpoint, 0.001 in the config" in err and "Traceback" not in err, err
 
 
-def test_cli_parallel_adapt_contradiction_exits_2_without_traceback(adapted_run, tmp_path, capsys):
+def test_cli_parallel_adapt_contradiction_exits_2_before_any_worker(adapted_run, tmp_path, capsys,
+                                                                   monkeypatch):
     import shutil
 
+    started = _stand_in_pool(monkeypatch)
+    _cpus(monkeypatch, 2)
     cfg_file, source = adapted_run
     out = tmp_path / "run"
     shutil.copytree(source, out)
     # data that matches the seed, so the checkpoints are what contradicts it
     assert run_cli("gen-data", "--config", str(cfg_file), "--out", str(out), "--seed", "1") == 0
     capsys.readouterr()
-    argv = ["adapt", "--config", str(cfg_file), "--out", str(out), "--jobs", "2", "--seed", "1"]
+    argv = ["adapt", "--config", str(cfg_file), "--out", str(out), "--seed", "1"]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert "master_seed = 0 in the checkpoint, 1 in the config" in err and "Traceback" not in err, err
+    assert started == []
 
 
 def test_cli_meta_mode_override_full_unrolled(tmp_path, capsys):

@@ -22,7 +22,7 @@ def onehot(classes, h, w, seed):
 
 
 def count(ps):
-    return sum(p.data.size for p in ps.values())
+    return sum(p.data.size for p in ps.tensors())
 
 
 def rand_img(h, w, seed):

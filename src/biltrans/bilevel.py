@@ -9,13 +9,14 @@ FULL_UNROLLED records the inner SGD steps on a differentiable tape and
 backpropagates the episode-test loss through the whole adaptation.
 """
 
+import collections
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .config import ExperimentConfig, MetaMode
-from .losses import PROB_CLAMP, FeatureExtractor, l1_loss, perceptual_loss
+from .losses import PROB_CLAMP, FeatureExtractor, l1_loss, perceptual_loss, target_features
 from .nets import ParameterSet, discriminator_forward, generator_forward
 from .optim import AdamState, adam_step, sgd_step_differentiable
 from .rng import stream, substream_seed
@@ -30,6 +31,10 @@ from .tasks import (
     stack_samples,
 )
 from .tensor import Tape, TensorError, backward
+
+# a stacked batch (see ``stack_samples``) and the normalized features of its
+# targets (``losses.target_features``), None without a perceptual term
+Batch = collections.namedtuple("Batch", "xs xr y y_feats")
 
 
 @dataclass
@@ -51,10 +56,19 @@ class Objective:
         self.g_forward = self.g_forward or generator_forward
         self.d_forward = self.d_forward or discriminator_forward
 
+    def batch(self, samples) -> Batch:
+        """The ``Batch`` of a list of samples or a batch triple; a ``Batch``
+        passes through unchanged. The target features are computed here,
+        once for every step that reuses the batch."""
+        if isinstance(samples, Batch):
+            return samples
+        xs, xr, y = stack_samples(samples)
+        return Batch(xs, xr, y, target_features(self.phi, y) if self.config.lambda_perc != 0.0 else None)
+
     def generate(self, g, batch):
-        """Generated images (N, 3, H, W) for a list of samples or a batch
-        triple (see ``stack_samples``), recorded on the active tape."""
-        xs, xr, _ = stack_samples(batch)
+        """Generated images (N, 3, H, W) for a list of samples, a batch
+        triple or a ``Batch``, recorded on the active tape."""
+        xs, xr = stack_samples(batch)[:2]
         return self.g_forward(g, xs, xr)
 
     def pair_losses(self, d, batch, fake):
@@ -64,7 +78,7 @@ class Objective:
         Every term is one batch mean, which equals the mean of the
         per-sample losses.
         """
-        xs, _, y = stack_samples(batch)
+        xs, _, y, y_feats = self.batch(batch)
         loss_g = l1_loss(fake, y)
         cfg = self.config
         if cfg.lambda_adv != 0.0:
@@ -76,7 +90,7 @@ class Objective:
             )
             loss_g = T.add(loss_g, T.scalar_mul(adv_g, cfg.lambda_adv))
         if cfg.lambda_perc != 0.0:
-            loss_g = T.add(loss_g, T.scalar_mul(perceptual_loss(self.phi, fake, y), cfg.lambda_perc))
+            loss_g = T.add(loss_g, T.scalar_mul(perceptual_loss(self.phi, fake, y, y_feats), cfg.lambda_perc))
         return loss_g
 
     def _prob(self, d, xs, img):
@@ -88,7 +102,7 @@ class Objective:
         generated batch ``fake``, which stays attached: ``backward`` visits
         no generator op unless asked about one. (The benchmark's tracer wraps
         this method by name, so a rename waits for a benchmark change.)"""
-        xs, _, y = stack_samples(batch)
+        xs, _, y = stack_samples(batch)[:3]
         p_fake = self._prob(d, xs, fake)
         log_one_minus_fake = T.reduce_mean(T.log(T.sub(T.tensor(np.ones(p_fake.shape)), p_fake)))
         p_real = self._prob(d, xs, y)
@@ -127,19 +141,18 @@ class BiLevelState:
 
 
 def _batch_for_iteration(samples, config: ExperimentConfig, rng):
-    """One stacked training batch (see ``stack_samples``); short sample sets
-    are padded with freshly augmented copies so the batch size stays constant."""
-    if len(samples) >= config.inner_batch:
-        if len(samples) == config.inner_batch:
-            return stack_samples(samples)
+    """The ``inner_batch`` samples of one training step from a sample set of
+    another size: a draw without replacement from a larger set, a smaller
+    one padded with freshly augmented copies."""
+    if len(samples) > config.inner_batch:
         idx = rng.choice(len(samples), size=config.inner_batch, replace=False)
-        return stack_samples([samples[i] for i in sorted(idx)])
+        return [samples[i] for i in sorted(idx)]
     out = list(samples)
     while len(out) < config.inner_batch:
         base = samples[int(rng.integers(0, len(samples)))]
         img2, lab2 = augment(base.y, base.x_struct.labels, int(rng.integers(0, 2**62)))
         out.append(TranslationSample(SegMap(lab2, base.x_struct.classes), base.x_ref, img2))
-    return stack_samples(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +171,7 @@ def alternating_step(objective: Objective, g, d, batch, step_g, step_d, tape=Non
     fresh tape; with a DIFFERENTIABLE ``tape`` everything is recorded on it.
     Returns (g, d, loss_g, loss_d).
     """
-    batch = stack_samples(batch)
+    batch = objective.batch(batch)
     with tape or Tape() as g_tape:
         fake = objective.generate(g, batch)
     with tape or Tape():
@@ -189,7 +202,8 @@ def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
     Returns (g_is, d_is, tape). The general parameters are never touched.
     FIRST_ORDER runs Adam steps eagerly on copies and returns tape=None;
     FULL_UNROLLED runs SGD steps on a differentiable tape and returns it,
-    with g_is/d_is holding tape-connected tensors.
+    with g_is/d_is holding tape-connected tensors. A split of exactly
+    ``inner_batch`` samples is every step's batch, prepared once.
     """
     if not train_samples:
         raise TensorError("inner_adapt: empty training split")
@@ -203,8 +217,9 @@ def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
     else:
         tape = Tape(Tape.DIFFERENTIABLE)
         step_g = step_d = _sgd_rule(config.alpha)
+    fixed = objective.batch(train_samples) if len(train_samples) == config.inner_batch else None
     for it in range(n_iters):
-        batch = _batch_for_iteration(train_samples, config, stream(seed, "inner-batch", it))
+        batch = fixed or _batch_for_iteration(train_samples, config, stream(seed, "inner-batch", it))
         g, d, _, _ = alternating_step(objective, g, d, batch, step_g, step_d, tape)
     return g, d, tape
 
@@ -272,8 +287,8 @@ def meta_gradients(state: BiLevelState, episodes: list):
         )
         # first-order: at the adapted pair; unrolled: through the recorded steps
         g_wrt, d_wrt = (g_is, d_is) if tape is None else (state.g_gp, state.d_gp)
+        batch = state.objective.batch(ep.test)
         with tape or Tape() as tape:
-            batch = stack_samples(ep.test)
             fake = state.objective.generate(g_is, batch)
             loss_g = state.objective.pair_losses(d_is, batch, fake)
             loss_d = state.objective.disc_loss_detached(d_is, batch, fake)

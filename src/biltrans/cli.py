@@ -348,7 +348,7 @@ def build_parser():
     p.add_argument("--out", help="output directory override")
     p.add_argument("--mode", choices=["pg2", "pix2pix"])
     p.add_argument("--meta-mode", choices=list(MetaMode.ALL), dest="meta_mode")
-    p.add_argument("--aux", choices=["on", "off"], default="on")
+    p.add_argument("--aux", choices=["on", "off"], help="auxiliary fine-tuning rows for adapt/eval/full-run (default on)")
     p.add_argument("--iters", type=int, help="iteration target for pretrain/metatrain")
     p.add_argument("--scene", type=int, help="unseen scene index for retrieve (default 0)")
     return p
@@ -358,7 +358,8 @@ def resolve_config(args):
     if args.iters is not None and args.iters < 0:
         raise ConfigError(f"--iters must be >= 0, got {args.iters}")
     for option, value, readers in (("--iters", args.iters, ("pretrain", "metatrain")),
-                                   ("--scene", args.scene, ("retrieve",))):
+                                   ("--scene", args.scene, ("retrieve",)),
+                                   ("--aux", args.aux, ("adapt", "eval", "full-run"))):
         if value is not None and args.subcommand not in readers:
             raise ConfigError(f"{option} is read only by {' and '.join(readers)}, not by {args.subcommand}")
     try:
@@ -392,7 +393,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    aux_on = args.aux == "on"
+    aux_on = args.aux != "off"
     try:
         if args.subcommand == "gen-data":
             return cmd_gen_data(cfg)

@@ -63,13 +63,23 @@ def _unit_normalize(feat: Tensor) -> Tensor:
     return T.mul(feat, T.broadcast_to(inv_norm, feat.shape))
 
 
-def perceptual_loss(phi: FeatureExtractor, pred: Tensor, target: Tensor) -> Tensor:
+def target_features(phi: FeatureExtractor, target: Tensor) -> list[Tensor]:
+    """The normalized features of constant target images, computed off the
+    tape: nothing differentiates through a target."""
+    with T.no_tape():
+        return [_unit_normalize(f) for f in phi.features(target)]
+
+
+def perceptual_loss(phi: FeatureExtractor, pred: Tensor, target: Tensor, target_feats=None) -> Tensor:
     """Sum over stages of mean squared distance between normalized features;
-    on a batch, the mean over samples of their distances."""
+    on a batch, the mean over samples of their distances. ``target_feats``
+    are ``target_features(phi, target)`` where the caller already holds them."""
     if pred.shape != target.shape:
         raise TensorError(f"perceptual_loss: shapes {pred.shape} vs {target.shape}")
+    if target_feats is None:
+        target_feats = target_features(phi, target)
     total = None
-    for fp, ft in zip(phi.features(pred), phi.features(target)):
-        d = T.reduce_mean(T.square(T.sub(_unit_normalize(fp), _unit_normalize(ft))))
+    for fp, ft in zip(phi.features(pred), target_feats):
+        d = T.reduce_mean(T.square(T.sub(_unit_normalize(fp), ft)))
         total = d if total is None else T.add(total, d)
     return total

@@ -70,7 +70,8 @@ class TranslationSample:
 def stack_samples(samples):
     """One (structure, reference or None, target) batch of Tensors, the
     one-hot structure maps, references and targets of a list of samples
-    stacked along the leading axis; a batch triple passes through unchanged."""
+    stacked along the leading axis; a tuple, a batch already stacked,
+    passes through unchanged."""
     if isinstance(samples, tuple):
         return samples
 

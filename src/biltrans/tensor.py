@@ -22,6 +22,13 @@ only the values that op's backward rule reads (``_OPS``); of every other
 node it keeps only the shape, so an op output nothing reads is freed with
 the caller's last reference to it. The relu and leaky_relu adjoints read
 their output (y > 0 exactly where x > 0) through ``relu_adjoint``.
+
+Every op checks its output and raises ``NumericalError`` on a non-finite
+value, so numpy's floating-point warnings are silenced once per recording
+scope (a ``Tape`` block, a ``no_tape`` block, and with it one ``backward``
+pass) rather than per op; an op outside every scope silences them for
+itself. Leaving the outermost scope, by exception too, restores numpy's
+error state.
 """
 
 import collections
@@ -88,17 +95,35 @@ _Op = collections.namedtuple("_Op", "name input_ids output_id attrs ins out")
 _Shape = collections.namedtuple("_Shape", "shape")
 
 
-_tls = threading.local()
+class _ThreadState(threading.local):
+    def __init__(self):
+        self.stack = []  # the active tapes, innermost last
+        self.scopes = 0  # open recording scopes
+        self.errstate = None  # the outermost scope's np.errstate
 
 
-def _tape_stack():
-    if not hasattr(_tls, "stack"):
-        _tls.stack = []
-    return _tls.stack
+_tls = _ThreadState()
+
+# numpy's floating-point warnings are off inside a recording scope: _apply
+# checks every op output itself
+_QUIET = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
+
+def _open_scope():
+    if not _tls.scopes:
+        _tls.errstate = np.errstate(**_QUIET)
+        _tls.errstate.__enter__()
+    _tls.scopes += 1
+
+
+def _close_scope():
+    _tls.scopes -= 1
+    if not _tls.scopes:
+        _tls.errstate.__exit__(None, None, None)
 
 
 def active_tape():
-    stack = _tape_stack()
+    stack = _tls.stack
     return stack[-1] if stack else None
 
 
@@ -106,13 +131,14 @@ class no_tape:
     """Context manager that suspends recording on this thread."""
 
     def __enter__(self):
-        stack = _tape_stack()
-        self._saved = list(stack)
-        stack.clear()
+        _open_scope()
+        self._saved = list(_tls.stack)
+        _tls.stack.clear()
         return self
 
     def __exit__(self, *exc):
-        _tape_stack()[:] = self._saved
+        _tls.stack[:] = self._saved
+        _close_scope()
         return False
 
 
@@ -140,11 +166,13 @@ class Tape:
         self._ref = weakref.ref(self)  # the one weak reference its nodes hold
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _open_scope()
+        _tls.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _tape_stack().pop()
+        popped = _tls.stack.pop()
+        _close_scope()
         assert popped is self
         return False
 
@@ -193,17 +221,20 @@ def _shape_err(name, *shapes):
 
 
 def _apply(name, inputs, attrs=None) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    if _tls.scopes:
         out_data = _OPS[name][0](attrs, *[t.data for t in inputs])
+    else:  # outside every recording scope, the op is a scope of its own
+        with np.errstate(**_QUIET):
+            out_data = _OPS[name][0](attrs, *[t.data for t in inputs])
     if not np.isfinite(out_data).all():
         raise NumericalError(f"{name}: non-finite value in output")
     # kernels return float64 arrays (a 0-d result may come back as a scalar)
     out = Tensor.__new__(Tensor)
     out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data)
     out._tape = None
-    tape = active_tape()
-    if tape is not None:
-        tape.record(name, inputs, out, attrs)
+    stack = _tls.stack
+    if stack:
+        stack[-1].record(name, inputs, out, attrs)
     return out
 
 
@@ -395,8 +426,7 @@ def _f_conv2d_dk(attrs, x, g):
 def _f_upsample_nearest2(attrs, x):
     if x.ndim != 4:
         raise _shape_err("upsample_nearest2", x.shape)
-    n, c, h, w = x.shape
-    return np.broadcast_to(x[:, :, :, None, :, None], (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w)
+    return x.repeat(2, axis=2).repeat(2, axis=3)
 
 
 def _f_avg_pool2(attrs, x):
@@ -410,13 +440,16 @@ def _f_relu(attrs, x):
 
 
 def _f_leaky_relu(attrs, x):
-    return np.where(x > 0, x, 0.2 * x)
+    # the larger of x and 0.2 * x is x exactly where x > 0
+    return np.maximum(x, 0.2 * x)
 
 
 def _f_relu_adjoint(attrs, g, y):
     # g where the activation's output y > 0, slope * g elsewhere
     if g.shape != y.shape:
         raise _shape_err("relu_adjoint", g.shape, y.shape)
+    if attrs["slope"] == 0.0:  # g * 1.0 and g * 0.0 are the where's two branches
+        return g * (y > 0)
     return np.where(y > 0, g, g * attrs["slope"])
 
 

@@ -375,6 +375,44 @@ def test_eager_desk_step_op_count(monkeypatch):
     assert 0 < count[0] <= 297
 
 
+def test_test_time_loop_prepares_its_fixed_batch_once(monkeypatch):
+    # a 20-step test-time loop over a 5-shot split (n_shot = inner_batch):
+    # the split is stacked, and phi run on its targets, once for all steps.
+    # Those target features are 18 of an eager step's ops.
+    state, ep = _desk_state_and_episode()
+    seen = collections.Counter()
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            seen[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    stack = bilevel.stack_samples
+
+    def stacking(samples):  # a stacked batch passes through; count the stacking of samples
+        seen["stacked"] += not isinstance(samples, tuple)
+        return stack(samples)
+
+    monkeypatch.setattr(T, "_apply", counting("ops", T._apply))
+    monkeypatch.setattr(bilevel.FeatureExtractor, "features", counting("features", bilevel.FeatureExtractor.features))
+    monkeypatch.setattr(bilevel, "stack_samples", stacking)
+    g_is, d_is, _ = inner_adapt((state.g_gp, state.d_gp), ep.train, DESK_NET, MetaMode.FIRST_ORDER,
+                                state.objective, seed=0, n_iters=20)
+    assert seen["features"] == 21 and seen["stacked"] == 1
+    assert 0 < seen["ops"] <= 20 * 297 - 19 * 18
+    monkeypatch.undo()
+
+    # the reference restacks the split and recomputes its features every step
+    g, d = state.g_gp.copy(), state.d_gp.copy()
+    step_g = bilevel._adam_rule(AdamState(g), DESK_NET.alpha)
+    step_d = bilevel._adam_rule(AdamState(d), DESK_NET.alpha)
+    for _ in range(20):
+        g, d, _, _ = alternating_step(state.objective, g, d, list(ep.train), step_g, step_d)
+    for got, want in ((g_is, g), (d_is, d)):
+        assert all(got[n].data.tobytes() == want[n].data.tobytes() for n in want.keys())
+
+
 def test_eager_desk_step_patch_bytes(monkeypatch):
     # the patch and row matrices that the conv kernels gather in one eager
     # desk step: 23.6 MiB when every 3x3 conv copied its input nine times.

@@ -374,11 +374,12 @@ def test_cli_rejects_negative_iters(stage, tmp_path, capsys):
     assert sorted(p for p in out.rglob("*")) == before
 
 
-@pytest.mark.parametrize("stage,option", [("full-run", "--iters"), ("adapt", "--scene")])
+@pytest.mark.parametrize("stage,option", [("full-run", "--iters"), ("adapt", "--scene"), ("gen-data", "--aux")])
 def test_cli_rejects_an_option_its_stage_does_not_read(stage, option, tmp_path, capsys):
     cfg_file = tmp_path / "smoke.cfg"
     cfg_file.write_text(SMOKE + f"\nout_dir = {tmp_path / 'run'}\n")
-    assert run_cli(stage, "--config", str(cfg_file), option, "1") == 2
+    value = "off" if option == "--aux" else "1"
+    assert run_cli(stage, "--config", str(cfg_file), option, value) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and option in err and stage in err, err
     assert not (tmp_path / "run").exists()

@@ -1,6 +1,7 @@
 """Autodiff core: forward values, tape semantics, gradients vs finite differences."""
 
 import itertools
+import warnings
 import weakref
 
 import numpy as np
@@ -214,6 +215,98 @@ def test_non_finite_output_rejected():
     # an overflow reaches the check too, not a numpy warning
     with pytest.raises(TensorError, match="mul"):
         T.mul(T.tensor([1e300]), T.tensor([1e300]))
+
+
+def _overflow_forward():
+    T.mul(T.tensor([1e300]), T.tensor([1e300]))
+
+
+def _overflow_backward_pair():
+    # finite forward (1e200 * 1e-200 * 1e200); d loss / d b = 1e200 * 1e200 overflows
+    a, b = leaf([1e200]), leaf([1e-200])
+    return T.reduce_mean(T.mul(T.mul(a, b), T.tensor([1e200]))), b
+
+
+def _overflow_in_tape_block():
+    with Tape():
+        _overflow_forward()
+
+
+def _overflow_in_values_backward():
+    with Tape() as tape:
+        loss, b = _overflow_backward_pair()
+    backward(loss, [b], tape)
+
+
+def _overflow_in_differentiable_backward():
+    with Tape(Tape.DIFFERENTIABLE):
+        loss, b = _overflow_backward_pair()
+        backward(loss, [b])
+
+
+def _overflow_under_no_tape():
+    with Tape(), T.no_tape():
+        _overflow_forward()
+
+
+@pytest.mark.parametrize("place", [_overflow_in_tape_block, _overflow_in_values_backward,
+                                   _overflow_in_differentiable_backward, _overflow_under_no_tape,
+                                   _overflow_forward])
+def test_overflow_raises_without_a_warning_and_restores_the_error_state(place):
+    before = np.geterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(T.NumericalError, match="mul: non-finite"):
+            place()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert np.geterr() == before and T._tls.scopes == 0
+
+
+def test_recording_scopes_restore_the_error_state_on_normal_exit():
+    before = np.geterr()
+    with Tape(Tape.DIFFERENTIABLE) as tape:
+        assert np.geterr()["over"] == "ignore"
+        with T.no_tape(), tape:  # nested and re-entered scopes
+            loss, b = _overflow_backward_pair()
+        assert np.geterr()["over"] == "ignore"
+    assert np.geterr() == before and T._tls.scopes == 0
+    with np.errstate(over="raise"):
+        with Tape():
+            T.add(leaf([1.0]), leaf([2.0]))
+        assert np.geterr()["over"] == "raise"
+    assert np.geterr() == before
+
+
+def _with_signed_zeros(shape, seed):
+    x = rand(shape, seed)
+    x.flat[::7] = 0.0
+    x.flat[3::7] = -0.0
+    return x
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2])
+def test_relu_adjoint_kernel_bits_match_the_where_form(slope):
+    g = _with_signed_zeros((5, 8, 16, 16), 1)
+    y = np.maximum(_with_signed_zeros((5, 8, 16, 16), 2), 0.0)
+    want = np.where(y > 0, g, g * slope)
+    assert T._f_relu_adjoint({"slope": slope}, g, y).tobytes() == want.tobytes()
+
+
+def test_leaky_relu_kernel_bits_match_the_where_form():
+    x = _with_signed_zeros((5, 8, 16, 16), 3)
+    x.flat[1::11] = 5e-324  # subnormals of both signs
+    x.flat[2::11] = -5e-324
+    want = np.where(x > 0, x, 0.2 * x)
+    assert T._f_leaky_relu({}, x).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 32, 4, 4), (5, 16, 8, 8), (1, 3, 3, 5)])
+def test_upsample_kernel_bits_match_the_broadcast_form(shape):
+    x = _with_signed_zeros(shape, 4)
+    n, c, h, w = shape
+    want = np.broadcast_to(x[:, :, :, None, :, None], (n, c, h, 2, w, 2)).reshape(n, c, 2 * h, 2 * w)
+    got = T._f_upsample_nearest2({}, x)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

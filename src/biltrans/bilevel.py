@@ -260,17 +260,46 @@ def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiL
     return state
 
 
-def meta_gradients(state: BiLevelState, episodes: list):
-    """Episode-averaged general-model gradients after per-episode adaptation
-    in the config's ``meta_mode``.
+def _add_episode_gradients(state: BiLevelState, ep: TaskEpisode, sum_g: dict, sum_d: dict):
+    """Adapt to one episode in the config's ``meta_mode``, take the adapted
+    pair's losses on its test split and add their general-model gradients
+    to ``sum_g``/``sum_d`` in place.
 
-    Both modes take the episode-test losses of the adapted pair on one
-    tape; FIRST_ORDER differentiates them at the adapted parameters,
-    FULL_UNROLLED backpropagates them through the recorded inner steps.
-    Each episode's tape is dropped before the next episode adapts.
-    Returns (g grads, d grads, mean generator loss, mean discriminator loss).
+    Both modes take the test losses on one tape; FIRST_ORDER differentiates
+    them at the adapted parameters, FULL_UNROLLED backpropagates them
+    through the recorded inner steps. Returns (generator loss,
+    discriminator loss) as floats, so the episode's adapted pair, tape,
+    batch and gradients are all freed when it returns.
     """
     cfg = state.config
+    ep_seed = substream_seed(state.seed, "meta-inner", state.meta_iteration, ep.scene_id)
+    g_is, d_is, tape = inner_adapt(
+        (state.g_gp, state.d_gp), ep.train, cfg, cfg.meta_mode, state.objective,
+        ep_seed, n_iters=cfg.train_inner_iters,
+    )
+    # first-order: at the adapted pair; unrolled: through the recorded steps
+    g_wrt, d_wrt = (g_is, d_is) if tape is None else (state.g_gp, state.d_gp)
+    batch = state.objective.batch(ep.test)
+    with tape or Tape() as tape:  # the losses' nodes hold the tape weakly
+        fake = state.objective.generate(g_is, batch)
+        loss_g = state.objective.pair_losses(d_is, batch, fake)
+        loss_d = state.objective.disc_loss_detached(d_is, batch, fake)
+    # outside the block nothing is recorded: the meta-gradient is never
+    # differentiated again
+    for loss, wrt, sums in ((loss_g, g_wrt, sum_g), (loss_d, d_wrt, sum_d)):
+        grads = wrt.grads_by_name(backward(loss, wrt.tensors()))
+        for n in sums:
+            sums[n] += grads[n]
+    return loss_g.item(), loss_d.item()
+
+
+def meta_gradients(state: BiLevelState, episodes: list):
+    """Episode-averaged general-model gradients after per-episode adaptation
+    in the config's ``meta_mode`` (see ``_add_episode_gradients``). One
+    episode's working set is alive at a time: each is freed before the next
+    episode adapts.
+    Returns (g grads, d grads, mean generator loss, mean discriminator loss).
+    """
     for ep in episodes:
         if not ep.train or not ep.test:
             raise TensorError("meta_gradients: episode is missing a split")
@@ -278,31 +307,10 @@ def meta_gradients(state: BiLevelState, episodes: list):
     sum_g = {n: np.zeros_like(p.data) for n, p in state.g_gp.items()}
     sum_d = {n: np.zeros_like(p.data) for n, p in state.d_gp.items()}
     mean_lg = mean_ld = 0.0
-
     for ep in episodes:
-        ep_seed = substream_seed(state.seed, "meta-inner", state.meta_iteration, ep.scene_id)
-        g_is, d_is, tape = inner_adapt(
-            (state.g_gp, state.d_gp), ep.train, cfg, cfg.meta_mode, state.objective,
-            ep_seed, n_iters=cfg.train_inner_iters,
-        )
-        # first-order: at the adapted pair; unrolled: through the recorded steps
-        g_wrt, d_wrt = (g_is, d_is) if tape is None else (state.g_gp, state.d_gp)
-        batch = state.objective.batch(ep.test)
-        with tape or Tape() as tape:
-            fake = state.objective.generate(g_is, batch)
-            loss_g = state.objective.pair_losses(d_is, batch, fake)
-            loss_d = state.objective.disc_loss_detached(d_is, batch, fake)
-        # outside the block nothing is recorded: the meta-gradient is never
-        # differentiated again, and the tape is freed before the next episode
-        g_by_name = g_wrt.grads_by_name(backward(loss_g, g_wrt.tensors()))
-        d_by_name = d_wrt.grads_by_name(backward(loss_d, d_wrt.tensors()))
-        del tape
-        for n in sum_g:
-            sum_g[n] += g_by_name[n]
-        for n in sum_d:
-            sum_d[n] += d_by_name[n]
-        mean_lg += loss_g.item() / len(episodes)
-        mean_ld += loss_d.item() / len(episodes)
+        loss_g, loss_d = _add_episode_gradients(state, ep, sum_g, sum_d)
+        mean_lg += loss_g / len(episodes)
+        mean_ld += loss_d / len(episodes)
 
     k = float(len(episodes))
     return (

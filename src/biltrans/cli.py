@@ -192,12 +192,17 @@ def _rows_for(aux_on):
 def _adapt_inputs(cfg, rows):
     """What every scene's adaptation reads: (pretrained state, meta-trained
     state or None, auxiliary task pool or None). Adaptation leaves them
-    unchanged, so one copy serves every scene."""
+    unchanged, so one copy serves every scene. Of their Adam pairs only the
+    meta-trained one is kept, for the ``bilevel`` row's auxiliary
+    fine-tuning to continue; every other row starts fresh moments."""
     p = _paths(cfg)
     state_pre, _ = load_checkpoint(p["pretrain_ckpt"], cfg)
+    state_pre.adam_g = state_pre.adam_d = None
     state_meta = None
     if any(r.startswith("bilevel") for r in rows):
         state_meta, _ = load_checkpoint(p["metatrain_ckpt"], cfg)
+        if "bilevel" not in rows:
+            state_meta.adam_g = state_meta.adam_d = None
     pool = train_task_pool(cfg, _load_scenes(cfg, "train")) if "bilevel" in rows else None
     return state_pre, state_meta, pool
 

@@ -63,6 +63,11 @@ class ExperimentConfig:
             raise TensorError(f"config: mode must be pg2 or pix2pix, got {self.mode!r}")
         if self.meta_mode not in MetaMode.ALL:
             raise TensorError(f"config: meta_mode must be one of {MetaMode.ALL}, got {self.meta_mode!r}")
+        # rng.stream reads a seed's low 64 bits, so any other value would
+        # alias one inside the range
+        for name in ("master_seed", "phi_seed"):
+            if not 0 <= getattr(self, name) < 2**64:
+                raise TensorError(f"config: {name} must be in [0, 2**64), got {getattr(self, name)}")
         if self.n_shot not in (1, 5):
             raise TensorError(f"config: n_shot must be 1 or 5, got {self.n_shot}")
         for name in ("image_size", "depth", "n_test", "inner_batch", "meta_batch",

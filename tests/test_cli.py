@@ -345,6 +345,7 @@ BAD_VALUES = [
     ("lambda_perc", "-1"), ("alpha", "inf"), ("beta", "inf"),
     ("phi_widths", "-4"), ("phi_widths", "8,0"), ("clusters", "-1"), ("depth", "4"),
     ("phi_widths", "4,4,4,4,4"), ("image_size", "6"), ("meta_batch", "5"),
+    ("master_seed", "-1"), ("master_seed", str(2**64)), ("phi_seed", "-1"), ("phi_seed", str(2**64)),
 ]
 
 
@@ -356,6 +357,19 @@ def test_cli_rejects_invalid_value_at_config_time(key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err, err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_rejects_a_seed_outside_64_bits(seed, tmp_path, capsys):
+    # the random streams read a seed's low 64 bits: -1 would reproduce
+    # 2**64 - 1 and 2**64 would reproduce 0
+    cfg_file = tmp_path / "smoke.cfg"
+    cfg_file.write_text(SMOKE + f"\nout_dir = {tmp_path / 'run'}\n")
+    assert run_cli("gen-data", "--config", str(cfg_file), "--seed", seed) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "master_seed" in err, err
+    assert not (tmp_path / "run").exists()
+    assert default_config(master_seed=2**64 - 1, phi_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("stage", ["pretrain", "metatrain"])
@@ -647,6 +661,25 @@ def test_adapt_worker_payload_survives_pickling(adapted_run, monkeypatch):
     assert list(got) == rows
     for row in rows:
         assert [img.tobytes() for img in got[row]] == [img.tobytes() for img in want[row]], row
+
+
+@pytest.mark.parametrize("aux_on", [True, False])
+def test_adapt_inputs_hold_only_the_adam_pairs_a_row_continues(aux_on, adapted_run):
+    # only the bilevel row's auxiliary fine-tuning continues an Adam pair, the
+    # meta-trained one; every row adapts as it does from states that keep both
+    cfg = replace(parse_config(adapted_run[0].read_text()), out_dir=str(adapted_run[1]))
+    rows = cli._rows_for(aux_on)
+    state_pre, state_meta, pool = inputs = cli._adapt_inputs(cfg, rows)
+    assert state_pre.adam_g is None and state_pre.adam_d is None
+    kept = "bilevel" in rows
+    assert (state_meta.adam_g is not None, state_meta.adam_d is not None) == (kept, kept)
+    paths = cli._paths(cfg)
+    full = (load_checkpoint(paths["pretrain_ckpt"], cfg)[0], load_checkpoint(paths["metatrain_ckpt"], cfg)[0], pool)
+    for scene in cli._load_scenes(cfg, "unseen"):
+        got, want = cli.adapt_one_scene(cfg, scene, rows, inputs), cli.adapt_one_scene(cfg, scene, rows, full)
+        assert list(got) == rows
+        for row in rows:
+            assert [img.tobytes() for img in got[row]] == [img.tobytes() for img in want[row]], row
 
 
 def test_cli_resumed_stage_trains_to_the_given_config_target(tmp_path, capsys):

@@ -9,7 +9,6 @@ FULL_UNROLLED records the inner SGD steps on a differentiable tape and
 backpropagates the episode-test loss through the whole adaptation.
 """
 
-import collections
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +20,7 @@ from .nets import ParameterSet, discriminator_forward, generator_forward
 from .optim import AdamState, adam_step, sgd_step_differentiable
 from .rng import stream, substream_seed
 from .tasks import (
+    Batch,
     SegMap,
     TaskEpisode,
     TranslationSample,
@@ -31,11 +31,6 @@ from .tasks import (
     stack_samples,
 )
 from .tensor import Tape, TensorError, backward
-
-# a stacked batch (see ``stack_samples``) and the normalized features of its
-# targets (``losses.target_features``), None without a perceptual term
-Batch = collections.namedtuple("Batch", "xs xr y y_feats")
-
 
 @dataclass
 class Objective:
@@ -57,32 +52,32 @@ class Objective:
         self.d_forward = self.d_forward or discriminator_forward
 
     def batch(self, samples) -> Batch:
-        """The ``Batch`` of a list of samples or a batch triple; a ``Batch``
-        passes through unchanged. The target features are computed here,
-        once for every step that reuses the batch."""
-        if isinstance(samples, Batch):
-            return samples
-        xs, xr, y = stack_samples(samples)
-        return Batch(xs, xr, y, target_features(self.phi, y) if self.config.lambda_perc != 0.0 else None)
+        """The ``Batch`` of a list of samples that the losses read: the
+        stacked samples and, with a perceptual term, their targets'
+        features, computed here once for every step that reuses the batch."""
+        batch = stack_samples(samples)
+        if self.config.lambda_perc == 0.0:
+            return batch
+        return batch._replace(y_feats=target_features(self.phi, batch.y))
 
-    def generate(self, g, batch):
-        """Generated images (N, 3, H, W) for a list of samples, a batch
-        triple or a ``Batch``, recorded on the active tape."""
-        xs, xr = stack_samples(batch)[:2]
-        return self.g_forward(g, xs, xr)
+    def generate(self, g, batch: Batch):
+        """Generated images (N, 3, H, W) of a ``Batch``, recorded on the
+        active tape. Only the structure maps and references are read, so a
+        ``stack_samples`` batch without target features will do."""
+        return self.g_forward(g, batch.xs, batch.xr)
 
-    def pair_losses(self, d, batch, fake):
+    def pair_losses(self, d, batch: Batch, fake):
         """Mean generator total loss of the generated batch ``fake``: L1 +
-        weighted adversarial + weighted perceptual.
+        weighted adversarial + weighted perceptual, whose target features
+        ``batch`` carries from ``Objective.batch``.
 
         Every term is one batch mean, which equals the mean of the
         per-sample losses.
         """
-        xs, _, y, y_feats = self.batch(batch)
-        loss_g = l1_loss(fake, y)
+        loss_g = l1_loss(fake, batch.y)
         cfg = self.config
         if cfg.lambda_adv != 0.0:
-            p_fake = self._prob(d, xs, fake)
+            p_fake = self._prob(d, batch.xs, fake)
             adv_g = (
                 T.scalar_mul(T.reduce_mean(T.log(p_fake)), -1.0)
                 if cfg.nonsaturating
@@ -90,22 +85,21 @@ class Objective:
             )
             loss_g = T.add(loss_g, T.scalar_mul(adv_g, cfg.lambda_adv))
         if cfg.lambda_perc != 0.0:
-            loss_g = T.add(loss_g, T.scalar_mul(perceptual_loss(self.phi, fake, y, y_feats), cfg.lambda_perc))
+            loss_g = T.add(loss_g, T.scalar_mul(perceptual_loss(self.phi, fake, batch.y_feats), cfg.lambda_perc))
         return loss_g
 
     def _prob(self, d, xs, img):
         logits = self.d_forward(d, xs, img)
         return T.clamp(T.sigmoid(logits), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
-    def disc_loss_detached(self, d, batch, fake):
+    def disc_loss_detached(self, d, batch: Batch, fake):
         """Mean discriminator loss -(log p_real + log(1 - p_fake)) of the
         generated batch ``fake``, which stays attached: ``backward`` visits
         no generator op unless asked about one. (The benchmark's tracer wraps
         this method by name, so a rename waits for a benchmark change.)"""
-        xs, _, y = stack_samples(batch)[:3]
-        p_fake = self._prob(d, xs, fake)
+        p_fake = self._prob(d, batch.xs, fake)
         log_one_minus_fake = T.reduce_mean(T.log(T.sub(T.tensor(np.ones(p_fake.shape)), p_fake)))
-        p_real = self._prob(d, xs, y)
+        p_real = self._prob(d, batch.xs, batch.y)
         return T.scalar_mul(T.add(T.reduce_mean(T.log(p_real)), log_one_minus_fake), -1.0)
 
 
@@ -159,10 +153,10 @@ def _batch_for_iteration(samples, config: ExperimentConfig, rng):
 # the training step and inner adaptation
 
 
-def alternating_step(objective: Objective, g, d, batch, step_g, step_d, tape=None):
-    """One GAN training step: a discriminator step on ``batch``, then a
-    generator step against the updated discriminator, both on one
-    generated batch.
+def alternating_step(objective: Objective, g, d, batch: Batch, step_g, step_d, tape=None):
+    """One GAN training step: a discriminator step on ``batch``, which
+    ``objective.batch`` prepares, then a generator step against the updated
+    discriminator, both on one generated batch.
 
     ``step_d(d, grads)``/``step_g(g, grads)`` apply the update rule to a
     parameter set and its ``backward`` result and return the updated set.
@@ -171,7 +165,6 @@ def alternating_step(objective: Objective, g, d, batch, step_g, step_d, tape=Non
     fresh tape; with a DIFFERENTIABLE ``tape`` everything is recorded on it.
     Returns (g, d, loss_g, loss_d).
     """
-    batch = objective.batch(batch)
     with tape or Tape() as g_tape:
         fake = objective.generate(g, batch)
     with tape or Tape():
@@ -219,7 +212,8 @@ def inner_adapt(gp_pair, train_samples, config: ExperimentConfig, mode: str,
         step_g = step_d = _sgd_rule(config.alpha)
     fixed = objective.batch(train_samples) if len(train_samples) == config.inner_batch else None
     for it in range(n_iters):
-        batch = fixed or _batch_for_iteration(train_samples, config, stream(seed, "inner-batch", it))
+        batch = fixed or objective.batch(
+            _batch_for_iteration(train_samples, config, stream(seed, "inner-batch", it)))
         g, d, _, _ = alternating_step(objective, g, d, batch, step_g, step_d, tape)
     return g, d, tape
 
@@ -246,8 +240,8 @@ def pretrain(state: BiLevelState, scenes: list, iters: int | None = None) -> BiL
         for _ in range(cfg.inner_batch):
             scene = scenes[int(rng.integers(0, len(scenes)))]
             samples.append(render(scene, int(rng.integers(0, 2**62)), cfg.with_reference))
-        _, _, loss_g, loss_d = alternating_step(state.objective, state.g_gp, state.d_gp, samples,
-                                                step_g, step_d)
+        _, _, loss_g, loss_d = alternating_step(state.objective, state.g_gp, state.d_gp,
+                                                state.objective.batch(samples), step_g, step_d)
         state.pretrain_iteration += 1
         state.emit(
             {
@@ -408,7 +402,7 @@ def test_adapt(state: BiLevelState, episode: TaskEpisode, train_tasks: list):
         state.objective, substream_seed(state.seed, "test-adapt", episode.scene_id),
         n_iters=cfg.inner_iters,
     )
-    images = list(state.objective.generate(g_is, episode.test).data)
+    images = list(state.objective.generate(g_is, stack_samples(episode.test)).data)
     return g_is, d_is, images
 
 

@@ -25,6 +25,7 @@ from .tasks import (
     retrieve_topk,
     sample_episode,
     similarity,
+    stack_samples,
     synth_scene,
     write_ppm,
 )
@@ -215,7 +216,7 @@ def adapt_one_scene(cfg, scene, rows, inputs):
     out = {}
     for row in rows:
         if row == "baseline":
-            images = list(state_pre.objective.generate(state_pre.g_gp, episode.test).data)
+            images = list(state_pre.objective.generate(state_pre.g_gp, stack_samples(episode.test)).data)
         elif row == "baseline_shot":
             _, _, images = test_adapt(state_pre, episode, [])
         elif row == "bilevel_noaux":

@@ -51,7 +51,7 @@ class ExperimentConfig:
     phi_seed: int = _field(1789, "identity")
     phi_widths: str = _field("8,16,32", "identity")
     n_train_scenes: int = _field(100, "identity")
-    n_unseen_scenes: int = _field(20, "identity")
+    n_unseen_scenes: int = _field(20, "free")
     clusters: int = _field(0, "identity")
     samples_per_scene: int = _field(4, "free")  # accepted and validated; no stage reads it
     shade_amp_max: float = _field(0.3, "identity")

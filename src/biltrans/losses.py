@@ -70,14 +70,10 @@ def target_features(phi: FeatureExtractor, target: Tensor) -> list[Tensor]:
         return [_unit_normalize(f) for f in phi.features(target)]
 
 
-def perceptual_loss(phi: FeatureExtractor, pred: Tensor, target: Tensor, target_feats=None) -> Tensor:
-    """Sum over stages of mean squared distance between normalized features;
-    on a batch, the mean over samples of their distances. ``target_feats``
-    are ``target_features(phi, target)`` where the caller already holds them."""
-    if pred.shape != target.shape:
-        raise TensorError(f"perceptual_loss: shapes {pred.shape} vs {target.shape}")
-    if target_feats is None:
-        target_feats = target_features(phi, target)
+def perceptual_loss(phi: FeatureExtractor, pred: Tensor, target_feats: list) -> Tensor:
+    """Sum over stages of mean squared distance between normalized features
+    of ``pred`` and ``target_feats``, the targets' ``target_features``; on a
+    batch, the mean over samples of their distances."""
     total = None
     for fp, ft in zip(phi.features(pred), target_feats):
         d = T.reduce_mean(T.square(T.sub(_unit_normalize(fp), ft)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .losses import FeatureExtractor, perceptual_loss
+from .losses import FeatureExtractor, perceptual_loss, target_features
 from .tensor import TensorError
 
 SSIM_WINDOW = 7
@@ -91,7 +91,9 @@ def ssim(pred, target) -> float:
 
 def proxy_lpips(phi: FeatureExtractor, pred, target) -> float:
     """Perceptual distance under the shared frozen extractor."""
-    return perceptual_loss(phi, T.tensor(pred[None]), T.tensor(target[None])).item()
+    if pred.shape != target.shape:
+        raise TensorError(f"proxy_lpips: shapes {pred.shape} vs {target.shape}")
+    return perceptual_loss(phi, T.tensor(pred[None]), target_features(phi, T.tensor(target[None]))).item()
 
 
 @dataclass

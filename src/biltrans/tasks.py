@@ -8,6 +8,7 @@ similar scenes also look similar, which is what makes retrieval-based
 auxiliary fine-tuning meaningful.
 """
 
+import collections
 import functools
 import os
 from dataclasses import dataclass
@@ -67,19 +68,21 @@ class TranslationSample:
     y: np.ndarray  # (3, H, W)
 
 
-def stack_samples(samples):
-    """One (structure, reference or None, target) batch of Tensors, the
-    one-hot structure maps, references and targets of a list of samples
-    stacked along the leading axis; a tuple, a batch already stacked,
-    passes through unchanged."""
-    if isinstance(samples, tuple):
-        return samples
+# a batch of samples stacked along the leading axis: one-hot structure maps,
+# references or None, targets, and the normalized features of the targets
+# (``losses.target_features``), None where no loss reads them
+Batch = collections.namedtuple("Batch", "xs xr y y_feats", defaults=(None,))
+
+
+def stack_samples(samples) -> Batch:
+    """The ``Batch`` of a list of samples, without target features: enough
+    to generate from. ``bilevel.Objective.batch`` adds the features."""
 
     def cat(arrays):
         return T.tensor(np.stack(arrays))
 
     xr = None if samples[0].x_ref is None else cat([s.x_ref for s in samples])
-    return cat([s.x_struct.one_hot() for s in samples]), xr, cat([s.y for s in samples])
+    return Batch(cat([s.x_struct.one_hot() for s in samples]), xr, cat([s.y for s in samples]))
 
 
 @dataclass

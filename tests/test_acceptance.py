@@ -158,9 +158,10 @@ def test_criterion_2_meta_gradient_correctness():
                 d.add(n, v)
             g_is, d_is, tape = inner_adapt((g, d), ep.train, cfg, MetaMode.FULL_UNROLLED,
                                            obj, seed=77, n_iters=inner_steps)
+            batch = obj.batch(ep.test)
             with tape:
-                fake = obj.generate(g_is, ep.test)
-                lg, ld = obj.pair_losses(d_is, ep.test, fake), obj.disc_loss_detached(d_is, ep.test, fake)
+                fake = obj.generate(g_is, batch)
+                lg, ld = obj.pair_losses(d_is, batch, fake), obj.disc_loss_detached(d_is, batch, fake)
             return lg.item() if want == "g" else ld.item()
 
         g0 = {n: p.data.copy() for n, p in state.g_gp.items()}
@@ -168,9 +169,10 @@ def test_criterion_2_meta_gradient_correctness():
         g_is, d_is, tape = inner_adapt((state.g_gp, state.d_gp), ep.train, cfg,
                                        MetaMode.FULL_UNROLLED, obj, seed=77,
                                        n_iters=inner_steps)
+        batch = obj.batch(ep.test)
         with tape:
-            fake = obj.generate(g_is, ep.test)
-            lg, ld = obj.pair_losses(d_is, ep.test, fake), obj.disc_loss_detached(d_is, ep.test, fake)
+            fake = obj.generate(g_is, batch)
+            lg, ld = obj.pair_losses(d_is, batch, fake), obj.disc_loss_detached(d_is, batch, fake)
             an_g = state.g_gp.grads_by_name(backward(lg, state.g_gp.tensors()))
             an_d = state.d_gp.grads_by_name(backward(ld, state.d_gp.tensors()))
         fd_g = finite_diff_gradient(lambda th: pipeline(th, d0, "g"), g0, eps=1e-5)

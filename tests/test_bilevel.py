@@ -172,7 +172,7 @@ def test_inner_adapt_descends_episode_train_l1():
 
         vals = []
         for s in samples:
-            xs, xr, y = stack_samples([s])
+            xs, xr, y, _ = stack_samples([s])
             vals.append(l1_loss(obj.g_forward(g, xs, xr), y).item())
         return np.mean(vals)
 
@@ -222,7 +222,7 @@ def test_alternating_step_tape_changes_connectivity_not_values(k):
     def run(tape, rule):
         g, d = state.g_gp, state.d_gp
         for _ in range(k):
-            g, d, _, _ = alternating_step(obj, g, d, ep.train, rule, rule, tape)
+            g, d, _, _ = alternating_step(obj, g, d, obj.batch(ep.train), rule, rule, tape)
         return g, d
 
     def eager(params, grads):
@@ -262,7 +262,7 @@ def test_one_generator_forward_per_step_and_per_episode(mode):
         tape = None
         step_g = bilevel._adam_rule(AdamState(g), rate)
         step_d = bilevel._adam_rule(AdamState(d), rate)
-    alternating_step(obj, g, d, ep.train, step_g, step_d, tape)
+    alternating_step(obj, g, d, obj.batch(ep.train), step_g, step_d, tape)
     assert len(calls) == 1
     calls.clear()
     episodes = [ep, tiny_episode(503)]
@@ -275,7 +275,7 @@ def test_alternating_step_equals_two_forward_step_bitwise():
     # step, then a fresh taped forward for the generator step
     state = small_state(42)
     obj, cfg = state.objective, state.config
-    batch = small_episode(43).train
+    batch = obj.batch(small_episode(43).train)
 
     def two_forward_step(g, d, step_g, step_d):
         with T.Tape():
@@ -306,7 +306,7 @@ def test_alternating_step_equals_two_forward_step_bitwise():
 def test_backward_to_one_network_equals_its_part_of_both(mode):
     g, d = init_params(SMALL_NET, 25)
     obj = small_objective()
-    batch = small_episode(3502).train
+    batch = obj.batch(small_episode(3502).train)
 
     def grads(wrt):
         with T.Tape(mode) as tape:
@@ -341,7 +341,7 @@ def test_generator_step_backward_skips_discriminator_kernels():
         seen["dk"] = [op.name for op in tape.ops[seen["after_d"]:]].count("conv2d_dk")
         return g
 
-    alternating_step(state.objective, state.g_gp, state.d_gp, small_episode(41).train,
+    alternating_step(state.objective, state.g_gp, state.d_gp, state.objective.batch(small_episode(41).train),
                      step_g, step_d, tape)
     assert seen["dk"] == sum(n.endswith(".w") for n in state.g_gp.keys())
 
@@ -372,7 +372,7 @@ def test_eager_desk_step_op_count(monkeypatch):
     monkeypatch.setattr(T, "_apply", counting)
     step_g = bilevel._adam_rule(AdamState(state.g_gp), DESK_NET.alpha)
     step_d = bilevel._adam_rule(AdamState(state.d_gp), DESK_NET.alpha)
-    alternating_step(state.objective, state.g_gp, state.d_gp, ep.train, step_g, step_d)
+    alternating_step(state.objective, state.g_gp, state.d_gp, state.objective.batch(ep.train), step_g, step_d)
     assert 0 < count[0] <= 297
 
 
@@ -391,8 +391,8 @@ def test_test_time_loop_prepares_its_fixed_batch_once(monkeypatch):
 
     stack = bilevel.stack_samples
 
-    def stacking(samples):  # a stacked batch passes through; count the stacking of samples
-        seen["stacked"] += not isinstance(samples, tuple)
+    def stacking(samples):
+        seen["stacked"] += 1
         return stack(samples)
 
     monkeypatch.setattr(T, "_apply", counting("ops", T._apply))
@@ -409,9 +409,34 @@ def test_test_time_loop_prepares_its_fixed_batch_once(monkeypatch):
     step_g = bilevel._adam_rule(AdamState(g), DESK_NET.alpha)
     step_d = bilevel._adam_rule(AdamState(d), DESK_NET.alpha)
     for _ in range(20):
-        g, d, _, _ = alternating_step(state.objective, g, d, list(ep.train), step_g, step_d)
+        g, d, _, _ = alternating_step(state.objective, g, d, state.objective.batch(ep.train), step_g, step_d)
     for got, want in ((g_is, g), (d_is, d)):
         assert all(got[n].data.tobytes() == want[n].data.tobytes() for n in want.keys())
+
+
+def test_test_adapt_generates_its_images_without_target_features(monkeypatch):
+    # without auxiliary tasks, test_adapt runs phi only in its 20-step loop:
+    # once on the fixed split's targets, then once per step on the generated
+    # batch. The test split is stacked once, after the loop, and generating
+    # from it computes no feature.
+    state, ep = _desk_state_and_episode()
+    assert DESK_NET.inner_iters == 20
+    features, stacked = [0], []
+    real_features, real_stack = bilevel.FeatureExtractor.features, bilevel.stack_samples
+
+    def counting(self, img):
+        features[0] += 1
+        return real_features(self, img)
+
+    def stacking(samples):
+        stacked.append((samples, features[0]))
+        return real_stack(samples)
+
+    monkeypatch.setattr(bilevel.FeatureExtractor, "features", counting)
+    monkeypatch.setattr(bilevel, "stack_samples", stacking)
+    _, _, images = test_adapt(state, ep, [])
+    assert features[0] == 21 and len(images) == len(ep.test)
+    assert [at for samples, at in stacked if samples is ep.test] == [21]
 
 
 def test_eager_desk_step_patch_bytes(monkeypatch):
@@ -430,7 +455,7 @@ def test_eager_desk_step_patch_bytes(monkeypatch):
     monkeypatch.setattr(T, "_lowered", counting)
     step_g = bilevel._adam_rule(AdamState(state.g_gp), DESK_NET.alpha)
     step_d = bilevel._adam_rule(AdamState(state.d_gp), DESK_NET.alpha)
-    alternating_step(state.objective, state.g_gp, state.d_gp, ep.train, step_g, step_d)
+    alternating_step(state.objective, state.g_gp, state.d_gp, state.objective.batch(ep.train), step_g, step_d)
     assert 0 < nbytes[0] <= 10 * 2**20
 
 
@@ -441,7 +466,7 @@ def _desk_steps_then_meta_gradients(modes, steps=3):
     step_g = bilevel._adam_rule(AdamState(state.g_gp), DESK_NET.alpha)
     step_d = bilevel._adam_rule(AdamState(state.d_gp), DESK_NET.alpha)
     for _ in range(steps):
-        alternating_step(state.objective, state.g_gp, state.d_gp, ep.train, step_g, step_d)
+        alternating_step(state.objective, state.g_gp, state.d_gp, state.objective.batch(ep.train), step_g, step_d)
     return state, [meta_gradients(in_mode(state, mode), [ep]) for mode in modes]
 
 
@@ -595,9 +620,10 @@ def test_unrolled_meta_gradient_matches_end_to_end_finite_differences(inner_step
             d.add(n, v)
         g_is, d_is, tape = inner_adapt((g, d), ep.train, cfg, MetaMode.FULL_UNROLLED,
                                        obj, seed=77, n_iters=inner_steps)
+        batch = obj.batch(ep.test)
         with tape:
-            fake = obj.generate(g_is, ep.test)
-            loss_g, loss_d = obj.pair_losses(d_is, ep.test, fake), obj.disc_loss_detached(d_is, ep.test, fake)
+            fake = obj.generate(g_is, batch)
+            loss_g, loss_d = obj.pair_losses(d_is, batch, fake), obj.disc_loss_detached(d_is, batch, fake)
         return loss_g.item() if want == "g" else loss_d.item()
 
     g0 = {n: p.data.copy() for n, p in state.g_gp.items()}
@@ -610,9 +636,10 @@ def test_unrolled_meta_gradient_matches_end_to_end_finite_differences(inner_step
                                    MetaMode.FULL_UNROLLED, obj, seed=77, n_iters=inner_steps)
     from biltrans.tensor import backward
 
+    batch = obj.batch(ep.test)
     with tape:
-        fake = obj.generate(g_is, ep.test)
-        loss_g, loss_d = obj.pair_losses(d_is, ep.test, fake), obj.disc_loss_detached(d_is, ep.test, fake)
+        fake = obj.generate(g_is, batch)
+        loss_g, loss_d = obj.pair_losses(d_is, batch, fake), obj.disc_loss_detached(d_is, batch, fake)
         gg = state.g_gp.grads_by_name(backward(loss_g, state.g_gp.tensors()))
         gd = state.d_gp.grads_by_name(backward(loss_d, state.d_gp.tensors()))
 
@@ -650,7 +677,7 @@ def test_unrolled_outer_passes_record_nothing_and_match_recording_reference(monk
         g_is, d_is, tape = inner_adapt((state.g_gp, state.d_gp), ep.train, state.config,
                                        MetaMode.FULL_UNROLLED, obj, seed, n_iters=2)
         with tape:
-            batch = stack_samples(ep.test)
+            batch = obj.batch(ep.test)
             fake = obj.generate(g_is, batch)
             loss_g, loss_d = obj.pair_losses(d_is, batch, fake), obj.disc_loss_detached(d_is, batch, fake)
             n_forward = len(tape.ops)
@@ -939,17 +966,18 @@ def test_feature_extractor_untouched_by_training():
 
 def _objective_terms(obj, g, d, samples):
     """name -> (loss value, {param name: gradient}) for each objective scalar."""
+    batch = obj.batch(samples)
     terms = {}
     # the discriminator loss reads ``fake`` itself, so it has a generator gradient too
     for key, fn, mode in (("pair_g", obj.pair_losses, T.Tape.VALUES),
                           ("disc_connected", obj.disc_loss_detached, T.Tape.DIFFERENTIABLE)):
         with T.Tape(mode):
-            loss = fn(d, samples, obj.generate(g, samples))
+            loss = fn(d, batch, obj.generate(g, batch))
             grads = T.backward(loss, g.tensors() + d.tensors())
             terms[key] = (loss.item(), {**{f"g.{n}": grads[p].data for n, p in g.items()},
                                         **{f"d.{n}": grads[p].data for n, p in d.items()}})
     with T.Tape():
-        loss = obj.disc_loss_detached(d, samples, obj.generate(g, samples))
+        loss = obj.disc_loss_detached(d, batch, obj.generate(g, batch))
         grads = T.backward(loss, d.tensors())
         terms["disc_detached"] = (loss.item(), {f"d.{n}": grads[p].data for n, p in d.items()})
     return terms
@@ -981,6 +1009,6 @@ def test_objective_tape_size_does_not_grow_with_batch():
             fn(samples)
         return len(tape.ops)
 
-    for fn in (lambda s: obj.pair_losses(d, s, obj.generate(g, s)),
-               lambda s: obj.disc_loss_detached(d, s, obj.generate(g, s))):
-        assert ops(fn, batch) == ops(fn, batch[:1])
+    for fn in (lambda b: obj.pair_losses(d, b, obj.generate(g, b)),
+               lambda b: obj.disc_loss_detached(d, b, obj.generate(g, b))):
+        assert ops(fn, obj.batch(batch)) == ops(fn, obj.batch(batch[:1]))

@@ -167,8 +167,8 @@ def test_every_config_key_declares_its_class():
     assert not undeclared, f"config keys without a key class: {undeclared}"
     assert {k for k, c in classes.items() if c == "identity"} == {
         "mode", "master_seed", "image_size", "classes", "base_width", "depth", "n_train_scenes",
-        "n_unseen_scenes", "clusters", "shade_amp_max", "phi_seed", "phi_widths", "lambda_adv",
-        "lambda_perc", "nonsaturating"}
+        "clusters", "shade_amp_max", "phi_seed", "phi_widths", "lambda_adv", "lambda_perc",
+        "nonsaturating"}
     assert {k for k, c in classes.items() if c == "meta"} == {
         "meta_mode", "beta", "meta_batch", "train_inner_iters"}
 
@@ -214,6 +214,23 @@ def test_every_module_level_definition_is_used_in_src():
                     used.add(name)
     unused = defined - used
     assert not unused, f"definitions that nothing in src/ names: {sorted(unused)}"
+
+
+def test_every_name_imported_in_src_is_read():
+    # no linter runs on this repo: a name that a module imports and never
+    # reads is what a move or a deletion left behind
+    src = pathlib.Path(cli.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, f"imported names that their module never reads: {unread}"
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +743,35 @@ def test_cli_adapt_runs_under_the_config_it_is_given(tmp_path):
         assert (changed / rel).read_bytes() == (straight / rel).read_bytes(), rel
     for row in ("baseline_shot", "bilevel_noaux", "bilevel"):
         assert any(at_3[rel] != (changed / rel).read_bytes() for rel in images if rel.parts[1] == row)
+
+
+def test_cli_adapts_a_trained_pair_on_more_unseen_scenes(adapted_run, tmp_path, monkeypatch, capsys):
+    # n_unseen_scenes is a free key: no checkpoint array depends on it. A pair
+    # trained with 2 unseen scenes adapts and evaluates 3 once gen-data has
+    # written their manifest, and the first 2 scenes keep their images.
+    import shutil
+
+    _cpus(monkeypatch, 1)
+    cfg_file, source = adapted_run
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    at3 = tmp_path / "at3.cfg"
+    at3.write_text(SMOKE.replace("n_unseen_scenes = 2", "n_unseen_scenes = 3"))
+    argv = ["--config", str(at3), "--out", str(out)]
+    capsys.readouterr()
+    assert run_cli("adapt", *argv) == 2  # the 2-scene manifest still contradicts the config
+    err = capsys.readouterr().err
+    assert "2 scenes in the manifest, n_unseen_scenes = 3 in the config" in err and "Traceback" not in err, err
+    for sub in ("gen-data", "adapt", "eval"):
+        assert run_cli(sub, *argv) == 0
+    for name in ("pretrain.ckpt", "metatrain.ckpt"):
+        ckpt = pathlib.Path("checkpoints") / name
+        assert (out / ckpt).read_bytes() == (source / ckpt).read_bytes(), name
+    at_2 = sorted(p.relative_to(source) for p in (source / "results").rglob("*.ppm"))
+    assert len(at_2) == 4 * 2 * 2  # rows x unseen scenes x test samples
+    for rel in at_2:
+        assert (out / rel).read_bytes() == (source / rel).read_bytes(), rel
+    assert len(list((out / "results").rglob("*.ppm"))) == 4 * 3 * 2
 
 
 def test_cli_stage_given_another_seed_than_its_checkpoint_exits_2(tmp_path, capsys):

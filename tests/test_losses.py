@@ -10,9 +10,9 @@ from biltrans import losses, tensor as T
 from biltrans.bilevel import Objective, pretrain
 from biltrans.checkpoint import build_state
 from biltrans.config import default_config
-from biltrans.losses import FeatureExtractor, l1_loss, perceptual_loss
+from biltrans.losses import FeatureExtractor, l1_loss, perceptual_loss, target_features
 from biltrans.nets import init_params, discriminator_forward, generator_forward
-from biltrans.tasks import render, stack_samples, synth_scene
+from biltrans.tasks import Batch, render, stack_samples, synth_scene
 from biltrans.tensor import Tape, TensorError, backward
 
 from test_tensor import finite_diff_gradient
@@ -48,9 +48,9 @@ def test_l1_shape_mismatch():
 
 
 def _fixed_batch(seed):
-    """(structure, reference, target) batch of one 8x8 sample, as Tensors."""
+    """``Batch`` of one 8x8 sample, without target features (no perceptual term)."""
     xs = np.eye(2)[np.random.default_rng(seed).integers(0, 2, (8, 8))].transpose(2, 0, 1)[None]
-    return T.tensor(xs), T.tensor(rand((1, 3, 8, 8), seed + 1)), T.tensor(rand((1, 3, 8, 8), seed + 2))
+    return Batch(T.tensor(xs), T.tensor(rand((1, 3, 8, 8), seed + 1)), T.tensor(rand((1, 3, 8, 8), seed + 2)))
 
 
 def test_adversarial_symmetric_uncertainty():
@@ -81,12 +81,12 @@ def test_adversarial_constant_disc_through_network_path():
     _, d = init_params(CFG, seed=0)
     for _, p in d.items():
         p.data[...] = 0.0
-    xs, xr, y = _fixed_batch(2)
+    batch = _fixed_batch(2)
     fake = T.tensor(rand((1, 3, 8, 8), 1))
     obj = Objective(ADV_ONLY)
-    loss_g = obj.pair_losses(d, (xs, xr, y), fake)
-    loss_d = obj.disc_loss_detached(d, (xs, xr, y), fake)  # bias 0 -> p = 0.5
-    l1 = np.mean(np.abs(fake.data - y.data))
+    loss_g = obj.pair_losses(d, batch, fake)
+    loss_d = obj.disc_loss_detached(d, batch, fake)  # bias 0 -> p = 0.5
+    l1 = np.mean(np.abs(fake.data - batch.y.data))
     assert loss_d.item() == pytest.approx(2 * np.log(2), abs=1e-12)
     assert loss_g.item() - l1 == pytest.approx(-np.log(2), abs=1e-12)
 
@@ -116,12 +116,12 @@ def test_adversarial_generator_gradient_vs_finite_differences():
 def test_perceptual_identity_zero_and_positive_otherwise():
     phi = FeatureExtractor(seed=11)
     x = T.tensor(rand((1, 3, 8, 8), 6))
-    assert perceptual_loss(phi, x, x).item() == 0.0
+    assert perceptual_loss(phi, x, target_features(phi, x)).item() == 0.0
     hits = 0
     for s in range(100):
         a = T.tensor(rand((1, 3, 8, 8), 100 + s))
         b = T.tensor(rand((1, 3, 8, 8), 500 + s))
-        if perceptual_loss(phi, a, b).item() > 0:
+        if perceptual_loss(phi, a, target_features(phi, b)).item() > 0:
             hits += 1
     assert hits == 100
 
@@ -129,7 +129,7 @@ def test_perceptual_identity_zero_and_positive_otherwise():
 def test_perceptual_matches_naive_recomputation():
     phi = FeatureExtractor(seed=12)
     a, b = rand((3, 8, 8), 7), rand((3, 8, 8), 8)
-    got = perceptual_loss(phi, T.tensor(a[None]), T.tensor(b[None])).item()
+    got = perceptual_loss(phi, T.tensor(a[None]), target_features(phi, T.tensor(b[None]))).item()
 
     def stages(img):
         h = img
@@ -181,15 +181,16 @@ def _sample(seed, with_reference=True):
 def _gen_losses(g, d, config, sample):
     """(generator total loss, discriminator loss) of the objective on one sample."""
     obj = Objective(config)
-    fake = obj.generate(g, [sample])
-    return obj.pair_losses(d, [sample], fake), obj.disc_loss_detached(d, [sample], fake)
+    batch = obj.batch([sample])
+    fake = obj.generate(g, batch)
+    return obj.pair_losses(d, batch, fake), obj.disc_loss_detached(d, batch, fake)
 
 
 def test_total_loss_degenerate_weights_equal_l1():
     g, d = init_params(CFG, seed=2)
     sample = _sample(21)
     lg, _ = _gen_losses(g, d, default_config(phi_seed=15, lambda_adv=0.0, lambda_perc=0.0), sample)
-    xs, xr, y = stack_samples([sample])
+    xs, xr, y, _ = stack_samples([sample])
     expect = l1_loss(generator_forward(g, xs, xr), y).item()
     assert lg.item() == expect
 
@@ -199,12 +200,13 @@ def test_total_loss_weighted_sum_arithmetic(nonsaturating):
     # component values (0.3, 0.7, 0.05) with recipe weights 10 and 2
     assert 0.3 + 10 * 0.7 + 2 * 0.05 == pytest.approx(7.4)
     _, d = init_params(CFG, seed=3)
-    xs, xr, y = stack_samples([_sample(22)])
     fake = T.tensor(rand((1, 3, 8, 8), 9, -0.9, 0.9))
     config = default_config(phi_seed=16, lambda_adv=10.0, lambda_perc=2.0, nonsaturating=nonsaturating)
     obj = Objective(config)
     phi = obj.phi
-    got_g, got_d = obj.pair_losses(d, (xs, xr, y), fake), obj.disc_loss_detached(d, (xs, xr, y), fake)
+    batch = obj.batch([_sample(22)])
+    xs, y = batch.xs, batch.y
+    got_g, got_d = obj.pair_losses(d, batch, fake), obj.disc_loss_detached(d, batch, fake)
 
     # adversarial terms recomputed in numpy from the discriminator's logits
     def prob(img):
@@ -215,7 +217,7 @@ def test_total_loss_weighted_sum_arithmetic(nonsaturating):
     log_one_minus_fake = np.mean(np.log(1.0 - p_fake))
     adv_g = -np.mean(np.log(p_fake)) if nonsaturating else log_one_minus_fake
     l1 = np.mean(np.abs(fake.data - y.data))
-    lp = perceptual_loss(phi, fake, y).item()
+    lp = perceptual_loss(phi, fake, target_features(phi, y)).item()
     assert got_g.item() == pytest.approx(l1 + 10 * adv_g + 2 * lp, rel=1e-14)
     # the discriminator keeps the minimax log(1 - p_fake) term in both cases
     assert got_d.item() == pytest.approx(-(np.mean(np.log(p_real)) + log_one_minus_fake), rel=1e-14)

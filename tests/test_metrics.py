@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from biltrans import metrics
-from biltrans.losses import FeatureExtractor, perceptual_loss
+from biltrans.losses import FeatureExtractor, perceptual_loss, target_features
 from biltrans import tensor as T
 from biltrans.metrics import MetricReport, mse, proxy_lpips, psnr, ssim
 from biltrans.tasks import sample_episode, synth_scene
@@ -115,7 +115,7 @@ def test_proxy_lpips_identity_symmetry_and_single_source():
     a, b = rand_img(9), rand_img(10)
     assert proxy_lpips(phi, a, a) == 0.0
     assert proxy_lpips(phi, a, b) == proxy_lpips(phi, b, a)
-    direct = perceptual_loss(phi, T.tensor(a[None]), T.tensor(b[None])).item()
+    direct = perceptual_loss(phi, T.tensor(a[None]), target_features(phi, T.tensor(b[None]))).item()
     assert proxy_lpips(phi, a, b) == direct  # bit-for-bit, same definition
 
 

@@ -13,14 +13,7 @@ import numpy as np
 import pytest
 
 from biltrans import cli, tasks
-from biltrans.checkpoint import (
-    MAGIC,
-    VERSION,
-    build_state,
-    load_checkpoint,
-    read_checkpoint_arrays,
-    save_checkpoint,
-)
+from biltrans.checkpoint import MAGIC, VERSION, build_state, load_checkpoint, save_checkpoint
 from biltrans.config import ExperimentConfig, default_config, parse_config, serialize_config
 from biltrans.bilevel import metatrain, pretrain
 from biltrans.rng import substream_seed
@@ -233,6 +226,41 @@ def test_every_name_imported_in_src_is_read():
     assert not unread, f"imported names that their module never reads: {unread}"
 
 
+def test_every_module_level_name_in_src_is_read():
+    # a function, class or constant at a module's top level that no file of
+    # src/ or perfbench/ reads is a leftover, or API that only tests use. A
+    # read is a loaded Name, an Attribute or an import alias outside the
+    # definition itself; dunders are exempt.
+    root = pathlib.Path(cli.__file__).parents[2]
+    files = sorted((root / "src" / "biltrans").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    defined, read = {}, set()
+    for path in files:
+        for stmt in ast.parse(path.read_text()).body:
+            own = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {n.id for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            if path.parent.name == "biltrans":
+                defined.update({name: f"{path.name}:{stmt.lineno} {name}" for name in own
+                                if not (name.startswith("__") and name.endswith("__"))})
+            for n in ast.walk(stmt):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                    name = n.id
+                elif isinstance(n, ast.Attribute):
+                    name = n.attr
+                elif isinstance(n, ast.alias):
+                    name = n.name
+                else:
+                    continue
+                if name not in own:
+                    read.add(name)
+    unread = [where for name, where in sorted(defined.items()) if name not in read]
+    assert not unread, f"module-level names that nothing in src/ or perfbench/ reads: {unread}"
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -266,6 +294,13 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+# byte offsets in a checkpoint header: the magic, the u32 version, the four
+# u64 counters, then the u64 config length
+VERSION_AT = len(MAGIC)
+CONFIG_LENGTH_AT = VERSION_AT + struct.calcsize("<I4Q")
+BODY_MESSAGE = "checkpoint body of"
+
+
 def test_checkpoint_corrupted_magic_rejected(tmp_path):
     cfg = smoke_cfg(tmp_path)
     state = build_state(cfg)
@@ -275,7 +310,7 @@ def test_checkpoint_corrupted_magic_rejected(tmp_path):
     blob[:8] = b"NOTCKPT\x00"
     (tmp_path / "c.ckpt").write_bytes(bytes(blob))
     with pytest.raises(TensorError, match="magic"):
-        read_checkpoint_arrays(path)
+        load_checkpoint(path)
 
 
 def test_checkpoint_truncation_rejected(tmp_path):
@@ -285,36 +320,41 @@ def test_checkpoint_truncation_rejected(tmp_path):
     save_checkpoint(state, path)
     blob = (tmp_path / "d.ckpt").read_bytes()
     (tmp_path / "d.ckpt").write_bytes(blob[: len(blob) - 17])
-    with pytest.raises(TensorError, match="truncated"):
-        read_checkpoint_arrays(path)
+    with pytest.raises(TensorError, match=BODY_MESSAGE):
+        load_checkpoint(path)
 
 
-def test_checkpoint_with_an_unexpected_array_rejected(tmp_path):
-    # a v1 pretraining moment in a v2 file: loading restores every array it holds
+def test_checkpoint_with_an_appended_buffer_rejected(tmp_path):
+    # one float64 more than the config's state: loading reads every byte it holds
     cfg = smoke_cfg(tmp_path)
     path = tmp_path / "extra.ckpt"
     save_checkpoint(build_state(cfg), str(path))
-    name = b"adam_g_pre/t"
     with open(path, "ab") as f:
-        f.write(struct.pack("<Q", len(name)) + name + struct.pack("<Q", 0) + struct.pack("<d", 0.0))
-    with pytest.raises(TensorError, match="unexpected arrays.*adam_g_pre/t"):
+        f.write(struct.pack("<d", 0.0))
+    with pytest.raises(TensorError, match=BODY_MESSAGE):
         load_checkpoint(str(path))
 
 
-def test_checkpoint_dimension_overflow_rejected(tmp_path):
-    path = str(tmp_path / "e.ckpt")
-    cfg_text = serialize_config(default_config()).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(cfg_text)))
-        f.write(cfg_text)
-        f.write(struct.pack("<Q", 4))
-        f.write(b"evil")
-        f.write(struct.pack("<Q", 1))
-        f.write(struct.pack("<Q", 2**40))
-    with pytest.raises(TensorError, match="overflow"):
-        read_checkpoint_arrays(path)
+def test_checkpoint_load_holds_one_copy(tmp_path):
+    # each buffer is read into the built state in place: a load's peak
+    # over what it keeps is the state's build, not a second copy of the file
+    import tracemalloc
+
+    cfg = parse_config((pathlib.Path(__file__).parents[1] / "configs" / "desk.cfg").read_text())
+    state = build_state(replace(cfg, out_dir=str(tmp_path)))
+    state.pretrain_iteration, state.meta_iteration = cfg.pretrain_iters, cfg.metatrain_iters
+    path = str(tmp_path / "metatrain.ckpt")
+    save_checkpoint(state, path)
+    del state
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) > 10**6  # a desk-shape state is over 1 MB
+    assert loaded[0].meta_iteration == cfg.metatrain_iters
+    assert peak - kept <= 500_000, (kept, peak)
 
 
 def test_resume_equals_uninterrupted_training(tmp_path):
@@ -840,8 +880,7 @@ def test_cli_meta_mode_override_full_unrolled(tmp_path, capsys):
     assert run_cli("gen-data", "--config", str(cfg_file)) == 0
     assert run_cli("pretrain", "--config", str(cfg_file)) == 0
     assert run_cli("metatrain", "--config", str(cfg_file), "--meta-mode", "full-unrolled") == 0
-    text, _ = read_checkpoint_arrays(str(out / "checkpoints" / "metatrain.ckpt"))
-    assert "meta_mode = full-unrolled" in text
+    assert load_checkpoint(str(out / "checkpoints" / "metatrain.ckpt"))[1].meta_mode == "full-unrolled"
     capsys.readouterr()
     assert run_cli("adapt", "--config", str(cfg_file), "--aux", "off") == 2
     err = capsys.readouterr().err
@@ -928,10 +967,12 @@ def _ppm_width(width):
     return damage
 
 
-def _cut_before_meta_arrays(path):
-    # a u64 name length precedes each array name
+def _cut_before_last_buffer(path):
+    # the last buffer is the discriminator's second Adam moment, one float64
+    # per discriminator parameter
+    d_gp = load_checkpoint(str(path))[0].d_gp
     blob = path.read_bytes()
-    path.write_bytes(blob[: blob.index(b"meta/pretrain_iteration") - 8])
+    path.write_bytes(blob[: len(blob) - 8 * sum(p.data.size for p in d_gp.tensors())])
 
 
 def _manifest_not_utf8(path):
@@ -939,28 +980,27 @@ def _manifest_not_utf8(path):
 
 
 def _checkpoint_header_not_utf8(path):
-    path.write_bytes(MAGIC + struct.pack("<I", VERSION) + struct.pack("<Q", 2) + b"\xff\xfe")
+    path.write_bytes(MAGIC + struct.pack("<I4QQ", VERSION, 0, 0, 0, 0, 2) + b"\xff\xfe")
 
 
 def _checkpoint_version(version):
     def damage(path):
         blob = path.read_bytes()
-        path.write_bytes(blob[:8] + struct.pack("<I", version) + blob[12:])
+        path.write_bytes(blob[:VERSION_AT] + struct.pack("<I", version) + blob[VERSION_AT + 4:])
     return damage
 
 
 def _checkpoint_config_length(length):
     def damage(path):
         blob = path.read_bytes()
-        path.write_bytes(blob[:12] + struct.pack("<Q", length) + blob[20:])
+        path.write_bytes(blob[:CONFIG_LENGTH_AT] + struct.pack("<Q", length) + blob[CONFIG_LENGTH_AT + 8:])
     return damage
 
 
-def _checkpoint_appends_array_of_dims(*dims):
+def _checkpoint_appends(extra):
     def damage(path):
         with open(path, "ab") as f:
-            f.write(struct.pack("<Q", 4) + b"huge" + struct.pack("<Q", len(dims))
-                    + b"".join(struct.pack("<Q", d) for d in dims))
+            f.write(extra)
     return damage
 
 
@@ -1000,7 +1040,7 @@ BAD_INPUTS = {
     "manifest-missing-header-key": ("pretrain", "data/train/dataset.manifest", _drop_manifest_key, 2),
     "unseen-manifest-missing": ("adapt", "data/unseen/dataset.manifest", _delete, 3),
     "truncated-ppm-payload": ("eval", "results/baseline/scene_10001/img_000.ppm", _truncate, 2),
-    "checkpoint-cut-at-array-boundary": ("pretrain", "checkpoints/pretrain.ckpt", _cut_before_meta_arrays, 2),
+    "checkpoint-cut-at-buffer-boundary": ("pretrain", "checkpoints/pretrain.ckpt", _cut_before_last_buffer, 2),
     "manifest-shape-mismatch": ("pretrain", "data/train/dataset.manifest", _resize_manifest_scenes, 2),
     # checked before any scene is synthesized: a palette of this many classes
     # is far too large to allocate
@@ -1023,11 +1063,13 @@ BAD_INPUTS = {
     "checkpoint-v2": ("adapt", "checkpoints/pretrain.ckpt", _checkpoint_version(2), 2),
     "checkpoint-v3": ("pretrain", "checkpoints/pretrain.ckpt", _checkpoint_version(3), 2),
     "checkpoint-v4": ("pretrain", "checkpoints/pretrain.ckpt", _checkpoint_version(4), 2),
+    "checkpoint-v5": ("metatrain", "checkpoints/metatrain.ckpt", _checkpoint_version(5), 2),
     # lengths past the end of the file, too large for one read
     "checkpoint-config-length-overflow": ("pretrain", "checkpoints/pretrain.ckpt",
                                           _checkpoint_config_length(2**63), 2),
-    "checkpoint-array-size-overflow": ("metatrain", "checkpoints/metatrain.ckpt",
-                                       _checkpoint_appends_array_of_dims(2**31, 2**31), 2),
+    # what v5 read as an array header claiming 2**31 x 2**31 values
+    "checkpoint-bytes-appended": ("metatrain", "checkpoints/metatrain.ckpt", _checkpoint_appends(
+        struct.pack("<Q", 4) + b"huge" + struct.pack("<3Q", 2, 2**31, 2**31)), 2),
     "checkpoint-contradicts-config": ("adapt", "checkpoints/pretrain.ckpt",
                                       _checkpoint_header_says_seed_7, 2),
     # the run directory is named after the case: a path that says "non-finite"
@@ -1039,8 +1081,10 @@ BAD_INPUT_MESSAGES = {"checkpoint-v1": "unsupported version 1",
                       "checkpoint-v2": "unsupported version 2",
                       "checkpoint-v3": "unsupported version 3",
                       "checkpoint-v4": "unsupported version 4",
+                      "checkpoint-v5": "unsupported version 5",
                       "checkpoint-config-length-overflow": "truncated while reading config",
-                      "checkpoint-array-size-overflow": "truncated while reading values of 'huge'",
+                      "checkpoint-cut-at-buffer-boundary": BODY_MESSAGE,
+                      "checkpoint-bytes-appended": BODY_MESSAGE,
                       "checkpoint-contradicts-config": "master_seed = 7 in the checkpoint, 0 in the config",
                       "manifest-shape-mismatch": "height = 32 in the manifest, 16 for the config",
                       "manifest-of-a-billion-classes": "classes = 1000000000 in the manifest, 3 for the config",
@@ -1067,8 +1111,28 @@ def test_cli_malformed_input_exit_codes(case, adapted_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("stage", ["pretrain", "metatrain"])
 def test_checkpoint_holds_only_what_the_next_stage_reads(stage, adapted_run):
+    # the header, then each parameter of the general pair and its two Adam
+    # moments, one float64 each: no phi, seed or pretraining moments
     _, run = adapted_run
-    _, arrays = read_checkpoint_arrays(str(run / "checkpoints" / f"{stage}.ckpt"))
-    assert {name.split("/")[0] for name in arrays} == {"g_gp", "d_gp", "adam_g", "adam_d", "meta"}
-    assert {name for name in arrays if name.startswith("meta/")} == {"meta/pretrain_iteration",
-                                                                     "meta/meta_iteration"}
+    path = run / "checkpoints" / f"{stage}.ckpt"
+    state, saved = load_checkpoint(str(path))
+    header = CONFIG_LENGTH_AT + 8 + len(serialize_config(saved).encode())
+    params = sum(p.data.size for ps in (state.g_gp, state.d_gp) for p in ps.tensors())
+    assert path.stat().st_size == header + 8 * 3 * params
+
+
+def test_cli_stage_given_another_base_width_than_its_checkpoint_exits_2(adapted_run, tmp_path, capsys):
+    # base_width sets every array's shape: the header's keys are checked
+    # before the body's length is compared with the state the config builds
+    import shutil
+
+    cfg_file, source = adapted_run
+    out = tmp_path / "run"
+    shutil.copytree(source, out)
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(cfg_file.read_text().replace("base_width = 4", "base_width = 8"))
+    capsys.readouterr()
+    assert run_cli("pretrain", "--config", str(wide), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert str(out / "checkpoints" / "pretrain.ckpt") in err and "Traceback" not in err, err
+    assert "base_width = 4 in the checkpoint, 8 in the config" in err and BODY_MESSAGE not in err, err

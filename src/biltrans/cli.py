@@ -8,6 +8,7 @@ failure.
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import sys
@@ -21,6 +22,7 @@ from .tasks import (
     LazyEpisode,
     export_dataset,
     load_manifest,
+    manifest_text,
     read_ppm,
     retrieve_topk,
     sample_episode,
@@ -103,27 +105,22 @@ def cmd_gen_data(cfg):
 
 def _load_scenes(cfg, split):
     """The "train" or "unseen" scenes of the config, once the split's
-    manifest is checked: a manifest other than the one ``gen-data`` writes
-    for the config is a config error that lists each difference."""
+    manifest is checked: a manifest other than the bytes ``gen-data`` writes
+    for the config is a config error that quotes the first differing line."""
     data_dir = _paths(cfg)[f"{split}_data"]
     path = os.path.join(data_dir, "dataset.manifest")
     _require(path, "biltrans gen-data")
-    knobs, rows = load_manifest(data_dir)
-    want_knobs, want_rows = _manifest(cfg, split)
-    wrong = [f"{key} = {knobs[key]!r} in the manifest, {want!r} for the config"
-             for key, want in want_knobs.items() if knobs[key] != want]
-    if len(rows) != len(want_rows):
-        wrong.append(f"{len(rows)} scenes in the manifest, n_{split}_scenes = {len(want_rows)} in the config")
-    differ = [(got, want) for got, want in zip(rows, want_rows) if got != want]
-    if differ:
-        row = "scene {} seed={} cluster={}".format
-        got, want = differ[0]
-        wrong.append(f"{len(differ)} scene rows differ, first `{row(*got)}` in the manifest, "
-                     f"`{row(*want)}` for the config")
-    if wrong:
+    knobs, rows = _manifest(cfg, split)
+    got, want = load_manifest(data_dir), manifest_text(knobs, rows)
+    if got != want:
+        lines = itertools.zip_longest(got.splitlines(True), want.splitlines(True), fillvalue=b"")
+        n, (line, want_line) = next((n, pair) for n, pair in enumerate(lines, 1) if pair[0] != pair[1])
+        wrong = [f"line {n} reads {line!r} in the manifest, {want_line!r} for the config"]
+        scenes = got.count(b"\nscene ")
+        if scenes != len(rows):
+            wrong.append(f"{scenes} scenes in the manifest, n_{split}_scenes = {len(rows)} in the config")
         raise TensorError(f"{path} contradicts the given config: {'; '.join(wrong)}")
-    return [synth_scene(seed, cluster, scene_id=scene_id, **want_knobs)
-            for scene_id, seed, cluster in want_rows]
+    return [synth_scene(seed, cluster, scene_id=scene_id, **knobs) for scene_id, seed, cluster in rows]
 
 
 def _attach_logger(state, records):
@@ -286,7 +283,7 @@ def cmd_eval(cfg, aux_on=True):
             for j, sample in enumerate(ep.test):
                 img_path = os.path.join(row_dir, f"img_{j:03d}.ppm")
                 _require(img_path, "biltrans adapt")
-                pred = read_ppm(img_path)
+                pred = read_ppm(img_path, cfg.image_size)
                 report.add(ep.scene_id, j, **score_pair(phi, pred, sample.y))
         report.write_csv(os.path.join(p["results"], f"metrics_{row}.csv"))
         report.write_json(os.path.join(p["results"], f"summary_{row}.json"))

@@ -336,96 +336,51 @@ def retrieve_topk(x_uns: SegMap, train_tasks: list, k: int) -> list:
 # ---------------------------------------------------------------------------
 # result images (8-bit P6) and the dataset manifest
 
-# the manifest header, in order: each shared scene knob and its type
-_MANIFEST_HEADER = {"classes": int, "height": int, "width": int, "shade_amp_max": float,
-                    "cluster_space_seed": int}
+def _ppm_header(height: int, width: int) -> bytes:
+    return f"P6\n{width} {height}\n255\n".encode()
 
 
 def write_ppm(path: str, img: np.ndarray):
     """Image in [-1, 1], channels-first, stored as 8-bit P6."""
     arr = np.clip(np.rint((img.transpose(1, 2, 0) + 1.0) * 127.5), 0, 255).astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode())
+        f.write(_ppm_header(*arr.shape[:2]))
         f.write(arr.tobytes())
 
 
-def read_ppm(path: str) -> np.ndarray:
-    """8-bit P6 file as a channels-first image in [-1, 1]; a malformed
-    header, another magic or a truncated payload raises TensorError naming
-    the file."""
+def read_ppm(path: str, size: int) -> np.ndarray:
+    """The size x size image that ``write_ppm`` stores, channels-first in
+    [-1, 1]; a file that is not exactly its header and payload raises
+    TensorError naming the file."""
     with open(path, "rb") as f:
         data = f.read()
-    fields = []
-    pos = 0
-    while len(fields) < 4:
-        # skip whitespace and comments
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P6":
-        raise TensorError(f"{path}: expected NetPBM magic b'P6', found {fields[0]!r}")
-    try:
-        w, h, maxval = (int(f) for f in fields[1:])
-        if min(w, h) < 1 or maxval != 255:
-            raise ValueError(f"size {w}x{h}, maxval {maxval}")
-    except ValueError as e:
-        raise TensorError(f"{path}: malformed NetPBM header ({e})") from e
-    raw = data[pos + 1 :]  # one whitespace byte after maxval
-    count = h * w * 3
-    if len(raw) < count:
-        raise TensorError(f"{path}: truncated NetPBM payload, {len(raw)} of {count} bytes")
-    arr = np.frombuffer(raw, dtype=np.uint8, count=count).reshape(h, w, 3)
+    header = _ppm_header(size, size)
+    length = len(header) + 3 * size * size
+    if len(data) != length or not data.startswith(header):
+        raise TensorError(f"{path}: {len(data)} bytes starting {data[:len(header)]!r}, not the {length} "
+                          f"bytes starting {header!r} of a {size}x{size} image")
+    arr = np.frombuffer(data, dtype=np.uint8, offset=len(header)).reshape(size, size, 3)
     return arr.astype(np.float64).transpose(2, 0, 1) / 127.5 - 1.0
 
 
-def export_dataset(out_dir: str, knobs: dict, rows: list):
-    """Write the manifest that defines a split: the shared scene knobs, then
-    one row per (scene id, seed, cluster or None) it is synthesized from."""
-    os.makedirs(out_dir, exist_ok=True)
+def manifest_text(knobs: dict, rows: list) -> bytes:
+    """The manifest that defines a split: the shared scene knobs, then one
+    row per (scene id, seed, cluster or None) it is synthesized from."""
     lines = ["# scene translation dataset, format v2"]
-    lines += [f"{key} = {knobs[key]!r}" for key in _MANIFEST_HEADER]
-    for scene_id, seed, cluster in rows:
-        lines.append(f"scene {scene_id} seed={seed} cluster={'none' if cluster is None else cluster}")
-    with open(os.path.join(out_dir, "dataset.manifest"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+    lines += [f"{key} = {value!r}" for key, value in knobs.items()]
+    lines += [f"scene {scene_id} seed={seed} cluster={'none' if cluster is None else cluster}"
+              for scene_id, seed, cluster in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
-def load_manifest(data_dir: str):
-    """(shared scene knobs, (scene id, seed, cluster or None) rows) of a
-    split's manifest; unknown keys are ignored, a missing or malformed one
-    raises TensorError naming the file."""
-    path = os.path.join(data_dir, "dataset.manifest")
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    header = {}
-    scene_rows = []
-    try:
-        with open(path, encoding="utf-8") as f:  # a non-UTF-8 byte is a ValueError
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if line.startswith("scene "):
-                    scene_rows.append(line)
-                else:
-                    key, _, value = line.partition("=")
-                    header[key.strip()] = value.strip()
-        knobs = {key: kind(header[key]) for key, kind in _MANIFEST_HEADER.items()}
-        rows = []
-        for row in scene_rows:
-            parts = row.split()
-            kv = dict(p.split("=", 1) for p in parts[2:])
-            cluster = None if kv["cluster"] == "none" else int(kv["cluster"])
-            rows.append((int(parts[1]), int(kv["seed"]), cluster))
-    except KeyError as e:
-        raise TensorError(f"{path}: missing key {e.args[0]!r}") from e
-    except (IndexError, ValueError) as e:
-        raise TensorError(f"{path}: malformed manifest ({e})") from e
-    return knobs, rows
+def export_dataset(out_dir: str, knobs: dict, rows: list):
+    """Write a split's ``manifest_text`` under ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "dataset.manifest"), "wb") as f:
+        f.write(manifest_text(knobs, rows))
+
+
+def load_manifest(data_dir: str) -> bytes:
+    """The bytes of a split's manifest."""
+    with open(os.path.join(data_dir, "dataset.manifest"), "rb") as f:
+        return f.read()

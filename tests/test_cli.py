@@ -802,6 +802,8 @@ def test_cli_adapts_a_trained_pair_on_more_unseen_scenes(adapted_run, tmp_path, 
     assert run_cli("adapt", *argv) == 2  # the 2-scene manifest still contradicts the config
     err = capsys.readouterr().err
     assert "2 scenes in the manifest, n_unseen_scenes = 3 in the config" in err and "Traceback" not in err, err
+    seed = substream_seed(0, "data", "unseen", 2)
+    assert f"line 9 reads b'' in the manifest, b'scene 10002 seed={seed} cluster=none" in err, err
     for sub in ("gen-data", "adapt", "eval"):
         assert run_cli(sub, *argv) == 0
     for name in ("pretrain.ckpt", "metatrain.ckpt"):
@@ -937,18 +939,10 @@ def _delete(path):
     path.unlink()
 
 
-def _drop_manifest_key(path, key="classes"):
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(l for l in lines if not l.startswith(f"{key} =")) + "\n")
-
-
-def _truncate(path):
-    path.write_bytes(path.read_bytes()[:-10])
-
-
-def _resize_manifest_scenes(path):
-    text = path.read_text().replace("height = 16", "height = 32").replace("width = 16", "width = 32")
-    path.write_text(text)
+def _truncate_by(count):
+    def damage(path):
+        path.write_bytes(path.read_bytes()[:-count])
+    return damage
 
 
 def _ppm_magic_p5(path):
@@ -964,6 +958,12 @@ def _ppm_width(width):
     def damage(path):
         magic, dims, rest = path.read_bytes().split(b"\n", 2)
         path.write_bytes(b"\n".join([magic, width + dims[dims.index(b" "):], rest]))
+    return damage
+
+
+def _ppm_of_size(size):
+    def damage(path):
+        tasks.write_ppm(str(path), np.zeros((3, size, size)))
     return damage
 
 
@@ -997,7 +997,7 @@ def _checkpoint_config_length(length):
     return damage
 
 
-def _checkpoint_appends(extra):
+def _appends(extra):
     def damage(path):
         with open(path, "ab") as f:
             f.write(extra)
@@ -1010,9 +1010,11 @@ def _checkpoint_header_says_seed_7(path):
     path.write_bytes(blob.replace(b"\nmaster_seed = 0\n", b"\nmaster_seed = 7\n", 1))
 
 
-def _manifest_classes(value):
+def _manifest_replaces(old, new):
     def damage(path):
-        path.write_text(path.read_text().replace("classes = 3", f"classes = {value}"))
+        text = path.read_text()
+        assert old in text, old
+        path.write_text(text.replace(old, new))
     return damage
 
 
@@ -1037,15 +1039,17 @@ def _replace_with_directory(path):
 BAD_INPUTS = {
     # case: (subcommand, file under the run directory, how it is damaged, exit code)
     "eval-missing-image": ("eval", "results/bilevel/scene_10000/img_001.ppm", _delete, 3),
-    "manifest-missing-header-key": ("pretrain", "data/train/dataset.manifest", _drop_manifest_key, 2),
+    "manifest-missing-header-key": ("pretrain", "data/train/dataset.manifest",
+                                    _manifest_replaces("classes = 3\n", ""), 2),
     "unseen-manifest-missing": ("adapt", "data/unseen/dataset.manifest", _delete, 3),
-    "truncated-ppm-payload": ("eval", "results/baseline/scene_10001/img_000.ppm", _truncate, 2),
+    "truncated-ppm-payload": ("eval", "results/baseline/scene_10001/img_000.ppm", _truncate_by(10), 2),
     "checkpoint-cut-at-buffer-boundary": ("pretrain", "checkpoints/pretrain.ckpt", _cut_before_last_buffer, 2),
-    "manifest-shape-mismatch": ("pretrain", "data/train/dataset.manifest", _resize_manifest_scenes, 2),
+    "manifest-shape-mismatch": ("pretrain", "data/train/dataset.manifest",
+                                _manifest_replaces("height = 16\nwidth = 16\n", "height = 32\nwidth = 32\n"), 2),
     # checked before any scene is synthesized: a palette of this many classes
     # is far too large to allocate
     "manifest-of-a-billion-classes": ("pretrain", "data/train/dataset.manifest",
-                                      _manifest_classes("1000000000"), 2),
+                                      _manifest_replaces("classes = 3\n", "classes = 1000000000\n"), 2),
     "manifest-of-another-seed": ("pretrain", "data/train/dataset.manifest",
                                  _manifest_gen_data_writes("--seed", "1"), 2),
     "manifest-of-another-shade-amp": ("pretrain", "data/train/dataset.manifest",
@@ -1057,6 +1061,13 @@ BAD_INPUTS = {
     "ppm-negative-width": ("eval", "results/bilevel/scene_10001/img_000.ppm", _ppm_width(b"-16"), 2),
     "ppm-16-bit-maxval": ("eval", "results/baseline_shot/scene_10000/img_001.ppm", _ppm_maxval_16_bit, 2),
     "manifest-not-utf8": ("pretrain", "data/train/dataset.manifest", _manifest_not_utf8, 2),
+    "ppm-trailing-bytes": ("eval", "results/bilevel_noaux/scene_10000/img_000.ppm",
+                           _appends(b"trailing data"), 2),
+    "ppm-of-another-size": ("eval", "results/bilevel/scene_10001/img_001.ppm", _ppm_of_size(32), 2),
+    # the same value, written as no config writes it
+    "manifest-reformatted": ("adapt", "data/unseen/dataset.manifest",
+                             _manifest_replaces("shade_amp_max = 0.3\n", "shade_amp_max = 0.30\n"), 2),
+    "manifest-cut-final-newline": ("pretrain", "data/train/dataset.manifest", _truncate_by(1), 2),
     "checkpoint-config-not-utf8": ("pretrain", "checkpoints/pretrain.ckpt", _checkpoint_header_not_utf8, 2),
     "checkpoint-is-directory": ("pretrain", "checkpoints/pretrain.ckpt", _replace_with_directory, 2),
     "checkpoint-v1": ("metatrain", "checkpoints/metatrain.ckpt", _checkpoint_version(1), 2),
@@ -1068,29 +1079,53 @@ BAD_INPUTS = {
     "checkpoint-config-length-overflow": ("pretrain", "checkpoints/pretrain.ckpt",
                                           _checkpoint_config_length(2**63), 2),
     # what v5 read as an array header claiming 2**31 x 2**31 values
-    "checkpoint-bytes-appended": ("metatrain", "checkpoints/metatrain.ckpt", _checkpoint_appends(
+    "checkpoint-bytes-appended": ("metatrain", "checkpoints/metatrain.ckpt", _appends(
         struct.pack("<Q", 4) + b"huge" + struct.pack("<3Q", 2, 2**31, 2**31)), 2),
     "checkpoint-contradicts-config": ("adapt", "checkpoints/pretrain.ckpt",
                                       _checkpoint_header_says_seed_7, 2),
     # the run directory is named after the case: a path that says "non-finite"
     # is still a malformed file, not a numerical failure
-    "non-finite": ("pretrain", "data/train/dataset.manifest", _manifest_classes("four"), 2),
+    "non-finite": ("pretrain", "data/train/dataset.manifest",
+                   _manifest_replaces("classes = 3\n", "classes = four\n"), 2),
 }
-# what stderr must say besides the path, where a case names it
-BAD_INPUT_MESSAGES = {"checkpoint-v1": "unsupported version 1",
-                      "checkpoint-v2": "unsupported version 2",
-                      "checkpoint-v3": "unsupported version 3",
-                      "checkpoint-v4": "unsupported version 4",
-                      "checkpoint-v5": "unsupported version 5",
-                      "checkpoint-config-length-overflow": "truncated while reading config",
-                      "checkpoint-cut-at-buffer-boundary": BODY_MESSAGE,
-                      "checkpoint-bytes-appended": BODY_MESSAGE,
-                      "checkpoint-contradicts-config": "master_seed = 7 in the checkpoint, 0 in the config",
-                      "manifest-shape-mismatch": "height = 32 in the manifest, 16 for the config",
-                      "manifest-of-a-billion-classes": "classes = 1000000000 in the manifest, 3 for the config",
-                      "manifest-of-another-seed": "4 scene rows differ",
-                      "manifest-of-another-shade-amp": "shade_amp_max = 0.1 in the manifest, 0.3 for the config",
-                      "manifest-of-other-scene-counts": "7 scenes in the manifest, n_train_scenes = 4 in the config"}
+# what stderr must say besides the path
+BAD_INPUT_MESSAGES = {
+    "eval-missing-image": "run `biltrans adapt` first",
+    "unseen-manifest-missing": "run `biltrans gen-data` first",
+    "checkpoint-v1": "unsupported version 1",
+    "checkpoint-v2": "unsupported version 2",
+    "checkpoint-v3": "unsupported version 3",
+    "checkpoint-v4": "unsupported version 4",
+    "checkpoint-v5": "unsupported version 5",
+    "checkpoint-config-not-utf8": "can't decode byte 0xff",
+    "checkpoint-is-directory": "Is a directory",
+    "checkpoint-config-length-overflow": "truncated while reading config",
+    "checkpoint-cut-at-buffer-boundary": BODY_MESSAGE,
+    "checkpoint-bytes-appended": BODY_MESSAGE,
+    "checkpoint-contradicts-config": "master_seed = 7 in the checkpoint, 0 in the config",
+    "truncated-ppm-payload": r"771 bytes starting b'P6\n16 16\n255\n', not the 781 bytes",
+    "ppm-trailing-bytes": r"794 bytes starting b'P6\n16 16\n255\n', not the 781 bytes",
+    "ppm-wrong-magic": r"781 bytes starting b'P5\n16 16\n255\n', not the 781 bytes starting b'P6\n16 16\n255\n'",
+    "ppm-malformed-header": r"780 bytes starting b'P6\nw 16\n255\n",
+    "ppm-negative-width": r"782 bytes starting b'P6\n-16 16\n255'",
+    "ppm-16-bit-maxval": r"783 bytes starting b'P6\n16 16\n6553'",
+    "ppm-of-another-size": r"3085 bytes starting b'P6\n32 32\n255\n', not the 781 bytes starting "
+                           r"b'P6\n16 16\n255\n' of a 16x16 image",
+    "manifest-not-utf8": r"line 1 reads b'# \xff\xfe\n' in the manifest",
+    "manifest-missing-header-key": r"line 2 reads b'height = 16\n' in the manifest, b'classes = 3\n' for the config",
+    "manifest-shape-mismatch": r"line 3 reads b'height = 32\n' in the manifest, b'height = 16\n' for the config",
+    "manifest-of-a-billion-classes": r"b'classes = 1000000000\n' in the manifest, b'classes = 3\n' for the config",
+    "non-finite": r"b'classes = four\n' in the manifest, b'classes = 3\n' for the config",
+    "manifest-of-another-seed": (rf"line 6 reads b'cluster_space_seed = {substream_seed(1, 'cluster-space')}\n' "
+                                 rf"in the manifest, b'cluster_space_seed = {substream_seed(0, 'cluster-space')}\n' "
+                                 "for the config"),
+    "manifest-of-another-shade-amp": r"b'shade_amp_max = 0.1\n' in the manifest, b'shade_amp_max = 0.3\n' for the config",
+    "manifest-reformatted": r"b'shade_amp_max = 0.30\n' in the manifest, b'shade_amp_max = 0.3\n' for the config",
+    "manifest-of-other-scene-counts": "7 scenes in the manifest, n_train_scenes = 4 in the config",
+    # the last row without its newline, against the row with it
+    "manifest-cut-final-newline": r"line 10 reads b'{0}' in the manifest, b'{0}\n' for the config".format(
+        f"scene 3 seed={substream_seed(0, 'data', 'train', 3)} cluster=none"),
+}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -1106,7 +1141,11 @@ def test_cli_malformed_input_exit_codes(case, adapted_run, tmp_path, capsys):
     assert run_cli(subcommand, "--config", str(cfg_file), "--out", str(out)) == code
     err = capsys.readouterr().err
     assert str(out / rel) in err and "Traceback" not in err, err
-    assert BAD_INPUT_MESSAGES.get(case, "") in err, err
+    assert BAD_INPUT_MESSAGES[case] in err, err
+
+
+def test_every_malformed_input_case_names_its_message():
+    assert sorted(BAD_INPUT_MESSAGES) == sorted(BAD_INPUTS)
 
 
 @pytest.mark.parametrize("stage", ["pretrain", "metatrain"])

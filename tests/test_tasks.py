@@ -301,7 +301,7 @@ def test_netpbm_round_trip(tmp_path):
     sample = render(scene, 0)
     img_path = tmp_path / "m.ppm"
     tasks.write_ppm(str(img_path), sample.y)
-    img_back = tasks.read_ppm(str(img_path))
+    img_back = tasks.read_ppm(str(img_path), 16)
     assert np.max(np.abs(img_back - sample.y)) <= 1.0 / 255.0 + 1e-12
     # a second export of the loaded image is byte-identical
     img_path2 = tmp_path / "m2.ppm"
@@ -312,25 +312,11 @@ def test_netpbm_round_trip(tmp_path):
 def test_dataset_export_and_manifest_reload(tmp_path):
     knobs = dict(classes=4, height=16, width=24, shade_amp_max=0.2, cluster_space_seed=77)
     rows = [(3, 500, None), (10_004, 501, 2)]
-    tasks.export_dataset(str(tmp_path / "new"), knobs, rows)
-    assert (tmp_path / "new" / "dataset.manifest").read_text() == (
-        "# scene translation dataset, format v2\n"
-        "classes = 4\nheight = 16\nwidth = 24\nshade_amp_max = 0.2\ncluster_space_seed = 77\n"
-        "scene 3 seed=500 cluster=none\nscene 10004 seed=501 cluster=2\n")
-    assert tasks.load_manifest(str(tmp_path / "new")) == (knobs, rows)
-
-    # a manifest in the earlier format, which listed exported sample files
-    # and three more header keys, loads to the same knobs and rows
-    old = tmp_path / "old"
-    old.mkdir()
-    (old / "dataset.manifest").write_text(
-        "# scene translation dataset, format v1\n"
-        "classes = 4\nheight = 16\nwidth = 24\nsamples_per_scene = 1\n"
-        "with_reference = true\nallow_flip = true\nshade_amp_max = 0.2\n"
-        "cluster_space_seed = 77\n"
-        "scene 3 seed=500 cluster=none files=scene_00003/s000.seg.pgm,"
-        "scene_00003/s000.tgt.ppm,scene_00003/s000.ref.ppm\n"
-        "scene 10004 seed=501 cluster=2 files=scene_10004/s000.seg.pgm,"
-        "scene_10004/s000.tgt.ppm,scene_10004/s000.ref.ppm\n"
-    )
-    assert tasks.load_manifest(str(old)) == (knobs, rows)
+    text = tasks.manifest_text(knobs, rows)
+    assert text == (
+        b"# scene translation dataset, format v2\n"
+        b"classes = 4\nheight = 16\nwidth = 24\nshade_amp_max = 0.2\ncluster_space_seed = 77\n"
+        b"scene 3 seed=500 cluster=none\nscene 10004 seed=501 cluster=2\n")
+    tasks.export_dataset(str(tmp_path), knobs, rows)
+    assert (tmp_path / "dataset.manifest").read_bytes() == text
+    assert tasks.load_manifest(str(tmp_path)) == text
